@@ -21,12 +21,11 @@ aggregate tables print x100 unless --raw is given.  Exit codes are stable:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from .cost import QualityCostPoint, estimate_flops, load_cost_models, pareto_frontier
 from .errors import CoverageError, ParseError, ValidationError
+from .fileio import read_json, write_csv
 from .metametrics import (
     aggregate,
     evaluate_collection,
@@ -103,11 +102,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     violations_total = 0
     files = []
     for raw in args.paths:
-        try:
-            found = seg_paths(raw)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        found = seg_paths(raw)  # a missing path raises OSError: exit 6 in main
         if not found:
             print(f"error: {raw}: no SEG files found", file=sys.stderr)
             return EXIT_PARSE
@@ -208,12 +203,8 @@ def cmd_accumulate(args: argparse.Namespace) -> int:
 
 
 def cmd_pareto(args: argparse.Namespace) -> int:
-    try:
-        with open(args.report, encoding="utf-8") as fh:
-            report = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", source=args.report) from exc
-    metrics = report.get("metrics")
+    report = read_json(args.report)
+    metrics = report.get("metrics") if isinstance(report, dict) else None
     if not isinstance(metrics, dict) or not metrics:
         raise ParseError("report has no 'metrics' section", source=args.report)
     models = load_cost_models(args.costs)
@@ -235,11 +226,10 @@ def cmd_pareto(args: argparse.Namespace) -> int:
             )
         )
     frontier = pareto_frontier(points)
-    lines = ["metric,quality,cost_flops"]
-    for p in frontier:
-        print(f"{p.metric_name}  {args.basis}={_fmt(p.quality)}  cost={_fmt(p.cost_flops)} FLOPs")
-        lines.append(f"{p.metric_name},{_fmt(p.quality)},{_fmt(p.cost_flops)}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(p.metric_name, _fmt(p.quality), _fmt(p.cost_flops)) for p in frontier]
+    for name, quality, cost in rows:
+        print(f"{name}  {args.basis}={quality}  cost={cost} FLOPs")
+    write_csv(args.out, ["metric", "quality", "cost_flops"], rows)
     print(f"{len(frontier)} of {len(points)} metric(s) on the frontier; written to {args.out}")
     return EXIT_OK
 

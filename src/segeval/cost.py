@@ -16,13 +16,13 @@ A top-level array of those objects covers several metrics in one file.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from .errors import ParseError, ValidationError
+from .fileio import read_json
 
 FLOPS_PER_PARAM_PASS = 2.0
 
@@ -110,11 +110,7 @@ def _parse_cost_model(data: dict, source: str) -> CostModel:
 def load_cost_models(path: str | Path) -> dict[str, CostModel]:
     """Cost models from a JSON file (object or array), keyed by metric name."""
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", source=str(path)) from exc
+    data = read_json(path)
     items = data if isinstance(data, list) else [data]
     models: dict[str, CostModel] = {}
     for item in items:

@@ -1,0 +1,56 @@
+"""JSON and CSV helpers shared by every loader and writer.
+
+Malformed input becomes a :class:`ParseError` naming the file; filesystem
+trouble stays an :class:`OSError`.  The :mod:`csv` module quotes any field
+containing ``,``, ``"`` or a newline, so every row round-trips.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence
+
+from .errors import ParseError
+
+
+def read_json(path: str | Path):
+    """The decoded contents of a UTF-8 JSON file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc}", source=str(path)) from exc
+
+
+def read_csv(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """``(lineno, row)`` for each non-blank data row of a CSV file.
+
+    ``lineno`` counts CSV records, header = 1.  The first row must equal
+    ``header`` and every data row must have as many fields.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got is None:
+            raise ParseError("empty file", source=str(path))
+        if got != header:
+            raise ParseError(f"bad header {got!r}, expected {header!r}", source=str(path))
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"line {lineno}: expected {len(header)} fields, got {len(row)}",
+                    source=str(path),
+                )
+            yield lineno, row
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` then ``rows`` as UTF-8 CSV with LF line ends."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

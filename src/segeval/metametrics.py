@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import CoverageError, ParseError, ValidationError
+from .fileio import read_csv
 from .seg import SUBSETS, SegCollection, SemanticErrorGraph
 from .stats import TieMode, ks_statistic, population_moments, spearman_rho
 from .walks import PairMode, adjacent_pairs, enumerate_walks, walk_triples
@@ -88,39 +89,24 @@ def load_score_tables(path: str | Path) -> dict[str, ScoreTable]:
     """Parse a score CSV into one table per metric, keyed by metric name."""
     path = Path(path)
     tables: dict[str, dict[tuple[str, str], float]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    for lineno, (seg_id, image_id, metric, raw) in read_csv(path, SCORE_CSV_HEADER):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty score file", source=str(path)) from None
-        if header != SCORE_CSV_HEADER:
+            score = float(raw)
+        except ValueError:
             raise ParseError(
-                f"bad header {header!r}, expected {SCORE_CSV_HEADER!r}", source=str(path)
+                f"line {lineno}: score {raw!r} is not a number", source=str(path)
+            ) from None
+        if not math.isfinite(score):
+            raise ParseError(f"line {lineno}: non-finite score {raw!r}", source=str(path))
+        bucket = tables.setdefault(metric, {})
+        key = (seg_id, image_id)
+        if key in bucket:
+            raise ParseError(
+                f"line {lineno}: duplicate score for seg {seg_id!r} image {image_id!r} "
+                f"metric {metric!r}",
+                source=str(path),
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"line {lineno}: expected 4 fields, got {len(row)}", source=str(path))
-            seg_id, image_id, metric, raw = row
-            try:
-                score = float(raw)
-            except ValueError:
-                raise ParseError(
-                    f"line {lineno}: score {raw!r} is not a number", source=str(path)
-                ) from None
-            if not math.isfinite(score):
-                raise ParseError(f"line {lineno}: non-finite score {raw!r}", source=str(path))
-            bucket = tables.setdefault(metric, {})
-            key = (seg_id, image_id)
-            if key in bucket:
-                raise ParseError(
-                    f"line {lineno}: duplicate score for seg {seg_id!r} image {image_id!r} "
-                    f"metric {metric!r}",
-                    source=str(path),
-                )
-            bucket[key] = score
+        bucket[key] = score
     return {
         name: ScoreTable(metric_name=name, entries=entries)
         for name, entries in sorted(tables.items())
@@ -128,7 +114,11 @@ def load_score_tables(path: str | Path) -> dict[str, ScoreTable]:
 
 
 def write_score_tables(tables: Iterable[ScoreTable], path: str | Path) -> None:
-    """Write tables as the standard CSV, rows sorted for byte stability."""
+    """Write tables as the standard CSV, rows sorted for byte stability.
+
+    Lines end in CRLF (the csv default, unlike the LF report bundle), so
+    score files keep the bytes earlier versions wrote.
+    """
     rows = []
     for table in tables:
         for (seg_id, image_id), score in table.entries.items():

@@ -18,6 +18,7 @@ from typing import Iterable, Literal, Mapping
 import numpy as np
 
 from .errors import ValidationError
+from .fileio import write_csv
 from .metametrics import AggregateReport, ScoreTable, SegMetricResult
 from .seg import SegCollection, SemanticErrorGraph
 from .stats import TieMode, spearman_rho
@@ -27,7 +28,7 @@ Basis = Literal["rank", "sep"]
 
 BASIS_RANGES: dict[str, tuple[float, float]] = {"rank": (-1.0, 1.0), "sep": (0.0, 1.0)}
 
-PER_SEG_CSV_HEADER = "metric,seg_id,subset,rank,sep,delta,walks,pairs"
+PER_SEG_CSV_HEADER = ["metric", "seg_id", "subset", "rank", "sep", "delta", "walks", "pairs"]
 
 
 @dataclass(frozen=True)
@@ -244,12 +245,25 @@ def emit_report(
 
     Histograms are emitted per metric and basis; walk-line CSVs only when
     the collection and score tables are provided.  Returns written paths.
+    Raises ValidationError, before writing anything, when two metric names
+    map to the same plot-file name.
     """
+    results = sorted(per_seg_results, key=lambda r: (r.metric_name, r.seg_id))
+    metric_names = sorted({r.metric_name for r in results})
+    metric_of_file: dict[str, str] = {}
+    for name in metric_names:
+        other = metric_of_file.setdefault(_safe_name(name), name)
+        if other != name:
+            raise ValidationError(f"metrics {other!r} and {name!r} both map to plot-file name {_safe_name(name)!r}")
     out = Path(out_path)
     out.mkdir(parents=True, exist_ok=True)
-    results = sorted(per_seg_results, key=lambda r: (r.metric_name, r.seg_id))
     subset_of = {seg.id: seg.subset for seg in collection} if collection else {}
     written: list[Path] = []
+
+    def write(file_name: str, header: list[str], rows: Iterable[tuple]) -> None:
+        path = out / file_name
+        write_csv(path, header, rows)
+        written.append(path)
 
     correlations = {}
     if results:
@@ -270,44 +284,41 @@ def emit_report(
         "subset_counts": dict(sorted(aggregates.subset_counts.items())),
     }
     report_path = out / "report.json"
-    report_path.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     written.append(report_path)
 
-    per_seg_path = out / "per_seg.csv"
-    lines = [PER_SEG_CSV_HEADER]
-    for r in results:
-        subset = subset_of.get(r.seg_id, "")
-        lines.append(
-            f"{r.metric_name},{r.seg_id},{subset},{_fmt(r.rank)},{_fmt(r.sep)},"
-            f"{_fmt(r.delta)},{r.walk_count},{r.pair_count}"
-        )
-    per_seg_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(per_seg_path)
+    write(
+        "per_seg.csv",
+        PER_SEG_CSV_HEADER,
+        (
+            (r.metric_name, r.seg_id, subset_of.get(r.seg_id, ""), _fmt(r.rank), _fmt(r.sep), _fmt(r.delta),
+             r.walk_count, r.pair_count)
+            for r in results
+        ),
+    )
 
-    metric_names = sorted({r.metric_name for r in results})
     for name in metric_names:
         for basis in ("rank", "sep"):
             rows = histogram_data(results, name, basis=basis, bin_count=bin_count)
-            path = out / f"hist_{basis}_{_safe_name(name)}.csv"
-            body = ["bin_lower,bin_upper,count"]
-            body.extend(f"{_fmt(lo)},{_fmt(hi)},{n}" for lo, hi, n in rows)
-            path.write_text("\n".join(body) + "\n", encoding="utf-8")
-            written.append(path)
+            write(
+                f"hist_{basis}_{_safe_name(name)}.csv",
+                ["bin_lower", "bin_upper", "count"],
+                ((_fmt(lo), _fmt(hi), n) for lo, hi, n in rows),
+            )
 
     if collection is not None and score_tables:
         for name in metric_names:
             if name not in score_tables:
                 continue
-            path = out / f"lines_{_safe_name(name)}.csv"
-            body = ["seg_id,walk_index,normalized_rank,score"]
-            for seg in collection:
-                for w_idx, points in enumerate(walk_line_data(seg, score_tables[name])):
-                    body.extend(
-                        f"{seg.id},{w_idx},{_fmt(xr)},{_fmt(sc)}" for xr, sc in points
-                    )
-            path.write_text("\n".join(body) + "\n", encoding="utf-8")
-            written.append(path)
+            write(
+                f"lines_{_safe_name(name)}.csv",
+                ["seg_id", "walk_index", "normalized_rank", "score"],
+                (
+                    (seg.id, w_idx, _fmt(xr), _fmt(sc))
+                    for seg in collection
+                    for w_idx, points in enumerate(walk_line_data(seg, score_tables[name]))
+                    for xr, sc in points
+                ),
+            )
 
     return written

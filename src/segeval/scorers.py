@@ -21,20 +21,21 @@ embeddings are text files with one ``id v1 v2 ...`` record per line.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Literal, Mapping
 
 from .errors import CoverageError, ParseError, ValidationError
+from .fileio import read_csv, read_json
 from .metametrics import ScoreTable
-from .seg import SegCollection
+from .seg import SegCollection, _topological_order
 
 AccumulationMode = Literal["tifa", "dsg"]
 
 ACCUMULATION_MODES = ("tifa", "dsg")
+
+ANSWER_CSV_HEADER = ["seg_id", "image_id", "question_id", "answer"]
 
 
 @dataclass(frozen=True)
@@ -60,13 +61,7 @@ class AnswerTable:
     entries: Mapping[tuple[str, str, str], str]
 
     def images(self) -> list[tuple[str, str]]:
-        seen = []
-        found = set()
-        for seg_id, image_id, _ in self.entries:
-            if (seg_id, image_id) not in found:
-                found.add((seg_id, image_id))
-                seen.append((seg_id, image_id))
-        return sorted(seen)
+        return sorted({(seg_id, image_id) for seg_id, image_id, _ in self.entries})
 
     def answers_for(self, seg_id: str, image_id: str) -> dict[str, str]:
         return {
@@ -80,24 +75,15 @@ def _normalize_answer(text: str) -> str:
     return text.strip().casefold()
 
 
-def _check_acyclic(qg: QuestionGraph, source: str) -> None:
-    parents = {q.id: q.parent_ids for q in qg.questions}
-    state: dict[str, int] = {}
-
-    def visit(qid: str) -> bool:
-        state[qid] = 0
-        for pid in parents[qid]:
-            s = state.get(pid)
-            if s == 0 or (s is None and visit(pid)):
-                return True
-        state[qid] = 1
-        return False
-
-    for qid in parents:
-        if qid not in state and visit(qid):
-            raise ValidationError(
-                f"{source}: question graph {qg.prompt_id!r} has a cyclic dependency"
-            )
+def _gating_order(qg: QuestionGraph, source: str) -> list[str]:
+    """Question ids with every parent before its children."""
+    edges = [(p, q.id) for q in qg.questions for p in q.parent_ids]
+    order = _topological_order([q.id for q in qg.questions], edges)
+    if order is None:
+        raise ValidationError(
+            f"{source}: question graph {qg.prompt_id!r} has a cyclic dependency"
+        )
+    return order
 
 
 def _parse_question_graph(data: dict, source: str) -> QuestionGraph:
@@ -138,18 +124,14 @@ def _parse_question_graph(data: dict, source: str) -> QuestionGraph:
                     f"{source}: question {q.id!r} references unknown parent {pid!r}"
                 )
     qg = QuestionGraph(prompt_id=prompt_id, questions=tuple(questions))
-    _check_acyclic(qg, source)
+    _gating_order(qg, source)
     return qg
 
 
 def load_question_graphs(path: str | Path) -> list[QuestionGraph]:
     """One or more question graphs from a JSON file (object or array)."""
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", source=str(path)) from exc
+    data = read_json(path)
     items = data if isinstance(data, list) else [data]
     if not items:
         raise ParseError("no question graphs in file", source=str(path))
@@ -164,25 +146,12 @@ def load_question_graphs(path: str | Path) -> list[QuestionGraph]:
 
 def load_answer_table(path: str | Path) -> AnswerTable:
     path = Path(path)
-    header = ["seg_id", "image_id", "question_id", "answer"]
     entries: dict[tuple[str, str, str], str] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            got = next(reader)
-        except StopIteration:
-            raise ParseError("empty answer file", source=str(path)) from None
-        if got != header:
-            raise ParseError(f"bad header {got!r}, expected {header!r}", source=str(path))
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"line {lineno}: expected 4 fields, got {len(row)}", source=str(path))
-            key = (row[0], row[1], row[2])
-            if key in entries:
-                raise ParseError(f"line {lineno}: duplicate answer for {key}", source=str(path))
-            entries[key] = row[3]
+    for lineno, (seg_id, image_id, question_id, answer) in read_csv(path, ANSWER_CSV_HEADER):
+        key = (seg_id, image_id, question_id)
+        if key in entries:
+            raise ParseError(f"line {lineno}: duplicate answer for {key}", source=str(path))
+        entries[key] = answer
     return AnswerTable(entries=entries)
 
 
@@ -218,13 +187,9 @@ def dsg_accumulate(qg: QuestionGraph, answers: Mapping[str, str]) -> float:
     correct = _correctness(qg, answers)
     parents = {q.id: q.parent_ids for q in qg.questions}
     satisfied: dict[str, bool] = {}
-
-    def sat(qid: str) -> bool:
-        if qid not in satisfied:
-            satisfied[qid] = correct[qid] and all(sat(p) for p in parents[qid])
-        return satisfied[qid]
-
-    return sum(sat(q.id) for q in qg.questions) / len(qg.questions)
+    for qid in _gating_order(qg, "<data>"):
+        satisfied[qid] = correct[qid] and all(satisfied[p] for p in parents[qid])
+    return sum(satisfied.values()) / len(qg.questions)
 
 
 def accumulate_scores(

@@ -23,8 +23,10 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from .errors import ParseError, ValidationError
+from .fileio import read_json
 
 SUBSETS = ("synth", "nat", "real")
 
@@ -153,25 +155,24 @@ def _shortest_counts(seg: SemanticErrorGraph, head_id: str) -> dict[str, int]:
     return dist
 
 
-def _has_cycle(node_ids: set[str], edges: tuple[ErrorEdge, ...]) -> bool:
-    adj: dict[str, list[str]] = {nid: [] for nid in node_ids}
-    for e in edges:
-        if e.src in adj and e.dst in adj:
-            adj[e.src].append(e.dst)
-    state: dict[str, int] = {}  # 0 in progress, 1 done
+def _topological_order(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> list[str] | None:
+    """Kahn's order: every node after the sources of its incoming edges.
 
-    def visit(u: str) -> bool:
-        state[u] = 0
-        for v in adj[u]:
-            s = state.get(v)
-            if s == 0:
-                return True
-            if s is None and visit(v):
-                return True
-        state[u] = 1
-        return False
-
-    return any(visit(nid) for nid in node_ids if nid not in state)
+    None when the graph has a directed cycle.  Iterative, so graph depth is
+    bounded only by memory.
+    """
+    succs: dict[str, list[str]] = {n: [] for n in nodes}
+    indeg = dict.fromkeys(succs, 0)
+    for src, dst in edges:
+        succs[src].append(dst)
+        indeg[dst] += 1
+    order = [n for n, d in indeg.items() if d == 0]
+    for n in order:  # grows while it is walked
+        for m in succs[n]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                order.append(m)
+    return order if len(order) == len(indeg) else None
 
 
 def validate_seg(seg: SemanticErrorGraph) -> ValidationReport:
@@ -239,7 +240,8 @@ def validate_seg(seg: SemanticErrorGraph) -> ValidationReport:
         if head.error_count != 0:
             v(f"head node {head.id!r} has error_count {head.error_count}, expected 0")
 
-    if _has_cycle(seen_nodes, seg.edges):
+    known_edges = [(e.src, e.dst) for e in seg.edges if e.src in seen_nodes and e.dst in seen_nodes]
+    if _topological_order(seen_nodes, known_edges) is None:
         v("graph contains a directed cycle")
 
     if head is not None:
@@ -366,12 +368,7 @@ def seg_to_dict(seg: SemanticErrorGraph) -> dict:
 
 def load_seg_file(path: str | Path) -> SemanticErrorGraph:
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", source=str(path)) from exc
-    return parse_seg(data, source=str(path))
+    return parse_seg(read_json(path), source=str(path))
 
 
 def write_seg_file(seg: SemanticErrorGraph, path: str | Path) -> None:

@@ -43,21 +43,15 @@ class WalkTriples:
 def enumerate_walks(seg: SemanticErrorGraph) -> list[Walk]:
     """Every head-to-leaf path, exactly once, in lexicographic node-id order."""
     children = seg.children()
-    head = seg.head()
     walks: list[tuple[str, ...]] = []
-    stack = [head.id]
-
-    def dfs(node_id: str) -> None:
-        kids = sorted(children[node_id])
+    stack = [(seg.head().id,)]
+    while stack:
+        path = stack.pop()
+        kids = children[path[-1]]
         if not kids:
-            walks.append(tuple(stack))
-            return
+            walks.append(path)
         for kid in kids:
-            stack.append(kid)
-            dfs(kid)
-            stack.pop()
-
-    dfs(head.id)
+            stack.append(path + (kid,))
     walks.sort()
     return [Walk(seg_id=seg.id, node_ids=w) for w in walks]
 

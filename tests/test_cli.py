@@ -320,6 +320,14 @@ def test_pareto_missing_cost_model_names_metric(pareto_files, tmp_path, capsys):
     assert "vqa-flat" in err and "vqa-gated" in err
 
 
+def test_pareto_report_that_is_not_an_object(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text("[1]")
+    code = main(["pareto", "--report", str(report), "--costs", str(report), "--out", str(tmp_path / "f.csv")])
+    assert code == EXIT_PARSE
+    assert "report has no 'metrics' section" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -358,3 +366,47 @@ def test_synth_oracle_scores_roundtrip(tmp_path):
 def test_synth_bad_config(tmp_path, capsys):
     code = main(["synth", "--seed", "1", "--segs", "2", "--nodes", "9", "3", "--out", str(tmp_path / "x")])
     assert code == EXIT_USAGE
+
+
+# ---------------------------------------------------------------------------
+# graphs deeper than the interpreter's recursion limit
+
+
+def test_validate_deep_chain(tmp_path):
+    path = tmp_path / "deep.json"
+    write_seg_file(chain_seg([1] * 3000), path)
+    assert main(["validate", str(path)]) == EXIT_OK
+
+
+def test_score_deep_chain_ranks_strictly_decreasing_scores_at_one(tmp_path):
+    seg = chain_seg([1] * 1500)
+    write_seg_file(seg, tmp_path / "deep.json")
+    scores = tmp_path / "scores.csv"
+    write_score_tables([table_for(seg, [1.0 - i / 1500 for i in range(1500)])], scores)
+    out = tmp_path / "rep"
+    assert main(["score", "--segs", str(tmp_path / "deep.json"), "--scores", str(scores), "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["metrics"]["m"]["overall"]["rank"] == 1.0
+
+
+def test_accumulate_dsg_deep_chain_listed_leaf_first(tmp_path):
+    ids = [f"q{i}" for i in range(2000)]
+    questions = tmp_path / "q.json"
+    questions.write_text(
+        json.dumps(
+            {
+                "prompt_id": "p",
+                "questions": [
+                    {"id": qid, "parent_ids": ids[i - 1 : i], "expected_answer": "yes"}
+                    for i, qid in reversed(list(enumerate(ids)))
+                ],
+            }
+        )
+    )
+    answers = tmp_path / "a.csv"
+    answers.write_text("seg_id,image_id,question_id,answer\n" + "".join(f"s,i,{qid},yes\n" for qid in ids))
+    out = tmp_path / "dsg.csv"
+    assert main(["accumulate", "--mode", "dsg", "--questions", str(questions), "--answers", str(answers), "--out", str(out)]) == EXIT_OK
+    from segeval.metametrics import load_score_tables
+
+    assert load_score_tables(out)["p-dsg-acc"].entries == {("s", "i"): 1.0}

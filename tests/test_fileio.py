@@ -1,0 +1,104 @@
+"""Shared JSON/CSV helpers and the files the CLI writes through them."""
+
+from __future__ import annotations
+
+import csv
+import json
+
+import pytest
+
+from segeval.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from segeval.errors import ParseError
+from segeval.fileio import read_csv, read_json, write_csv
+from segeval.metametrics import write_score_tables
+from segeval.seg import write_seg_file
+
+from conftest import chain_seg, table_for
+
+ODD_METRIC = 'a,b "q"'
+ODD_SEG = "s,1"
+
+
+def _rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _score(tmp_path, metrics: list[str], seg_id: str = "seg") -> tuple[int, object]:
+    seg = chain_seg([1, 2, 1], seg_id=seg_id)
+    write_seg_file(seg, tmp_path / "seg.json")
+    scores = tmp_path / "scores.csv"
+    write_score_tables([table_for(seg, [1.0, 0.5, 0.5, 0.0], metric=m) for m in metrics], scores)
+    out = tmp_path / "report"
+    code = main(["score", "--segs", str(tmp_path / "seg.json"), "--scores", str(scores), "--out", str(out)])
+    return code, out
+
+
+def test_write_csv_quotes_and_reads_back(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [[ODD_METRIC, "x\ny", "1"], ["", "plain", "2"]]
+    write_csv(path, ["a", "b", "c"], rows)
+    assert path.read_bytes().count(b"\r") == 0
+    assert list(read_csv(path, ["a", "b", "c"])) == [(2, rows[0]), (3, rows[1])]
+
+
+def test_read_csv_rejects_empty_file_and_wrong_width(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("")
+    with pytest.raises(ParseError, match="empty file"):
+        list(read_csv(path, ["a", "b"]))
+    path.write_text("a,b\n1,2\n\n1,2,3\n")
+    with pytest.raises(ParseError, match="line 4: expected 2 fields, got 3"):
+        list(read_csv(path, ["a", "b"]))
+
+
+def test_read_json_names_the_file_and_leaves_missing_files_to_oserror(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text("{oops")
+    with pytest.raises(ParseError, match=r"x\.json: invalid JSON"):
+        read_json(path)
+    with pytest.raises(OSError):
+        read_json(tmp_path / "missing.json")
+
+
+def test_bundle_and_frontier_csvs_quote_names_with_commas_and_quotes(tmp_path):
+    code, out = _score(tmp_path, [ODD_METRIC], seg_id=ODD_SEG)
+    assert code == EXIT_OK
+
+    per_seg = _rows(out / "per_seg.csv")
+    assert all(len(row) == len(per_seg[0]) == 8 for row in per_seg)
+    assert [row[:2] for row in per_seg[1:]] == [[ODD_METRIC, ODD_SEG]]
+
+    lines = _rows(out / "lines_a_b__q_.csv")
+    assert lines[0] == ["seg_id", "walk_index", "normalized_rank", "score"]
+    assert len(lines) == 5
+    assert all(len(row) == 4 and row[0] == ODD_SEG for row in lines[1:])
+
+    costs = tmp_path / "costs.json"
+    costs.write_text(json.dumps({"metric": ODD_METRIC, "stages": [{"calls": 1, "tokens_per_call": 1, "model_params": 10}]}))
+    frontier = tmp_path / "frontier.csv"
+    assert main(["pareto", "--report", str(out / "report.json"), "--costs", str(costs), "--out", str(frontier)]) == EXIT_OK
+    assert _rows(frontier) == [["metric", "quality", "cost_flops"], [ODD_METRIC, "1", "20"]]
+
+
+def test_colliding_plot_file_names_exit_4_before_writing(tmp_path, capsys):
+    code, out = _score(tmp_path, ["x/y", "x_y", "z"])
+    assert code == EXIT_VALIDATION
+    assert "'x/y' and 'x_y'" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{missing}"],
+        ["score", "--segs", "{seg}", "--scores", "{missing}", "--out", "{out}"],
+        ["accumulate", "--mode", "dsg", "--questions", "{missing}", "--answers", "{missing}", "--out", "{out}"],
+        ["pareto", "--report", "{missing}", "--costs", "{missing}", "--out", "{out}"],
+    ],
+)
+def test_missing_input_path_exits_6(tmp_path, argv):
+    write_seg_file(chain_seg([1, 1]), tmp_path / "seg.json")
+    paths = {"missing": tmp_path / "missing", "seg": tmp_path / "seg.json", "out": tmp_path / "out"}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_IO
+
