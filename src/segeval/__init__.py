@@ -57,6 +57,6 @@ from .seg import (
 )
 from .stats import ks_statistic, population_moments, rank_transform, spearman_rho
 from .synth import SynthConfig, generate_segs, oracle_scores, write_collection
-from .walks import Walk, WalkTriples, adjacent_pairs, enumerate_walks, walk_triples
+from .walks import Walk, adjacent_pairs, enumerate_walks, walk_triples
 
 __version__ = "0.1.0"

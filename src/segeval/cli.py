@@ -21,6 +21,7 @@ aggregate tables print x100 unless --raw is given.  Exit codes are stable:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .cost import QualityCostPoint, estimate_flops, load_cost_models, pareto_frontier
@@ -202,29 +203,39 @@ def cmd_accumulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _overall_value(block, name: str, basis: str, source: str) -> float:
+    """The finite ``overall[basis]`` number of one report metric block."""
+    overall = block.get("overall", {}) if isinstance(block, dict) else None
+    if not isinstance(overall, dict):
+        raise ParseError(f"metric {name!r}: block and its 'overall' must be objects", source=source)
+    if basis not in overall:
+        raise ParseError(f"metric {name!r} has no overall {basis!r} value", source=source)
+    value = overall[basis]
+    try:
+        quality = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:
+        quality = math.nan
+    if not math.isfinite(quality):
+        raise ParseError(
+            f"metric {name!r}: overall {basis!r} value {value!r} is not a finite number", source=source
+        )
+    return quality
+
+
 def cmd_pareto(args: argparse.Namespace) -> int:
     report = read_json(args.report)
     metrics = report.get("metrics") if isinstance(report, dict) else None
     if not isinstance(metrics, dict) or not metrics:
         raise ParseError("report has no 'metrics' section", source=args.report)
+    qualities = {name: _overall_value(metrics[name], name, args.basis, args.report) for name in sorted(metrics)}
     models = load_cost_models(args.costs)
     missing = sorted(set(metrics) - set(models))
     if missing:
         raise CoverageError("missing cost model(s) for metric(s): " + ", ".join(missing))
-    points = []
-    for name in sorted(metrics):
-        overall = metrics[name].get("overall", {})
-        if args.basis not in overall:
-            raise ParseError(
-                f"metric {name!r} has no overall {args.basis!r} value", source=args.report
-            )
-        points.append(
-            QualityCostPoint(
-                metric_name=name,
-                quality=float(overall[args.basis]),
-                cost_flops=estimate_flops(models[name]),
-            )
-        )
+    points = [
+        QualityCostPoint(metric_name=name, quality=q, cost_flops=estimate_flops(models[name]))
+        for name, q in qualities.items()
+    ]
     frontier = pareto_frontier(points)
     rows = [(p.metric_name, _fmt(p.quality), _fmt(p.cost_flops)) for p in frontier]
     for name, quality, cost in rows:

@@ -15,6 +15,11 @@ from typing import Iterable, Iterator, Sequence
 from .errors import ParseError
 
 
+def not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ParseError:
+    """The ParseError for a file that is not valid UTF-8."""
+    return ParseError(f"not valid UTF-8: {exc.reason} (byte {exc.object[exc.start]:#04x})", source=str(path))
+
+
 def read_json(path: str | Path):
     """The decoded contents of a UTF-8 JSON file."""
     with open(path, encoding="utf-8") as fh:
@@ -22,6 +27,8 @@ def read_json(path: str | Path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}", source=str(path)) from exc
+        except UnicodeDecodeError as exc:
+            raise not_utf8(path, exc) from exc
 
 
 def read_csv(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
@@ -32,20 +39,23 @@ def read_csv(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[st
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        got = next(reader, None)
-        if got is None:
-            raise ParseError("empty file", source=str(path))
-        if got != header:
-            raise ParseError(f"bad header {got!r}, expected {header!r}", source=str(path))
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"line {lineno}: expected {len(header)} fields, got {len(row)}",
-                    source=str(path),
-                )
-            yield lineno, row
+        try:
+            got = next(reader, None)
+            if got is None:
+                raise ParseError("empty file", source=str(path))
+            if got != header:
+                raise ParseError(f"bad header {got!r}, expected {header!r}", source=str(path))
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(
+                        f"line {lineno}: expected {len(header)} fields, got {len(row)}",
+                        source=str(path),
+                    )
+                yield lineno, row
+        except UnicodeDecodeError as exc:  # raised while the reader pulls lines
+            raise not_utf8(path, exc) from exc
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -43,8 +43,22 @@ class ScoreTable:
     metric_name: str
     entries: Mapping[tuple[str, str], float]
 
-    def score(self, seg_id: str, image_id: str) -> float:
-        return self.entries[(seg_id, image_id)]
+    def seg_scores(self, seg: SemanticErrorGraph) -> dict[str, float]:
+        """The score of every image of ``seg``, keyed by image id.
+
+        Raises CoverageError listing every missing image.
+        """
+        entries = self.entries
+        try:
+            return {img: entries[(seg.id, img)] for img in seg.image_ids()}
+        except KeyError:
+            gaps = missing_scores([seg], self)
+        raise CoverageError(
+            f"metric {self.metric_name!r} missing {len(gaps)} score(s) on seg {seg.id}: "
+            + ", ".join(img for _, img in gaps[:10])
+            + ("..." if len(gaps) > 10 else ""),
+            missing=gaps,
+        )
 
 
 @dataclass(frozen=True)
@@ -144,17 +158,6 @@ def missing_scores(
     return missing
 
 
-def _require_coverage(seg: SemanticErrorGraph, table: ScoreTable) -> None:
-    gaps = missing_scores([seg], table)
-    if gaps:
-        raise CoverageError(
-            f"metric {table.metric_name!r} missing {len(gaps)} score(s) on seg {seg.id}: "
-            + ", ".join(img for _, img in gaps[:10])
-            + ("..." if len(gaps) > 10 else ""),
-            missing=gaps,
-        )
-
-
 # ---------------------------------------------------------------------------
 # per-SEG meta-metrics
 
@@ -167,13 +170,13 @@ def rank_score(
     Spearman's rho of scores against error counts is negated so a faithful
     metric (scores decreasing with errors) lands at +1.
     """
-    _require_coverage(seg, scores)
+    by_image = scores.seg_scores(seg)
     walks = enumerate_walks(seg)
     total = 0.0
     for walk in walks:
         triples = walk_triples(seg, walk)
-        series = [scores.score(seg.id, img) for img in triples.image_ids()]
-        counts = [float(n) for n in triples.error_counts()]
+        series = [by_image[img] for img, _ in triples]
+        counts = [n for _, n in triples]
         total += -spearman_rho(series, counts, tie_mode)
     return total / len(walks)
 
@@ -181,16 +184,14 @@ def rank_score(
 def _node_populations(
     seg: SemanticErrorGraph, scores: ScoreTable
 ) -> dict[str, list[float]]:
-    return {
-        n.id: [scores.score(seg.id, img) for img in n.images] for n in seg.nodes
-    }
+    by_image = scores.seg_scores(seg)
+    return {n.id: [by_image[img] for img in n.images] for n in seg.nodes}
 
 
 def sep_score(
     seg: SemanticErrorGraph, scores: ScoreTable, pair_mode: PairMode = "per-walk"
 ) -> float:
     """Mean KS statistic over adjacent node pairs, in [0, 1]."""
-    _require_coverage(seg, scores)
     pops = _node_populations(seg, scores)
     pairs = adjacent_pairs(seg, pair_mode)
     return sum(ks_statistic(pops[a], pops[b]) for a, b in pairs) / len(pairs)
@@ -210,10 +211,9 @@ def delta_score(
     """
     if global_std < 0:
         raise ValueError("global_std must be non-negative")
-    _require_coverage(seg, scores)
+    pops = _node_populations(seg, scores)  # checks coverage even when the spread is 0
     if global_std == 0.0:
         return 0.0
-    pops = _node_populations(seg, scores)
     means = {nid: sum(vals) / len(vals) for nid, vals in pops.items()}
     pairs = adjacent_pairs(seg, pair_mode)
     gap = sum(means[a] - means[b] for a, b in pairs) / len(pairs)
@@ -227,11 +227,10 @@ def global_std(
     values: list[float] = []
     gaps: list[tuple[str, str]] = []
     for seg in collection:
-        seg_gaps = missing_scores([seg], scores)
-        if seg_gaps:
-            gaps.extend(seg_gaps)
-            continue
-        values.extend(scores.score(seg.id, img) for img in seg.image_ids())
+        try:
+            values.extend(scores.seg_scores(seg).values())
+        except CoverageError as exc:
+            gaps.extend(exc.missing)
     if gaps:
         by_seg: dict[str, int] = {}
         for seg_id, _ in gaps:

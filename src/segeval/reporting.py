@@ -164,16 +164,12 @@ def walk_line_data(
     normalized_rank = error_count / max error count in the walk, so 0 is the
     head and 1 the walk's deepest node regardless of depth.
     """
+    by_image = scores.seg_scores(seg)
     out = []
     for walk in enumerate_walks(seg):
         triples = walk_triples(seg, walk)
-        max_count = max(triples.error_counts())  # > 0: counts strictly increase
-        out.append(
-            [
-                (count / max_count, scores.score(seg.id, img))
-                for img, count in triples.entries
-            ]
-        )
+        max_count = max(n for _, n in triples)  # > 0: counts strictly increase
+        out.append([(count / max_count, by_image[img]) for img, count in triples])
     return out
 
 
@@ -238,8 +234,6 @@ def emit_report(
     collection: SegCollection | None = None,
     score_tables: Mapping[str, ScoreTable] | None = None,
     tie_mode: TieMode = "midrank",
-    correlation_method: Literal["spearman", "pearson"] = "spearman",
-    bin_count: int = 20,
 ) -> list[Path]:
     """Write report.json, per_seg.csv, and plot-data CSVs under ``out_path``.
 
@@ -268,9 +262,7 @@ def emit_report(
     correlations = {}
     if results:
         for basis in ("rank", "sep"):
-            cm = metric_correlation_matrix(
-                results, basis=basis, tie_mode=tie_mode, method=correlation_method
-            )
+            cm = metric_correlation_matrix(results, basis=basis, tie_mode=tie_mode)
             correlations[basis] = {
                 "metrics": list(cm.metric_names),
                 "method": cm.method,
@@ -299,7 +291,7 @@ def emit_report(
 
     for name in metric_names:
         for basis in ("rank", "sep"):
-            rows = histogram_data(results, name, basis=basis, bin_count=bin_count)
+            rows = histogram_data(results, name, basis=basis)
             write(
                 f"hist_{basis}_{_safe_name(name)}.csv",
                 ["bin_lower", "bin_upper", "count"],

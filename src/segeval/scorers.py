@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Literal, Mapping
 
 from .errors import CoverageError, ParseError, ValidationError
-from .fileio import read_csv, read_json
+from .fileio import not_utf8, read_csv, read_json
 from .metametrics import ScoreTable
 from .seg import SegCollection, _topological_order
 
@@ -257,33 +257,36 @@ def load_embeddings(path: str | Path, kind: Literal["text", "image"]) -> dict[st
     path = Path(path)
     vectors: dict[str, EmbeddingVector] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            vec_id, raw = parts[0], parts[1:]
-            if not raw:
-                raise ParseError(f"line {lineno}: record {vec_id!r} has no values", source=str(path))
-            if vec_id in vectors:
-                raise ParseError(f"line {lineno}: duplicate id {vec_id!r}", source=str(path))
-            try:
-                values = tuple(float(tok) for tok in raw)
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-numeric value in record {vec_id!r}", source=str(path)) from None
-            if not all(math.isfinite(v) for v in values):
-                raise ParseError(f"line {lineno}: non-finite value in record {vec_id!r}", source=str(path))
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise ParseError(
-                    f"line {lineno}: record {vec_id!r} has dimension {len(values)}, expected {dim}",
-                    source=str(path),
-                )
-            vec = EmbeddingVector(values=values, kind=kind)
-            if vec.norm() == 0.0:
-                raise ParseError(f"line {lineno}: zero-norm vector {vec_id!r}", source=str(path))
-            vectors[vec_id] = vec
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from exc
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        vec_id, raw = parts[0], parts[1:]
+        if not raw:
+            raise ParseError(f"line {lineno}: record {vec_id!r} has no values", source=str(path))
+        if vec_id in vectors:
+            raise ParseError(f"line {lineno}: duplicate id {vec_id!r}", source=str(path))
+        try:
+            values = tuple(float(tok) for tok in raw)
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-numeric value in record {vec_id!r}", source=str(path)) from None
+        if not all(math.isfinite(v) for v in values):
+            raise ParseError(f"line {lineno}: non-finite value in record {vec_id!r}", source=str(path))
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise ParseError(
+                f"line {lineno}: record {vec_id!r} has dimension {len(values)}, expected {dim}",
+                source=str(path),
+            )
+        vec = EmbeddingVector(values=values, kind=kind)
+        if vec.norm() == 0.0:
+            raise ParseError(f"line {lineno}: zero-norm vector {vec_id!r}", source=str(path))
+        vectors[vec_id] = vec
     if not vectors:
         raise ParseError("no embedding records found", source=str(path))
     return vectors

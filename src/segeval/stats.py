@@ -44,37 +44,35 @@ def _check_sample(values: Sequence[float], name: str = "sample") -> list[float]:
     return vals
 
 
-def rank_transform(values: Sequence[float], tie_mode: TieMode = "midrank") -> list[float]:
-    """Rank a sample under the given tie convention.
-
-    midrank ranks are 1-based and sum to n(n+1)/2; countbelow ranks are
-    0-based integers counting strictly smaller sample values.
-    """
+def _doubled_ranks(vals: list[float], tie_mode: TieMode) -> list[int]:
+    # twice the rank, so both conventions stay in exact integers
     if tie_mode not in TIE_MODES:
         raise ValueError(f"unknown tie_mode: {tie_mode!r}")
-    x = _check_sample(values)
-    n = len(x)
-    order = sorted(range(n), key=lambda i: x[i])
-    ranks = [0.0] * n
+    midrank = tie_mode == "midrank"
+    n = len(vals)
+    order = sorted(range(n), key=vals.__getitem__)
+    ranks = [0] * n
     i = 0
     while i < n:
         j = i
-        while j + 1 < n and x[order[j + 1]] == x[order[i]]:
+        while j + 1 < n and vals[order[j + 1]] == vals[order[i]]:
             j += 1
-        if tie_mode == "midrank":
-            # tie group occupies 1-based positions i+1 .. j+1
-            rank = (i + j) / 2 + 1
-        else:
-            rank = float(i)  # exactly i values are strictly smaller
+        # the tie group occupies 0-based sorted positions i .. j: its midrank
+        # is (i + j) / 2 + 1, and exactly i values are strictly smaller
+        rank = i + j + 2 if midrank else 2 * i
         for k in range(i, j + 1):
             ranks[order[k]] = rank
         i = j + 1
     return ranks
 
 
-def _doubled_int_ranks(values: list[float], tie_mode: TieMode) -> list[int]:
-    # both conventions produce half-integer ranks, exact once doubled
-    return [int(r * 2) for r in rank_transform(values, tie_mode)]
+def rank_transform(values: Sequence[float], tie_mode: TieMode = "midrank") -> list[float]:
+    """Rank a sample under the given tie convention.
+
+    midrank ranks are 1-based and sum to n(n+1)/2; countbelow ranks are
+    0-based integers counting strictly smaller sample values.
+    """
+    return [r / 2 for r in _doubled_ranks(_check_sample(values), tie_mode)]
 
 
 def spearman_rho(
@@ -91,8 +89,8 @@ def spearman_rho(
     ys = _check_sample(y, "y")
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    rx = _doubled_int_ranks(xs, tie_mode)
-    ry = _doubled_int_ranks(ys, tie_mode)
+    rx = _doubled_ranks(xs, tie_mode)
+    ry = _doubled_ranks(ys, tie_mode)
     n = len(rx)
     sx, sy = sum(rx), sum(ry)
     # population moments scaled by n^2; exact in integer arithmetic

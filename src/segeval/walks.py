@@ -27,19 +27,6 @@ class Walk:
     node_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class WalkTriples:
-    """Per-image (image_id, error_count) pairs of a walk, in walk order."""
-
-    entries: tuple[tuple[str, int], ...]
-
-    def image_ids(self) -> list[str]:
-        return [img for img, _ in self.entries]
-
-    def error_counts(self) -> list[int]:
-        return [n for _, n in self.entries]
-
-
 def enumerate_walks(seg: SemanticErrorGraph) -> list[Walk]:
     """Every head-to-leaf path, exactly once, in lexicographic node-id order."""
     children = seg.children()
@@ -56,7 +43,7 @@ def enumerate_walks(seg: SemanticErrorGraph) -> list[Walk]:
     return [Walk(seg_id=seg.id, node_ids=w) for w in walks]
 
 
-def walk_triples(seg: SemanticErrorGraph, walk: Walk) -> WalkTriples:
+def walk_triples(seg: SemanticErrorGraph, walk: Walk) -> list[tuple[str, int]]:
     """Expand a walk into per-image (image_id, error_count) pairs.
 
     Images appear in the order listed on each node; nodes in walk order.
@@ -68,7 +55,7 @@ def walk_triples(seg: SemanticErrorGraph, walk: Walk) -> WalkTriples:
             raise KeyError(f"walk references unknown node {node_id!r} in seg {seg.id}")
         node = nodes[node_id]
         entries.extend((img, node.error_count) for img in node.images)
-    return WalkTriples(entries=tuple(entries))
+    return entries
 
 
 def adjacent_pairs(seg: SemanticErrorGraph, mode: PairMode = "per-walk") -> list[tuple[str, str]]:

@@ -320,12 +320,27 @@ def test_pareto_missing_cost_model_names_metric(pareto_files, tmp_path, capsys):
     assert "vqa-flat" in err and "vqa-gated" in err
 
 
-def test_pareto_report_that_is_not_an_object(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1]", "report has no 'metrics' section"),
+        ('{"metrics": {"m": 5}}', "must be objects"),
+        ('{"metrics": {"m": {"overall": [0.5]}}}', "must be objects"),
+        ('{"metrics": {"m": {"overall": {"rank": "high"}}}}', "'high' is not a finite number"),
+        ('{"metrics": {"m": {"overall": {"rank": null}}}}', "None is not a finite number"),
+        ('{"metrics": {"m": {"overall": {"rank": "nan"}}}}', "'nan' is not a finite number"),
+        ('{"metrics": {"m": {"overall": {"rank": NaN}}}}', "nan is not a finite number"),
+        ('{"metrics": {"m": {"overall": {"rank": true}}}}', "True is not a finite number"),
+        ('{"metrics": {"m": {"overall": {"rank": 1%s}}}}' % ("0" * 400), "is not a finite number"),
+    ],
+    ids=["not-an-object", "entry", "overall", "string", "null", "nan-string", "nan", "bool", "huge-int"],
+)
+def test_pareto_report_that_is_not_an_object(tmp_path, capsys, text, message):
     report = tmp_path / "report.json"
-    report.write_text("[1]")
+    report.write_text(text)
     code = main(["pareto", "--report", str(report), "--costs", str(report), "--out", str(tmp_path / "f.csv")])
     assert code == EXIT_PARSE
-    assert "report has no 'metrics' section" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ import json
 
 import pytest
 
-from segeval.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from segeval.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from segeval.errors import ParseError
 from segeval.fileio import read_csv, read_json, write_csv
 from segeval.metametrics import write_score_tables
+from segeval.scorers import load_embeddings
 from segeval.seg import write_seg_file
 
 from conftest import chain_seg, table_for
@@ -102,3 +103,41 @@ def test_missing_input_path_exits_6(tmp_path, argv):
     paths = {"missing": tmp_path / "missing", "seg": tmp_path / "seg.json", "out": tmp_path / "out"}
     assert main([arg.format(**paths) for arg in argv]) == EXIT_IO
 
+
+def _non_utf8_inputs(tmp_path) -> dict[str, object]:
+    paths = {
+        name: tmp_path / name
+        for name in ("seg.json", "bad.json", "scores.csv", "questions.json", "answers.csv", "out")
+    }
+    write_seg_file(chain_seg([1, 1]), paths["seg.json"])
+    paths["bad.json"].write_bytes(b'{"id": "\xff"}')
+    # the bad byte lies past the first 8 KiB, so it is met while iterating rows
+    padding = "".join(f"chain,pad-{i},m,0.5\n" for i in range(600))
+    paths["scores.csv"].write_bytes(f"seg_id,image_id,metric,score\n{padding}".encode() + b"chain,\xff,m,1\n")
+    paths["questions.json"].write_text(
+        json.dumps({"prompt_id": "p", "questions": [{"id": "q", "parent_ids": [], "expected_answer": "yes"}]})
+    )
+    paths["answers.csv"].write_bytes(b"seg_id,image_id,question_id,answer\nchain,0-0.jpg,q,\xff\n")
+    return {name.split(".")[0]: path for name, path in paths.items()}
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["validate", "{bad}"], "bad.json"),
+        (["score", "--segs", "{seg}", "--scores", "{scores}", "--out", "{out}"], "scores.csv"),
+        (["accumulate", "--mode", "tifa", "--questions", "{questions}", "--answers", "{answers}", "--out", "{out}"], "answers.csv"),
+    ],
+    ids=["validate", "score", "accumulate"],
+)
+def test_non_utf8_input_exits_3_naming_the_file(tmp_path, capsys, argv, bad):
+    paths = _non_utf8_inputs(tmp_path)
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_PARSE
+    assert f"{bad}: not valid UTF-8: invalid start byte (byte 0xff)" in capsys.readouterr().err
+
+
+def test_load_embeddings_rejects_non_utf8(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_bytes(b"a 1.0 0.0\n\xff 0.5 0.5\n")
+    with pytest.raises(ParseError, match=r"emb\.txt: not valid UTF-8"):
+        load_embeddings(path, "text")

@@ -50,8 +50,8 @@ def oracle_rank(seg, table, tie_mode="midrank"):
     walks = enumerate_walks(seg)
     for walk in walks:
         triples = walk_triples(seg, walk)
-        scores = [table.score(seg.id, img) for img in triples.image_ids()]
-        counts = [float(c) for c in triples.error_counts()]
+        scores = [table.entries[(seg.id, img)] for img, _ in triples]
+        counts = [float(c) for _, c in triples]
         total += -pearson(ranks(scores), ranks(counts))
     return total / len(walks)
 
@@ -89,6 +89,14 @@ def test_rank_missing_score_lists_image():
     table = ScoreTable(metric_name="m", entries={("chain", "0-0.jpg"): 1.0})
     with pytest.raises(CoverageError, match="1-0.jpg"):
         rank_score(seg, table)
+
+
+def test_delta_checks_coverage_even_with_zero_spread():
+    seg = chain_seg([1, 1])
+    table = ScoreTable(metric_name="m", entries={("chain", "0-0.jpg"): 1.0})
+    with pytest.raises(CoverageError, match="1-0.jpg") as info:
+        delta_score(seg, table, global_std=0.0)
+    assert info.value.missing == [("chain", "1-0.jpg")]
 
 
 def test_rank_matches_first_principles_oracle_on_synthetic_segs():

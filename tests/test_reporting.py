@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from segeval.errors import ValidationError
+from segeval.errors import CoverageError, ValidationError
 from segeval.metametrics import (
+    ScoreTable,
     SegMetricResult,
     aggregate,
     evaluate_collection,
@@ -160,6 +161,13 @@ def test_walk_line_normalizes_by_walk_max():
     table = table_for(seg, [0.9, 0.5, 0.2])
     (line,) = walk_line_data(seg, table)
     assert line == [(0.0, 0.9), (0.5, 0.5), (1.0, 0.2)]
+
+
+def test_walk_line_missing_score_names_the_image():
+    seg = chain_seg([1, 1])
+    table = ScoreTable(metric_name="m", entries={("chain", "0-0.jpg"): 1.0})
+    with pytest.raises(CoverageError, match="missing 1 score\\(s\\) on seg chain: 1-0.jpg"):
+        walk_line_data(seg, table)
 
 
 def test_walk_line_two_node_walk():

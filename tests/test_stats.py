@@ -94,6 +94,13 @@ def test_rank_transform_rejects_empty_and_nan():
         rank_transform([1.0], "bogus")
 
 
+def test_unknown_tie_mode_rejected():
+    with pytest.raises(ValueError, match="unknown tie_mode: 'dense'"):
+        rank_transform([0.0, 1.0, 1.0], "dense")
+    with pytest.raises(ValueError, match="unknown tie_mode: 'dense'"):
+        spearman_rho([0.0, 1.0, 1.0], [2.0, 1.0, 0.0], "dense")
+
+
 @given(samples)
 def test_midrank_sum_invariant(values):
     n = len(values)

@@ -71,13 +71,12 @@ def test_walk_triples_expand_images_in_node_order():
         edges=[("0", "1")],
     )
     (walk,) = enumerate_walks(seg)
-    triples = walk_triples(seg, walk)
-    assert triples.entries == (("a", 0), ("b", 0), ("c", 1))
+    assert walk_triples(seg, walk) == [("a", 0), ("b", 0), ("c", 1)]
 
 
 def test_walk_triples_counts_non_decreasing(diamond):
     for walk in enumerate_walks(diamond):
-        counts = walk_triples(diamond, walk).error_counts()
+        counts = [n for _, n in walk_triples(diamond, walk)]
         assert counts == sorted(counts)
 
 
@@ -140,7 +139,7 @@ def test_triples_preserve_walk_image_multiset():
             expected = sorted(
                 img for nid in walk.node_ids for img in nodes[nid].images
             )
-            assert sorted(walk_triples(seg, walk).image_ids()) == expected
+            assert sorted(img for img, _ in walk_triples(seg, walk)) == expected
 
 
 def test_rng_walk_determinism():
