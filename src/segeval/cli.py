@@ -112,7 +112,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         try:
             seg = load_seg_file(f)
         except ParseError as exc:
-            print(f"PARSE ERROR {f}: {exc}", file=sys.stderr)
+            print(f"PARSE ERROR {exc}", file=sys.stderr)  # the message names the file
             any_parse = True
             continue
         report = validate_seg(seg)

@@ -25,10 +25,10 @@ def read_json(path: str | Path):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", source=str(path)) from exc
         except UnicodeDecodeError as exc:
             raise not_utf8(path, exc) from exc
+        except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+            raise ParseError(f"invalid JSON: {exc}", source=str(path)) from exc
 
 
 def read_csv(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:

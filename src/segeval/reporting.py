@@ -15,11 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Literal, Mapping
 
-import numpy as np
-
 from .errors import ValidationError
 from .fileio import write_csv
-from .metametrics import AggregateReport, ScoreTable, SegMetricResult
+from .metametrics import AggregateReport, MeanScores, ScoreTable, SegMetricResult
 from .seg import SegCollection, SemanticErrorGraph
 from .stats import TieMode, spearman_rho
 from .walks import enumerate_walks, walk_triples
@@ -36,60 +34,30 @@ class CorrelationMatrix:
     metric_names: tuple[str, ...]
     values: tuple[tuple[float, ...], ...]
     basis: str
-    subset: str | None
-    method: str
 
 
-def _series_by_metric(
-    results: Iterable[SegMetricResult],
-    basis: str,
-    subset: str | None,
-    collection: SegCollection | None,
-) -> dict[str, dict[str, float]]:
+def _series_by_metric(results: Iterable[SegMetricResult], basis: str) -> dict[str, dict[str, float]]:
     if basis not in ("rank", "sep", "delta"):
         raise ValueError(f"unknown basis: {basis!r}")
-    if subset is not None:
-        if collection is None:
-            raise ValueError("subset filtering requires the collection")
-        keep = {seg.id for seg in collection if seg.subset == subset}
-    else:
-        keep = None
     series: dict[str, dict[str, float]] = {}
     for r in results:
-        if keep is not None and r.seg_id not in keep:
-            continue
         series.setdefault(r.metric_name, {})[r.seg_id] = getattr(r, basis)
     return series
-
-
-def _pearson(x: list[float], y: list[float]) -> float:
-    xa = np.asarray(x)
-    ya = np.asarray(y)
-    dx = xa - xa.mean()
-    dy = ya - ya.mean()
-    sx = float(np.sqrt(np.mean(dx * dx)))
-    sy = float(np.sqrt(np.mean(dy * dy)))
-    if sx == 0.0 or sy == 0.0:
-        return 0.0
-    return max(-1.0, min(1.0, float(np.mean(dx * dy)) / (sx * sy)))
 
 
 def metric_correlation_matrix(
     results: Iterable[SegMetricResult],
     basis: Basis = "rank",
-    subset_filter: str | None = None,
     tie_mode: TieMode = "midrank",
-    method: Literal["spearman", "pearson"] = "spearman",
-    collection: SegCollection | None = None,
 ) -> CorrelationMatrix:
-    """Pairwise correlation of per-SEG score series between metrics.
+    """Pairwise Spearman correlation of per-SEG score series between metrics.
 
-    Every metric must cover the same SEG set after filtering.  Constant
-    series correlate as 0 with everything, themselves included.
+    Every metric must cover the same SEG set.  Constant series correlate as
+    0 with everything, themselves included.
     """
-    series = _series_by_metric(results, basis, subset_filter, collection)
+    series = _series_by_metric(results, basis)
     if not series:
-        raise ValidationError("no results to correlate" + (f" in subset {subset_filter!r}" if subset_filter else ""))
+        raise ValidationError("no results to correlate")
     names = tuple(sorted(series))
     seg_sets = {name: frozenset(series[name]) for name in names}
     reference = seg_sets[names[0]]
@@ -108,19 +76,11 @@ def metric_correlation_matrix(
         constant = len(set(xi)) <= 1
         mat[i][i] = 0.0 if constant else 1.0
         for j in range(i + 1, k):
-            if method == "spearman":
-                c = spearman_rho(xi, vectors[names[j]], tie_mode)
-            elif method == "pearson":
-                c = _pearson(xi, vectors[names[j]])
-            else:
-                raise ValueError(f"unknown correlation method: {method!r}")
-            mat[i][j] = mat[j][i] = c
+            mat[i][j] = mat[j][i] = spearman_rho(xi, vectors[names[j]], tie_mode)
     return CorrelationMatrix(
         metric_names=names,
         values=tuple(tuple(row) for row in mat),
         basis=basis,
-        subset=subset_filter,
-        method=method,
     )
 
 
@@ -129,8 +89,6 @@ def histogram_data(
     metric: str,
     basis: Basis = "rank",
     bin_count: int = 20,
-    subset_filter: str | None = None,
-    collection: SegCollection | None = None,
 ) -> list[tuple[float, float, int]]:
     """Equal-width (bin_lower, bin_upper, count) triples over the basis range.
 
@@ -141,12 +99,9 @@ def histogram_data(
         raise ValueError("bin_count must be >= 1")
     if basis not in BASIS_RANGES:
         raise ValueError(f"basis must be one of {sorted(BASIS_RANGES)}, got {basis!r}")
-    series = _series_by_metric(results, basis, subset_filter, collection)
+    series = _series_by_metric(results, basis)
     if metric not in series or not series[metric]:
-        raise ValidationError(
-            f"no results for metric {metric!r}"
-            + (f" in subset {subset_filter!r}" if subset_filter else "")
-        )
+        raise ValidationError(f"no results for metric {metric!r}")
     lo, hi = BASIS_RANGES[basis]
     width = (hi - lo) / bin_count
     counts = [0] * bin_count
@@ -190,40 +145,24 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", name)
 
 
+def _scores_json(ms: MeanScores, scale: int = 1) -> dict:
+    """The {rank, sep, delta} block of report.json; display blocks use scale 100."""
+    return {key: _round6(getattr(ms, key) * scale) for key in ("rank", "sep", "delta")}
+
+
 def _aggregates_json(aggregates: AggregateReport) -> dict:
     metrics = {}
     for name in sorted(aggregates.metrics):
         agg = aggregates.metrics[name]
-        block = {
-            "overall": {
-                "rank": _round6(agg.overall.rank),
-                "sep": _round6(agg.overall.sep),
-                "delta": _round6(agg.overall.delta),
-            },
-            "overall_display": {
-                "rank": _round6(agg.overall.rank * 100),
-                "sep": _round6(agg.overall.sep * 100),
-                "delta": _round6(agg.overall.delta * 100),
-            },
-            "by_subset": {},
-            "by_subset_display": {},
+        by_subset = sorted(agg.by_subset.items())
+        metrics[name] = {
+            "overall": _scores_json(agg.overall),
+            "overall_display": _scores_json(agg.overall, 100),
+            "by_subset": {s: {**_scores_json(ms), "seg_count": ms.seg_count} for s, ms in by_subset},
+            "by_subset_display": {s: _scores_json(ms, 100) for s, ms in by_subset},
             "seg_count": agg.overall.seg_count,
             "missing_segs": list(agg.missing_segs),
         }
-        for subset in sorted(agg.by_subset):
-            ms = agg.by_subset[subset]
-            block["by_subset"][subset] = {
-                "rank": _round6(ms.rank),
-                "sep": _round6(ms.sep),
-                "delta": _round6(ms.delta),
-                "seg_count": ms.seg_count,
-            }
-            block["by_subset_display"][subset] = {
-                "rank": _round6(ms.rank * 100),
-                "sep": _round6(ms.sep * 100),
-                "delta": _round6(ms.delta * 100),
-            }
-        metrics[name] = block
     return metrics
 
 
@@ -265,7 +204,7 @@ def emit_report(
             cm = metric_correlation_matrix(results, basis=basis, tie_mode=tie_mode)
             correlations[basis] = {
                 "metrics": list(cm.metric_names),
-                "method": cm.method,
+                "method": "spearman",
                 "matrix": [[_round6(v) for v in row] for row in cm.values],
             }
 

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Literal, Mapping
+from typing import Literal, Mapping
 
 from .errors import CoverageError, ParseError, ValidationError
 from .fileio import not_utf8, read_csv, read_json
@@ -60,15 +61,18 @@ class AnswerTable:
 
     entries: Mapping[tuple[str, str, str], str]
 
+    @cached_property
+    def _by_image(self) -> dict[tuple[str, str], dict[str, str]]:
+        grouped: dict[tuple[str, str], dict[str, str]] = {}
+        for (seg_id, image_id, qid), ans in self.entries.items():
+            grouped.setdefault((seg_id, image_id), {})[qid] = ans
+        return grouped
+
     def images(self) -> list[tuple[str, str]]:
-        return sorted({(seg_id, image_id) for seg_id, image_id, _ in self.entries})
+        return sorted(self._by_image)
 
     def answers_for(self, seg_id: str, image_id: str) -> dict[str, str]:
-        return {
-            qid: ans
-            for (sid, iid, qid), ans in self.entries.items()
-            if sid == seg_id and iid == image_id
-        }
+        return dict(self._by_image.get((seg_id, image_id), {}))
 
 
 def _normalize_answer(text: str) -> str:
@@ -246,13 +250,12 @@ def accumulate_scores(
 @dataclass(frozen=True)
 class EmbeddingVector:
     values: tuple[float, ...]
-    kind: Literal["text", "image"]
 
     def norm(self) -> float:
         return math.sqrt(sum(v * v for v in self.values))
 
 
-def load_embeddings(path: str | Path, kind: Literal["text", "image"]) -> dict[str, EmbeddingVector]:
+def load_embeddings(path: str | Path) -> dict[str, EmbeddingVector]:
     """Parse ``id v1 v2 ...`` records; all vectors must share a dimension."""
     path = Path(path)
     vectors: dict[str, EmbeddingVector] = {}
@@ -283,7 +286,7 @@ def load_embeddings(path: str | Path, kind: Literal["text", "image"]) -> dict[st
                 f"line {lineno}: record {vec_id!r} has dimension {len(values)}, expected {dim}",
                 source=str(path),
             )
-        vec = EmbeddingVector(values=values, kind=kind)
+        vec = EmbeddingVector(values=values)
         if vec.norm() == 0.0:
             raise ParseError(f"line {lineno}: zero-norm vector {vec_id!r}", source=str(path))
         vectors[vec_id] = vec

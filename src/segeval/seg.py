@@ -80,11 +80,7 @@ class SemanticErrorGraph:
 
     def head(self) -> ErrorNode:
         """The unique zero-count, in-degree-0 node of a valid graph."""
-        indeg = {n.id: 0 for n in self.nodes}
-        for e in self.edges:
-            if e.dst in indeg:
-                indeg[e.dst] += 1
-        roots = [n for n in self.nodes if indeg[n.id] == 0]
+        roots = _roots(self)
         if len(roots) != 1:
             raise ValidationError(f"seg {self.id}: expected exactly one head node, found {len(roots)}")
         return roots[0]
@@ -128,6 +124,12 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+def _roots(seg: SemanticErrorGraph) -> list[ErrorNode]:
+    """The nodes no edge points to, in node order."""
+    targets = {e.dst for e in seg.edges}
+    return [n for n in seg.nodes if n.id not in targets]
 
 
 def _shortest_counts(seg: SemanticErrorGraph, head_id: str) -> dict[str, int]:
@@ -225,11 +227,7 @@ def validate_seg(seg: SemanticErrorGraph) -> ValidationReport:
         if e.src in counts and e.dst in counts and counts[e.dst] <= counts[e.src]:
             v(f"error_count not increasing along edge {e.src}->{e.dst}")
 
-    indeg = {nid: 0 for nid in seen_nodes}
-    for e in seg.edges:
-        if e.dst in indeg:
-            indeg[e.dst] += 1
-    roots = [n for n in seg.nodes if indeg.get(n.id, 0) == 0]
+    roots = _roots(seg)
     head = None
     if not roots:
         v("no head node (every node has an incoming edge)")

@@ -11,7 +11,6 @@ lexicographically by node-id sequence so downstream reports are byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal
 
 from .seg import SemanticErrorGraph
@@ -21,14 +20,8 @@ PairMode = Literal["per-walk", "unique-edge"]
 PAIR_MODES = ("per-walk", "unique-edge")
 
 
-@dataclass(frozen=True)
-class Walk:
-    seg_id: str
-    node_ids: tuple[str, ...]
-
-
-def enumerate_walks(seg: SemanticErrorGraph) -> list[Walk]:
-    """Every head-to-leaf path, exactly once, in lexicographic node-id order."""
+def enumerate_walks(seg: SemanticErrorGraph) -> list[tuple[str, ...]]:
+    """Every head-to-leaf path as a node-id tuple, exactly once, in lexicographic order."""
     children = seg.children()
     walks: list[tuple[str, ...]] = []
     stack = [(seg.head().id,)]
@@ -40,17 +33,17 @@ def enumerate_walks(seg: SemanticErrorGraph) -> list[Walk]:
         for kid in kids:
             stack.append(path + (kid,))
     walks.sort()
-    return [Walk(seg_id=seg.id, node_ids=w) for w in walks]
+    return walks
 
 
-def walk_triples(seg: SemanticErrorGraph, walk: Walk) -> list[tuple[str, int]]:
+def walk_triples(seg: SemanticErrorGraph, walk: tuple[str, ...]) -> list[tuple[str, int]]:
     """Expand a walk into per-image (image_id, error_count) pairs.
 
     Images appear in the order listed on each node; nodes in walk order.
     """
     nodes = seg.node_map()
     entries: list[tuple[str, int]] = []
-    for node_id in walk.node_ids:
+    for node_id in walk:
         if node_id not in nodes:
             raise KeyError(f"walk references unknown node {node_id!r} in seg {seg.id}")
         node = nodes[node_id]
@@ -69,14 +62,7 @@ def adjacent_pairs(seg: SemanticErrorGraph, mode: PairMode = "per-walk") -> list
         raise ValueError(f"unknown pair mode: {mode!r}")
     pairs: list[tuple[str, str]] = []
     for walk in enumerate_walks(seg):
-        ids = walk.node_ids
-        pairs.extend(zip(ids, ids[1:]))
+        pairs.extend(zip(walk, walk[1:]))
     if mode == "unique-edge":
-        seen: set[tuple[str, str]] = set()
-        unique = []
-        for p in pairs:
-            if p not in seen:
-                seen.add(p)
-                unique.append(p)
-        return unique
+        return list(dict.fromkeys(pairs))
     return pairs

@@ -1,0 +1,53 @@
+"""The package's top-level names and the README's library example."""
+
+from __future__ import annotations
+
+import ast
+import re
+import types
+from pathlib import Path
+
+import segeval
+from segeval.cli import EXIT_OK, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+DOCUMENTED = {
+    "CoverageError", "ParseError", "SegEvalError", "ValidationError",
+    "ErrorEdge", "ErrorNode", "SegCollection", "SemanticErrorGraph",
+    "load_segs", "validate_seg", "write_seg_file", "enumerate_walks",
+    "ScoreTable", "load_score_tables", "write_score_tables", "rank_score", "sep_score", "delta_score",
+    "global_std", "evaluate_seg", "evaluate_collection", "aggregate",
+    "emit_report", "walk_line_data",
+    "load_question_graphs", "load_answer_table", "accumulate_scores", "load_embeddings", "embedding_score_table",
+    "SynthConfig", "generate_segs", "oracle_scores", "write_collection",
+}
+
+
+def test_public_names_are_the_documented_ones():
+    public = {
+        name
+        for name, value in vars(segeval).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(DOCUMENTED) == 33
+    assert public == DOCUMENTED
+
+
+def test_readme_library_example_runs_on_top_level_names(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    snippet = re.search(r"## Library use\n.*?```python\n(.*?)```", text, re.S).group(1)
+    used = {
+        node.attr
+        for node in ast.walk(ast.parse(snippet))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "segeval"
+    }
+    assert used and used <= DOCUMENTED
+    assert all(f"`{name}`" in text for name in DOCUMENTED)
+
+    monkeypatch.chdir(tmp_path)
+    quickstart = re.search(r"^segeval (synth .*)$", text, re.M).group(1).split()
+    assert main(quickstart) == EXIT_OK
+    exec(snippet, {})
+    assert (tmp_path / "report" / "report.json").is_file()
+    assert (tmp_path / "report" / "lines_noisy.csv").is_file()

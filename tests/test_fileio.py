@@ -140,4 +140,14 @@ def test_load_embeddings_rejects_non_utf8(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_bytes(b"a 1.0 0.0\n\xff 0.5 0.5\n")
     with pytest.raises(ParseError, match=r"emb\.txt: not valid UTF-8"):
-        load_embeddings(path, "text")
+        load_embeddings(path)
+
+
+def test_validate_on_integer_past_the_digit_limit_exits_3_naming_the_file_once(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    node = '{"id": "0", "error_count": ' + "9" * 5001 + ', "images": ["a"]}'
+    path.write_text('{"id": "s", "prompt": "p", "subset": "synth", "nodes": [' + node + '], "edges": []}')
+    assert main(["validate", str(path)]) == EXIT_PARSE
+    line = capsys.readouterr().err.splitlines()[0]
+    assert line.startswith(f"PARSE ERROR {path}: invalid JSON:")
+    assert line.count(str(path)) == 1

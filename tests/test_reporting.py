@@ -21,7 +21,7 @@ from segeval.reporting import (
 )
 from segeval.synth import SynthConfig, generate_segs, oracle_scores
 
-from conftest import chain_seg, collection_of, table_for
+from conftest import chain_seg, table_for
 
 
 def result(metric, seg_id, rank, sep=0.5, delta=0.0):
@@ -88,33 +88,6 @@ def test_mismatched_seg_coverage_rejected():
         metric_correlation_matrix(results)
 
 
-def test_subset_filter_requires_collection():
-    results = series("a", [1.0, 0.5])
-    with pytest.raises(ValueError, match="collection"):
-        metric_correlation_matrix(results, subset_filter="synth")
-
-
-def test_subset_filter_restricts_series():
-    seg_a = chain_seg([1, 1], seg_id="000", subset="synth")
-    seg_b = chain_seg([1, 1], seg_id="001", subset="real")
-    col = collection_of(seg_a, seg_b)
-    results = [
-        result("a", "000", 1.0), result("a", "001", 0.0),
-        result("b", "000", 0.5), result("b", "001", 0.7),
-    ]
-    cm = metric_correlation_matrix(results, subset_filter="synth", collection=col)
-    # one SEG left -> every series is constant -> zero matrix
-    assert all(v == 0.0 for row in cm.values for v in row)
-
-
-def test_pearson_method_available():
-    results = series("a", [1.0, 0.5, 0.0]) + series("b", [2.0, 1.0, 0.0])
-    cm = metric_correlation_matrix(results, method="pearson")
-    i, j = cm.metric_names.index("a"), cm.metric_names.index("b")
-    assert cm.values[i][j] == pytest.approx(1.0)
-    assert cm.method == "pearson"
-
-
 # ---------------------------------------------------------------------------
 # histogram
 
@@ -140,9 +113,6 @@ def test_histogram_unknown_metric_or_empty_filter_rejected():
     results = series("m", [0.5])
     with pytest.raises(ValidationError, match="no results"):
         histogram_data(results, "nope")
-    seg = chain_seg([1, 1], seg_id="000", subset="synth")
-    with pytest.raises(ValidationError, match="no results"):
-        histogram_data(results, "m", subset_filter="real", collection=collection_of(seg))
 
 
 def test_histogram_sep_basis_range():

@@ -231,6 +231,20 @@ def test_answer_table_csv(tmp_path):
     assert table.answers_for("s1", "i1") == {"q1": "yes", "q2": "no"}
 
 
+def test_answer_index_matches_full_scan_on_random_tables():
+    rng = random.Random(29)
+    for _ in range(200):
+        ids = [f"{c}{i}" for c in "abc" for i in range(rng.randint(1, 3))]
+        keys = {(rng.choice(ids), rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 30))}
+        entries = {key: rng.choice(["yes", "no", " Yes"]) for key in keys}
+        table = AnswerTable(entries=entries)
+        assert table.images() == sorted({(s, i) for s, i, _ in entries})
+        for s in ids:
+            for i in ids:
+                scan = {q: a for (s2, i2, q), a in entries.items() if (s2, i2) == (s, i)}
+                assert list(table.answers_for(s, i).items()) == list(scan.items())
+
+
 def test_answer_table_bad_header(tmp_path):
     path = tmp_path / "a.csv"
     path.write_text("a,b,c,d\n")
@@ -282,68 +296,67 @@ def test_accumulate_scores_multi_graph_matches_by_seg_id():
 
 
 def test_cosine_identical_unit_vectors():
-    v = EmbeddingVector(values=(1.0, 0.0), kind="text")
-    w = EmbeddingVector(values=(1.0, 0.0), kind="image")
+    v = EmbeddingVector(values=(1.0, 0.0))
+    w = EmbeddingVector(values=(1.0, 0.0))
     assert embedding_correlation_score(v, w) == 1.0
 
 
 def test_cosine_antipodal_clamped_to_zero():
-    v = EmbeddingVector(values=(1.0, 0.0), kind="text")
-    w = EmbeddingVector(values=(-1.0, 0.0), kind="image")
+    v = EmbeddingVector(values=(1.0, 0.0))
+    w = EmbeddingVector(values=(-1.0, 0.0))
     assert embedding_correlation_score(v, w) == 0.0
 
 
 def test_cosine_45_degrees():
-    v = EmbeddingVector(values=(1.0, 0.0), kind="text")
-    w = EmbeddingVector(values=(1 / math.sqrt(2), 1 / math.sqrt(2)), kind="image")
+    v = EmbeddingVector(values=(1.0, 0.0))
+    w = EmbeddingVector(values=(1 / math.sqrt(2), 1 / math.sqrt(2)))
     assert embedding_correlation_score(v, w) == pytest.approx(0.7071068, abs=1e-6)
 
 
 def test_cosine_scale_invariance():
     rng = random.Random(5)
     for _ in range(25):
-        a = EmbeddingVector(values=tuple(rng.gauss(0, 1) for _ in range(8)), kind="text")
-        b = EmbeddingVector(values=tuple(rng.gauss(0, 1) for _ in range(8)), kind="image")
-        scaled = EmbeddingVector(values=tuple(4.25 * v for v in b.values), kind="image")
+        a = EmbeddingVector(values=tuple(rng.gauss(0, 1) for _ in range(8)))
+        b = EmbeddingVector(values=tuple(rng.gauss(0, 1) for _ in range(8)))
+        scaled = EmbeddingVector(values=tuple(4.25 * v for v in b.values))
         assert embedding_correlation_score(a, scaled) == pytest.approx(
             embedding_correlation_score(a, b), abs=1e-12
         )
 
 
 def test_cosine_dimension_mismatch_and_zero_norm():
-    v = EmbeddingVector(values=(1.0, 0.0), kind="text")
+    v = EmbeddingVector(values=(1.0, 0.0))
     with pytest.raises(ValueError, match="dimension"):
-        embedding_correlation_score(v, EmbeddingVector(values=(1.0,), kind="image"))
+        embedding_correlation_score(v, EmbeddingVector(values=(1.0,)))
     with pytest.raises(ValueError, match="zero-norm"):
-        embedding_correlation_score(v, EmbeddingVector(values=(0.0, 0.0), kind="image"))
+        embedding_correlation_score(v, EmbeddingVector(values=(0.0, 0.0)))
 
 
 def test_embedding_file_roundtrip(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("a 1.0 0.0\nb 0.5 0.5\n")
-    vectors = load_embeddings(path, "image")
+    vectors = load_embeddings(path)
     assert set(vectors) == {"a", "b"}
     assert vectors["a"].values == (1.0, 0.0)
-    assert vectors["a"].kind == "image"
 
 
 def test_embedding_file_dimension_and_norm_checks(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("a 1.0 0.0\nb 0.5\n")
     with pytest.raises(ParseError, match="dimension"):
-        load_embeddings(path, "text")
+        load_embeddings(path)
     path.write_text("a 0 0\n")
     with pytest.raises(ParseError, match="zero-norm"):
-        load_embeddings(path, "text")
+        load_embeddings(path)
 
 
 def test_embedding_score_table_pairs_prompt_with_images():
     seg = chain_seg([1, 1], seg_id="s")
     col = collection_of(seg)
-    text = {"s": EmbeddingVector(values=(1.0, 0.0), kind="text")}
+    text = {"s": EmbeddingVector(values=(1.0, 0.0))}
     images = {
-        "0-0.jpg": EmbeddingVector(values=(1.0, 0.0), kind="image"),
-        "1-0.jpg": EmbeddingVector(values=(0.0, 1.0), kind="image"),
+        "0-0.jpg": EmbeddingVector(values=(1.0, 0.0)),
+        "1-0.jpg": EmbeddingVector(values=(0.0, 1.0)),
     }
     table = embedding_score_table(col, text, images)
     assert table.entries[("s", "0-0.jpg")] == 1.0
@@ -358,14 +371,12 @@ def test_embedding_scores_feed_the_meta_metrics():
     collection = generate_segs(SynthConfig(seed=51, seg_count=3))
     for seg in collection:
         # image vectors rotate away from the prompt vector as errors grow
-        text = {seg.id: EmbeddingVector(values=(1.0, 0.0), kind="text")}
+        text = {seg.id: EmbeddingVector(values=(1.0, 0.0))}
         images = {}
         max_count = max(n.error_count for n in seg.nodes)
         for node in seg.nodes:
             angle = (math.pi / 2) * node.error_count / max_count
             for img in node.images:
-                images[img] = EmbeddingVector(
-                    values=(math.cos(angle), math.sin(angle)), kind="image"
-                )
+                images[img] = EmbeddingVector(values=(math.cos(angle), math.sin(angle)))
         table = embedding_score_table(collection_of(seg), text, images)
         assert rank_score(seg, table) == 1.0

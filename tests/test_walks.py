@@ -38,12 +38,12 @@ def brute_force_paths(seg):
 def test_chain_has_one_walk():
     seg = chain_seg([1, 1, 1])
     walks = enumerate_walks(seg)
-    assert [w.node_ids for w in walks] == [("0", "1", "2")]
+    assert walks == [("0", "1", "2")]
 
 
 def test_diamond_has_two_walks(diamond):
     walks = enumerate_walks(diamond)
-    assert [w.node_ids for w in walks] == [("0", "1a", "2"), ("0", "1b", "2")]
+    assert walks == [("0", "1a", "2"), ("0", "1b", "2")]
 
 
 def test_three_walk_example():
@@ -58,7 +58,7 @@ def test_three_walk_example():
         edges=[("0", "1a"), ("0", "1b"), ("1a", "2a"), ("1a", "2b"), ("1b", "2a")],
     )
     walks = enumerate_walks(seg)
-    assert [w.node_ids for w in walks] == [
+    assert walks == [
         ("0", "1a", "2a"),
         ("0", "1a", "2b"),
         ("0", "1b", "2a"),
@@ -81,10 +81,8 @@ def test_walk_triples_counts_non_decreasing(diamond):
 
 
 def test_walk_triples_unknown_node_rejected(diamond):
-    from segeval.walks import Walk
-
     with pytest.raises(KeyError):
-        walk_triples(diamond, Walk(seg_id="diamond", node_ids=("0", "nope")))
+        walk_triples(diamond, ("0", "nope"))
 
 
 def test_adjacent_pairs_chain():
@@ -120,7 +118,7 @@ def test_walk_count_matches_brute_force_on_random_graphs():
         SynthConfig(seed=5, seg_count=30, nodes_per_seg=(2, 12), branch_probability=0.7)
     )
     for seg in collection:
-        walks = [w.node_ids for w in enumerate_walks(seg)]
+        walks = enumerate_walks(seg)
         assert walks == brute_force_paths(seg)
 
 
@@ -137,7 +135,7 @@ def test_triples_preserve_walk_image_multiset():
         nodes = seg.node_map()
         for walk in enumerate_walks(seg):
             expected = sorted(
-                img for nid in walk.node_ids for img in nodes[nid].images
+                img for nid in walk for img in nodes[nid].images
             )
             assert sorted(img for img, _ in walk_triples(seg, walk)) == expected
 
