@@ -115,6 +115,21 @@ def test_score_countbelow_penalizes_ties(tmp_path, capsys):
     assert "89.47" in capsys.readouterr().out
 
 
+def test_score_constant_scorer_has_zero_delta(tmp_path, capsys):
+    # node means of 0.1 over 3, 1 and 2 images differ by an ulp; with a
+    # nonzero spread of 1.4e-17 that once gave delta 0.5
+    seg = chain_seg([3, 1, 2], seg_id="flat")
+    write_seg_file(seg, tmp_path / "flat.json")
+    scores = tmp_path / "scores.csv"
+    write_score_tables([table_for(seg, [0.1] * 6, metric="flat")], scores)
+    out = tmp_path / "rep"
+    assert main(["score", "--segs", str(tmp_path / "flat.json"), "--scores", str(scores), "--out", str(out)]) == EXIT_OK
+    assert "50.00" not in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text())
+    assert report["metrics"]["flat"]["overall"]["delta"] == 0.0
+    assert (out / "per_seg.csv").read_text().splitlines()[1] == "flat,flat,synth,0,0,0,1,2"
+
+
 def test_score_pair_mode_changes_pair_count_not_walk_count(workspace):
     tmp_path, seg_dir, scores, _ = workspace
     rows = {}

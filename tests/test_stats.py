@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +67,16 @@ def oracle_ks(x, y):
         fy = sum(1 for v in y if v <= t) / len(y)
         best = max(best, abs(fx - fy))
     return best
+
+
+def numpy_ks_reference(x, y):
+    """The vectorized numpy formula that ks_statistic replaced."""
+    xa = np.sort(np.asarray(x, dtype=float))
+    ya = np.sort(np.asarray(y, dtype=float))
+    pooled = np.concatenate([xa, ya])
+    fx = np.searchsorted(xa, pooled, side="right") / xa.size
+    fy = np.searchsorted(ya, pooled, side="right") / ya.size
+    return float(np.max(np.abs(fx - fy)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +225,48 @@ def test_ks_empty_rejected():
         ks_statistic([], [1.0])
 
 
+@pytest.mark.parametrize("bad", [[], [float("nan")], [0.5, float("inf")], [-float("inf")]])
+def test_ks_rejects_bad_sample_naming_the_argument(bad):
+    with pytest.raises(ValueError, match=r"^x "):
+        ks_statistic(bad, [0.5])
+    with pytest.raises(ValueError, match=r"^y "):
+        ks_statistic([0.5], bad)
+
+
+def _ks_draw(rng, n, style):
+    if style == 0:
+        return [rng.uniform(-1e3, 1e3) for _ in range(n)]
+    if style == 1:  # few distinct values: ties inside and across the samples
+        return [rng.choice([0.0, -0.0, 0.1, 0.5, -1.0, 1 / 3, 1e3]) for _ in range(n)]
+    if style == 2:
+        return [round(rng.uniform(-5, 5), 1) for _ in range(n)]
+    return [rng.choice([0.0, -0.0]) for _ in range(n)]
+
+
+def test_ks_is_bit_identical_to_numpy_reference_2400_pairs():
+    rng = random.Random(2404)
+    sizes = (lambda: 1, lambda: rng.randint(1, 10), lambda: rng.randint(1, 200))
+    for k in range(2400):
+        style = k % 4
+        x = _ks_draw(rng, rng.choice(sizes)(), style)
+        y = _ks_draw(rng, rng.choice(sizes)(), style)
+        assert ks_statistic(x, y) == numpy_ks_reference(x, y), (x, y)
+
+
+tie_prone_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, 0.5, 1.0, -1e3, 1e3]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+)
+
+
+@given(
+    st.lists(tie_prone_floats, min_size=1, max_size=200),
+    st.lists(tie_prone_floats, min_size=1, max_size=200),
+)
+def test_ks_matches_numpy_reference_exactly(x, y):
+    assert ks_statistic(x, y) == numpy_ks_reference(x, y)
+
+
 def test_ks_against_oracle_500_samples():
     rng = random.Random(11)
     for _ in range(500):
@@ -245,6 +298,18 @@ def test_moments_example():
 def test_moments_degenerate_cases():
     assert population_moments([3.5]) == (3.5, 0.0)
     assert population_moments([-1, 1]) == (0.0, 1.0)
+
+
+def test_moments_of_equal_values_are_exact():
+    # numpy's mean of six 0.1s is one ulp low, which once left a spread of 1.4e-17
+    assert population_moments([0.1] * 6) == (0.1, 0.0)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(min_value=1, max_value=500))
+def test_moments_of_constant_sample(value, n):
+    mean, std = population_moments([value] * n)
+    assert mean == value
+    assert std == 0.0
 
 
 @settings(max_examples=50)
