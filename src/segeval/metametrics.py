@@ -214,7 +214,8 @@ def delta_score(
     pops = _node_populations(seg, scores)  # checks coverage even when the spread is 0
     if global_std == 0.0:
         return 0.0
-    means = {nid: sum(vals) / len(vals) for nid, vals in pops.items()}
+    # a constant node's mean is its value, which sum / len can miss by an ulp
+    means = {n: v[0] if v.count(v[0]) == len(v) else sum(v) / len(v) for n, v in pops.items()}
     pairs = adjacent_pairs(seg, pair_mode)
     gap = sum(means[a] - means[b] for a, b in pairs) / len(pairs)
     return gap / global_std

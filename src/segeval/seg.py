@@ -36,6 +36,10 @@ ERROR_LABELS = ("verbal", "composition", "missing_object", "wrong_attribute")
 # Expected total images per graph; outside this range is a lint warning only.
 IMAGE_COUNT_RANGE = (4, 76)
 
+# Most head-to-leaf walks a valid graph may have.  Scoring enumerates every
+# walk, and k stacked diamonds already make 2^k of them.
+_MAX_WALKS = 2**16
+
 
 @dataclass(frozen=True)
 class ErrorNode:
@@ -239,8 +243,18 @@ def validate_seg(seg: SemanticErrorGraph) -> ValidationReport:
             v(f"head node {head.id!r} has error_count {head.error_count}, expected 0")
 
     known_edges = [(e.src, e.dst) for e in seg.edges if e.src in seen_nodes and e.dst in seen_nodes]
-    if _topological_order(seen_nodes, known_edges) is None:
+    order = _topological_order(seen_nodes, known_edges)
+    if order is None:
         v("graph contains a directed cycle")
+    elif head is not None:
+        # walks from n to a leaf = sum over its children, capped so ints stay small
+        children = seg.children()
+        walks: dict[str, int] = {}
+        for n in reversed(order):
+            kids = children[n]
+            walks[n] = min(sum(walks.get(k, 0) for k in kids), _MAX_WALKS + 1) if kids else 1
+        if walks[head.id] > _MAX_WALKS:
+            v(f"graph has at least {walks[head.id]} head-to-leaf walks (limit {_MAX_WALKS})")
 
     if head is not None:
         dist = _shortest_counts(seg, head.id)

@@ -23,15 +23,17 @@ empirical CDF, F(x) = fraction of sample values <= x, and takes the
 supremum over all pooled sample points.  Each ECDF value is an exact
 count, taken by bisection in the sorted sample, divided once, so the result
 is the float that evaluating F_X - F_Y at every pooled point in float64 gives.
+
+Population moments add in numpy's pairwise order, so they are numpy's floats.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import reduce
+from operator import add, mul
 from typing import Literal, Sequence
-
-import numpy as np
 
 TieMode = Literal["midrank", "countbelow"]
 
@@ -120,13 +122,31 @@ def ks_statistic(x: Sequence[float], y: Sequence[float]) -> float:
     return max(abs(bisect_right(xs, t) / nx - bisect_right(ys, t) / ny) for t in xs + ys)
 
 
+def _pairwise_sum(vals: list[float], lo: int, hi: int) -> float:
+    """Sum of vals[lo:hi] in numpy's float64 order (``DOUBLE_pairwise_sum``).
+
+    Not ``sum()``, which compensates float rounding from Python 3.12 on.
+    """
+    n = hi - lo
+    if n < 8:
+        return reduce(add, vals[lo:hi], 0.0)
+    if n <= 128:  # eight strided accumulators seeded with the first eight values
+        m = hi - n % 8
+        r = [reduce(add, vals[j:m:8]) for j in range(lo, lo + 8)]
+        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, vals[m:hi], head)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(vals, lo, lo + half) + _pairwise_sum(vals, lo + half, hi)
+
+
 def population_moments(values: Sequence[float]) -> tuple[float, float]:
     """(mean, population standard deviation) of a non-empty sample."""
-    x = np.asarray(_check_sample(values))
-    if x.min() == x.max():
-        # numpy's mean of equal values can miss them by an ulp, and the
-        # deviation from it is then a tiny nonzero spread
-        return float(x[0]), 0.0
-    mean = float(x.mean())
-    var = float(np.mean((x - mean) ** 2))
-    return mean, float(np.sqrt(var))
+    vals = _check_sample(values)
+    n = len(vals)
+    if vals.count(vals[0]) == n:
+        # their float mean can miss them by an ulp, leaving a tiny nonzero spread
+        return vals[0], 0.0
+    mean = _pairwise_sum(vals, 0, n) / n
+    devs = [v - mean for v in vals]
+    # d * d, as numpy squares; d ** 2 can differ in the last bit
+    return mean, math.sqrt(_pairwise_sum(list(map(mul, devs, devs)), 0, n) / n)

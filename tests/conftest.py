@@ -43,6 +43,18 @@ def chain_seg(
     return make_seg(nodes, edges, seg_id=seg_id, subset=subset)
 
 
+def stacked_diamond(k: int, seg_id: str = "diamonds") -> SemanticErrorGraph:
+    """k diamonds in a row, one image per node: 3k+1 nodes and 2^k walks."""
+    nodes = [("0", 0, ["0.jpg"])]
+    edges = []
+    for i in range(k):
+        top, left, right, join = str(2 * i), f"{2 * i + 1}a", f"{2 * i + 1}b", str(2 * i + 2)
+        nodes += [(left, 2 * i + 1, [f"{left}.jpg"]), (right, 2 * i + 1, [f"{right}.jpg"])]
+        nodes.append((join, 2 * i + 2, [f"{join}.jpg"]))
+        edges += [(top, left), (top, right), (left, join), (right, join)]
+    return make_seg(nodes, edges, seg_id=seg_id)
+
+
 def table_for(
     seg: SemanticErrorGraph, scores: list[float], metric: str = "m"
 ) -> ScoreTable:

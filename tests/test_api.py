@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -51,3 +54,29 @@ def test_readme_library_example_runs_on_top_level_names(tmp_path, monkeypatch):
     exec(snippet, {})
     assert (tmp_path / "report" / "report.json").is_file()
     assert (tmp_path / "report" / "lines_noisy.csv").is_file()
+
+
+NO_NUMPY_QUICKSTART = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from segeval.cli import main
+for argv in sys.argv[1:]:
+    code = main(argv.split())
+    if code != 0:
+        sys.exit(f"{argv}: exit {code}")
+loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "numpy" and mod is not None]
+sys.exit(f"numpy loaded: {loaded}" if loaded else 0)
+"""
+
+
+def test_readme_quickstart_runs_without_numpy(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    commands = re.findall(r"^segeval ((?:synth|score) .*)$", text, re.M)
+    assert [c.split()[0] for c in commands] == ["synth", "score"]
+    env = dict(os.environ, PYTHONPATH=str(Path(segeval.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_QUICKSTART, *commands],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "report" / "report.json").is_file()

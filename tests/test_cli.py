@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -18,7 +19,7 @@ from segeval.metametrics import write_score_tables
 from segeval.seg import write_seg_file
 from segeval.synth import SynthConfig, generate_segs, oracle_scores, write_collection
 
-from conftest import chain_seg, make_seg, table_for
+from conftest import chain_seg, make_seg, stacked_diamond, table_for
 
 
 @pytest.fixture
@@ -128,6 +129,21 @@ def test_score_constant_scorer_has_zero_delta(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["metrics"]["flat"]["overall"]["delta"] == 0.0
     assert (out / "per_seg.csv").read_text().splitlines()[1] == "flat,flat,synth,0,0,0,1,2"
+
+
+def test_score_constant_seg_beside_a_varied_one_has_zero_delta(tmp_path):
+    flat = chain_seg([3, 1, 2], seg_id="flat")
+    other = chain_seg([1, 1], seg_id="other")
+    seg_dir = tmp_path / "segs"
+    seg_dir.mkdir()
+    write_seg_file(flat, seg_dir / "flat.json")
+    write_seg_file(other, seg_dir / "other.json")
+    scores = tmp_path / "scores.csv"
+    write_score_tables([table_for(flat, [0.1] * 6), table_for(other, [0.9, 0.2])], scores)
+    out = tmp_path / "rep"
+    assert main(["score", "--segs", str(seg_dir), "--scores", str(scores), "--out", str(out)]) == EXIT_OK
+    rows = (out / "per_seg.csv").read_text().splitlines()
+    assert "m,flat,synth,0,0,0,1,2" in rows
 
 
 def test_score_pair_mode_changes_pair_count_not_walk_count(workspace):
@@ -417,6 +433,24 @@ def test_score_deep_chain_ranks_strictly_decreasing_scores_at_one(tmp_path):
     assert main(["score", "--segs", str(tmp_path / "deep.json"), "--scores", str(scores), "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert report["metrics"]["m"]["overall"]["rank"] == 1.0
+
+
+def test_validate_and_score_reject_a_walk_explosion_quickly(tmp_path, capsys):
+    # 20 stacked diamonds: 61 nodes and 2^20 walks, which scoring would enumerate
+    seg = stacked_diamond(20)
+    path = tmp_path / "k20.json"
+    write_seg_file(seg, path)
+    scores = tmp_path / "scores.csv"
+    write_score_tables([table_for(seg, [1.0 - i / 61 for i in range(61)])], scores)
+    start = time.perf_counter()
+    assert main(["validate", str(path)]) == EXIT_VALIDATION
+    assert main(["score", "--segs", str(path), "--scores", str(scores), "--out", str(tmp_path / "rep")]) == EXIT_VALIDATION
+    assert time.perf_counter() - start < 5.0
+    captured = capsys.readouterr()
+    message = "graph has at least 65537 head-to-leaf walks (limit 65536)"
+    assert message in captured.out
+    assert message in captured.err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_accumulate_dsg_deep_chain_listed_leaf_first(tmp_path):

@@ -173,6 +173,19 @@ def test_delta_single_pair_fixture():
     assert delta_score(seg, table, std) == pytest.approx(1.7888544, abs=1e-6)
 
 
+def test_delta_of_a_constant_seg_beside_a_varied_one_is_exactly_zero():
+    # sum / len of 0.1 over 3, 1 and 2 images gives three means an ulp apart
+    flat = chain_seg([3, 1, 2], seg_id="flat")
+    other = chain_seg([1, 1], seg_id="other")
+    table = ScoreTable(
+        metric_name="m",
+        entries={**table_for(flat, [0.1] * 6).entries, **table_for(other, [0.9, 0.2]).entries},
+    )
+    std = global_std(collection_of(flat, other), table)
+    assert std > 0
+    assert delta_score(flat, table, std) == 0.0
+
+
 def test_delta_zero_spread_guard():
     seg = chain_seg([1, 1])
     table = table_for(seg, [0.5, 0.5])

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import segeval.seg
 from segeval.errors import ParseError, ValidationError
 from segeval.seg import (
     ErrorEdge,
@@ -16,8 +17,10 @@ from segeval.seg import (
     validate_seg,
     write_seg_file,
 )
+from segeval.synth import SynthConfig, generate_segs
+from segeval.walks import enumerate_walks
 
-from conftest import chain_seg, make_seg
+from conftest import chain_seg, make_seg, stacked_diamond
 
 
 def test_minimal_valid_chain():
@@ -139,6 +142,28 @@ def test_weight_must_match_labels():
         edges=(ErrorEdge(src="0", dst="1", error_labels=("x", "y"), weight=1),),
     )
     assert any("disagrees with" in v for v in validate_seg(bad).violations)
+
+
+def test_walk_count_above_the_limit_is_a_violation():
+    assert validate_seg(stacked_diamond(12)).ok
+    assert validate_seg(stacked_diamond(16)).ok  # 2^16 walks, exactly the limit
+    report = validate_seg(stacked_diamond(20))
+    assert report.violations == ["graph has at least 65537 head-to-leaf walks (limit 65536)"]
+
+
+def test_walk_count_agrees_with_enumeration(monkeypatch):
+    graphs = list(generate_segs(SynthConfig(seed=9, seg_count=40))) + [
+        stacked_diamond(k) for k in range(1, 6)
+    ]
+    graphs.append(make_seg([("0", 0, ["a"]), ("1", 1, ["b"])], [("0", "1"), ("0", "1")]))
+    for seg in graphs:
+        walks = len(enumerate_walks(seg))
+        monkeypatch.setattr(segeval.seg, "_MAX_WALKS", walks)
+        assert validate_seg(seg).ok, seg.id
+        monkeypatch.setattr(segeval.seg, "_MAX_WALKS", walks - 1)
+        assert validate_seg(seg).violations == [
+            f"graph has at least {walks} head-to-leaf walks (limit {walks - 1})"
+        ], seg.id
 
 
 def test_image_count_out_of_range_is_warning_not_violation():

@@ -79,6 +79,15 @@ def numpy_ks_reference(x, y):
     return float(np.max(np.abs(fx - fy)))
 
 
+def numpy_moments_reference(values):
+    """The numpy formula population_moments replaced."""
+    x = np.asarray(values, dtype=float)
+    if x.min() == x.max():
+        return float(x[0]), 0.0
+    mean = float(x.mean())
+    return mean, float(np.sqrt(np.mean((x - mean) ** 2)))
+
+
 # ---------------------------------------------------------------------------
 # rank_transform
 
@@ -310,6 +319,28 @@ def test_moments_of_constant_sample(value, n):
     mean, std = population_moments([value] * n)
     assert mean == value
     assert std == 0.0
+
+
+def _moments_draw(rng, n, style):
+    if style == 0:  # few distinct values: ties, and -0.0 beside 0.0
+        return [rng.choice([0.0, -0.0, 0.1, 0.5, -1.0, 1 / 3, 1e3]) for _ in range(n)]
+    if style == 1:
+        return [rng.uniform(-1e3, 1e3) for _ in range(n)]
+    return [rng.gauss(0.0, 1.0) for _ in range(n)]
+
+
+def test_moments_are_bit_identical_to_numpy_reference():
+    # sizes on both sides of numpy's 8- and 128-value blocks and its recursion
+    rng = random.Random(2404)
+    sizes = [n for n in range(1, 300) for _ in range(15)] + [1000, 8191, 8192, 8193, 44700, 100000]
+    for k, n in enumerate(sizes):
+        values = _moments_draw(rng, n, k % 3)
+        assert population_moments(values) == numpy_moments_reference(values), (n, k % 3)
+
+
+@given(st.lists(tie_prone_floats, min_size=1, max_size=400))
+def test_moments_match_numpy_reference_exactly(values):
+    assert population_moments(values) == numpy_moments_reference(values)
 
 
 @settings(max_examples=50)
