@@ -31,7 +31,7 @@ from .errors import CoverageError, ParseError, ValidationError
 from .fileio import read_csv
 from .seg import SUBSETS, SegCollection, SemanticErrorGraph
 from .stats import TieMode, ks_statistic, population_moments, spearman_rho
-from .walks import PairMode, adjacent_pairs, enumerate_walks, walk_triples
+from .walks import PairMode, _walk_pairs, adjacent_pairs, enumerate_walks
 
 SCORE_CSV_HEADER = ["seg_id", "image_id", "metric", "score"]
 
@@ -170,14 +170,14 @@ def rank_score(
     Spearman's rho of scores against error counts is negated so a faithful
     metric (scores decreasing with errors) lands at +1.
     """
-    by_image = scores.seg_scores(seg)
+    pops = _node_populations(seg, scores)
+    counts = {n.id: [n.error_count] * len(n.images) for n in seg.nodes}
     walks = enumerate_walks(seg)
     total = 0.0
     for walk in walks:
-        triples = walk_triples(seg, walk)
-        series = [by_image[img] for img, _ in triples]
-        counts = [n for _, n in triples]
-        total += -spearman_rho(series, counts, tie_mode)
+        series = [v for node in walk for v in pops[node]]
+        errors = [c for node in walk for c in counts[node]]
+        total += -spearman_rho(series, errors, tie_mode)
     return total / len(walks)
 
 
@@ -252,7 +252,6 @@ def evaluate_seg(
     pair_mode: PairMode = "per-walk",
 ) -> SegMetricResult:
     walks = enumerate_walks(seg)
-    pairs = adjacent_pairs(seg, pair_mode)
     return SegMetricResult(
         seg_id=seg.id,
         metric_name=scores.metric_name,
@@ -260,7 +259,7 @@ def evaluate_seg(
         sep=sep_score(seg, scores, pair_mode),
         delta=delta_score(seg, scores, std, pair_mode),
         walk_count=len(walks),
-        pair_count=len(pairs),
+        pair_count=len(_walk_pairs(walks, pair_mode)),
     )
 
 

@@ -13,14 +13,14 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Literal, Mapping
+from typing import Iterable, Iterator, Literal, Mapping
 
 from .errors import ValidationError
 from .fileio import write_csv
 from .metametrics import AggregateReport, MeanScores, ScoreTable, SegMetricResult
 from .seg import SegCollection, SemanticErrorGraph
 from .stats import TieMode, spearman_rho
-from .walks import enumerate_walks, walk_triples
+from .walks import enumerate_walks
 
 Basis = Literal["rank", "sep"]
 
@@ -120,11 +120,12 @@ def walk_line_data(
     head and 1 the walk's deepest node regardless of depth.
     """
     by_image = scores.seg_scores(seg)
+    nodes = seg.node_map()
     out = []
     for walk in enumerate_walks(seg):
-        triples = walk_triples(seg, walk)
-        max_count = max(n for _, n in triples)  # > 0: counts strictly increase
-        out.append([(count / max_count, by_image[img]) for img, count in triples])
+        path = [nodes[node_id] for node_id in walk]
+        top = max(node.error_count for node in path)  # > 0: counts strictly increase
+        out.append([(node.error_count / top, by_image[img]) for node in path for img in node.images])
     return out
 
 
@@ -139,6 +140,20 @@ def _fmt(x: float) -> str:
 def _round6(x: float) -> float:
     v = float(_fmt(x))
     return v + 0.0  # never emit -0.0
+
+
+def _line_rows(collection: SegCollection, scores: ScoreTable) -> Iterator[tuple]:
+    """The lines_*.csv rows, one SEG at a time.
+
+    A SEG repeats each image score and normalized rank over many walks, so
+    each distinct value is formatted once; equal floats format alike.
+    """
+    for seg in collection:
+        lines = walk_line_data(seg, scores)
+        text = {x: _fmt(x) for x in {x for points in lines for point in points for x in point}}
+        for w_idx, points in enumerate(lines):
+            for xr, sc in points:
+                yield seg.id, w_idx, text[xr], text[sc]
 
 
 def _safe_name(name: str) -> str:
@@ -244,12 +259,7 @@ def emit_report(
             write(
                 f"lines_{_safe_name(name)}.csv",
                 ["seg_id", "walk_index", "normalized_rank", "score"],
-                (
-                    (seg.id, w_idx, _fmt(xr), _fmt(sc))
-                    for seg in collection
-                    for w_idx, points in enumerate(walk_line_data(seg, score_tables[name]))
-                    for xr, sc in points
-                ),
+                _line_rows(collection, score_tables[name]),
             )
 
     return written

@@ -213,7 +213,11 @@ def validate_seg(seg: SemanticErrorGraph) -> ValidationReport:
             v(f"node {n.id!r} has negative error_count {n.error_count}")
 
     counts = {n.id: n.error_count for n in seg.nodes}
+    seen_edges: set[tuple[str, str]] = set()
     for e in seg.edges:
+        if (e.src, e.dst) in seen_edges:
+            v(f"duplicate edge {e.src}->{e.dst}")
+        seen_edges.add((e.src, e.dst))
         if e.src not in seen_nodes:
             v(f"edge references unknown node {e.src!r}")
         if e.dst not in seen_nodes:

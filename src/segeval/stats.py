@@ -30,7 +30,7 @@ Population moments add in numpy's pairwise order, so they are numpy's floats.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import reduce
 from operator import add, mul
 from typing import Literal, Sequence
@@ -50,25 +50,15 @@ def _check_sample(values: Sequence[float], name: str = "sample") -> list[float]:
 
 
 def _doubled_ranks(vals: list[float], tie_mode: TieMode) -> list[int]:
-    # twice the rank, so both conventions stay in exact integers
+    # twice the rank, so both conventions stay in exact integers: a value's
+    # tie group holds sorted positions lo .. hi - 1, so its midrank is
+    # (lo + hi + 1) / 2 and exactly lo values are strictly smaller
     if tie_mode not in TIE_MODES:
         raise ValueError(f"unknown tie_mode: {tie_mode!r}")
-    midrank = tie_mode == "midrank"
-    n = len(vals)
-    order = sorted(range(n), key=vals.__getitem__)
-    ranks = [0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and vals[order[j + 1]] == vals[order[i]]:
-            j += 1
-        # the tie group occupies 0-based sorted positions i .. j: its midrank
-        # is (i + j) / 2 + 1, and exactly i values are strictly smaller
-        rank = i + j + 2 if midrank else 2 * i
-        for k in range(i, j + 1):
-            ranks[order[k]] = rank
-        i = j + 1
-    return ranks
+    s = sorted(vals)
+    if tie_mode == "midrank":
+        return [bisect_left(s, v) + bisect_right(s, v) + 1 for v in vals]
+    return [2 * bisect_left(s, v) for v in vals]
 
 
 def rank_transform(values: Sequence[float], tie_mode: TieMode = "midrank") -> list[float]:
@@ -99,9 +89,9 @@ def spearman_rho(
     n = len(rx)
     sx, sy = sum(rx), sum(ry)
     # population moments scaled by n^2; exact in integer arithmetic
-    num = n * sum(a * b for a, b in zip(rx, ry)) - sx * sy
-    vx = n * sum(a * a for a in rx) - sx * sx
-    vy = n * sum(b * b for b in ry) - sy * sy
+    num = n * sum(map(mul, rx, ry)) - sx * sy
+    vx = n * sum(map(mul, rx, rx)) - sx * sx
+    vy = n * sum(map(mul, ry, ry)) - sy * sy
     if vx == 0 or vy == 0:
         return 0.0
     if num * num == vx * vy:

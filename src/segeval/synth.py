@@ -10,7 +10,6 @@ carries no information, and a noisy one degrades smoothly with sigma.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,6 +65,7 @@ class SynthConfig:
 
 
 def _subseed(seed: int, tag: str) -> int:
+    import hashlib  # here, so that commands other than synth skip its import
     digest = hashlib.sha256(f"{seed}:{tag}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -41,14 +41,16 @@ def walk_triples(seg: SemanticErrorGraph, walk: tuple[str, ...]) -> list[tuple[s
 
     Images appear in the order listed on each node; nodes in walk order.
     """
-    nodes = seg.node_map()
-    entries: list[tuple[str, int]] = []
-    for node_id in walk:
-        if node_id not in nodes:
-            raise KeyError(f"walk references unknown node {node_id!r} in seg {seg.id}")
-        node = nodes[node_id]
-        entries.extend((img, node.error_count) for img in node.images)
-    return entries
+    path = map(seg.node_map().__getitem__, walk)
+    return [(img, node.error_count) for node in path for img in node.images]
+
+
+def _walk_pairs(walks: list[tuple[str, ...]], mode: PairMode) -> list[tuple[str, str]]:
+    """Consecutive node pairs over the given walks; see :func:`adjacent_pairs`."""
+    if mode not in PAIR_MODES:
+        raise ValueError(f"unknown pair mode: {mode!r}")
+    pairs = [pair for walk in walks for pair in zip(walk, walk[1:])]
+    return list(dict.fromkeys(pairs)) if mode == "unique-edge" else pairs
 
 
 def adjacent_pairs(seg: SemanticErrorGraph, mode: PairMode = "per-walk") -> list[tuple[str, str]]:
@@ -58,11 +60,4 @@ def adjacent_pairs(seg: SemanticErrorGraph, mode: PairMode = "per-walk") -> list
     by k walks contributes k entries).  unique-edge: deduplicated to the
     traversed edge set, keeping first-traversal order.
     """
-    if mode not in PAIR_MODES:
-        raise ValueError(f"unknown pair mode: {mode!r}")
-    pairs: list[tuple[str, str]] = []
-    for walk in enumerate_walks(seg):
-        pairs.extend(zip(walk, walk[1:]))
-    if mode == "unique-edge":
-        return list(dict.fromkeys(pairs))
-    return pairs
+    return _walk_pairs(enumerate_walks(seg), mode)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
@@ -14,11 +15,13 @@ from segeval.metametrics import (
     evaluate_collection,
 )
 from segeval.reporting import (
+    _fmt,
     emit_report,
     histogram_data,
     metric_correlation_matrix,
     walk_line_data,
 )
+from segeval.seg import SegCollection
 from segeval.synth import SynthConfig, generate_segs, oracle_scores
 
 from conftest import chain_seg, table_for
@@ -218,3 +221,38 @@ def test_histogram_counts_in_emitted_files_sum_to_seg_count(tmp_path):
     lines = (out / "hist_rank_noisy.csv").read_text().splitlines()[1:]
     total = sum(int(row.split(",")[2]) for row in lines)
     assert total == report.seg_count
+
+
+def assert_lines_match_walk_line_data(out, collection, tables):
+    results = [r for name in sorted(tables) for r in evaluate_collection(collection, tables[name])]
+    emit_report(aggregate(results, collection), results, out, collection=collection, score_tables=tables)
+    for name, table in tables.items():
+        with open(out / f"lines_{name}.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["seg_id", "walk_index", "normalized_rank", "score"]
+        expected = [
+            [seg.id, str(w_idx), _fmt(xr), _fmt(sc)]
+            for seg in collection
+            for w_idx, points in enumerate(walk_line_data(seg, table))
+            for xr, sc in points
+        ]
+        assert rows[1:] == expected, name
+
+
+@pytest.mark.parametrize("seed", [5, 23, 81])
+def test_lines_csv_rows_are_the_formatted_walk_line_points(tmp_path, seed):
+    collection = generate_segs(SynthConfig(seed=seed, seg_count=8))
+    tables = {
+        kind: oracle_scores(collection, kind, seed=seed)
+        for kind in ("perfect", "inverse", "noisy")
+    }
+    assert_lines_match_walk_line_data(tmp_path, collection, tables)
+
+
+def test_lines_csv_formats_a_negative_zero_score_as_zero(tmp_path):
+    seg = chain_seg([1, 2, 2])
+    collection = SegCollection((seg,))
+    tables = {"m": table_for(seg, [0.5, -0.0, 0.0, 1e-7, -0.0])}
+    assert_lines_match_walk_line_data(tmp_path, collection, tables)
+    rows = (tmp_path / "lines_m.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[3] for row in rows[1:]] == ["0.5", "0", "0", "1e-07", "0"]

@@ -117,6 +117,7 @@ def test_validate_is_deterministic(diamond):
             [("0", "1"), ("2", "3"), ("3", "2")],
             "not reachable",
         ),
+        ([("0", 0, ["a"]), ("1", 1, ["b"])], [("0", "1"), ("0", "1")], "duplicate edge 0->1"),
     ],
 )
 def test_structural_violations(nodes, edges, needle):
@@ -155,7 +156,6 @@ def test_walk_count_agrees_with_enumeration(monkeypatch):
     graphs = list(generate_segs(SynthConfig(seed=9, seg_count=40))) + [
         stacked_diamond(k) for k in range(1, 6)
     ]
-    graphs.append(make_seg([("0", 0, ["a"]), ("1", 1, ["b"])], [("0", "1"), ("0", "1")]))
     for seg in graphs:
         walks = len(enumerate_walks(seg))
         monkeypatch.setattr(segeval.seg, "_MAX_WALKS", walks)

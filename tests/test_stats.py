@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segeval.stats import ks_statistic, population_moments, rank_transform, spearman_rho
+from segeval.stats import (
+    _doubled_ranks,
+    ks_statistic,
+    population_moments,
+    rank_transform,
+    spearman_rho,
+)
 
 # small value grid keeps ties frequent
 grid_values = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -88,6 +94,23 @@ def numpy_moments_reference(values):
     return mean, float(np.sqrt(np.mean((x - mean) ** 2)))
 
 
+def tie_group_doubled_ranks(vals, tie_mode):
+    """The tie-group loop _doubled_ranks replaced: one pass over each run of equal values."""
+    n = len(vals)
+    order = sorted(range(n), key=vals.__getitem__)
+    ranks = [0] * n
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and vals[order[j + 1]] == vals[order[i]]:
+            j += 1
+        rank = i + j + 2 if tie_mode == "midrank" else 2 * i
+        for k in range(i, j + 1):
+            ranks[order[k]] = rank
+        i = j + 1
+    return ranks
+
+
 # ---------------------------------------------------------------------------
 # rank_transform
 
@@ -119,6 +142,39 @@ def test_unknown_tie_mode_rejected():
         rank_transform([0.0, 1.0, 1.0], "dense")
     with pytest.raises(ValueError, match="unknown tie_mode: 'dense'"):
         spearman_rho([0.0, 1.0, 1.0], [2.0, 1.0, 0.0], "dense")
+
+
+def _rank_draw(rng, n, style):
+    if style == 0:
+        return [rng.uniform(-10, 10) for _ in range(n)]
+    if style == 1:  # heavy ties, signed zeros included
+        return [rng.choice([0.0, -0.0, 0.5, -1.0, 1 / 3]) for _ in range(n)]
+    if style == 2:
+        return [float(rng.randint(0, 3)) for _ in range(n)]
+    return [rng.choice([0.0, -0.0]) for _ in range(n)]
+
+
+def test_doubled_ranks_equal_the_tie_group_loop_on_2400_samples():
+    rng = random.Random(2024)
+    for k in range(2400):
+        vals = _rank_draw(rng, rng.randint(1, 60), k % 4)
+        for mode in ("midrank", "countbelow"):
+            assert _doubled_ranks(vals, mode) == tie_group_doubled_ranks(vals, mode), (vals, mode)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]),
+            st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_doubled_ranks_match_the_tie_group_loop(vals):
+    for mode in ("midrank", "countbelow"):
+        assert _doubled_ranks(vals, mode) == tie_group_doubled_ranks(vals, mode)
 
 
 @given(samples)
