@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Iterable
 
@@ -64,10 +66,8 @@ class QualityCostPoint:
 def estimate_flops(model: CostModel) -> float:
     """FLOPs to score one image: sum over stages of calls x tokens x 2N."""
     model.validate()
-    return sum(
-        s.calls * s.tokens_per_call * FLOPS_PER_PARAM_PASS * s.model_params
-        for s in model.stages
-    )
+    flops = (s.calls * s.tokens_per_call * FLOPS_PER_PARAM_PASS * s.model_params for s in model.stages)
+    return reduce(add, flops, 0.0)
 
 
 def _parse_cost_model(data: dict, source: str) -> CostModel:

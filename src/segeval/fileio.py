@@ -8,6 +8,7 @@ containing ``,``, ``"`` or a newline, so every row round-trips.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -64,3 +65,17 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def csv_row(fields: Sequence) -> str:
+    """``fields`` as :func:`write_csv` renders a row, line end included."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+def write_csv_text(path: str | Path, header: Sequence[str], chunks: Iterable[str]) -> None:
+    """Write ``header`` as :func:`write_csv` does, then chunks of ready CSV text."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(csv_row(header))
+        fh.writelines(chunks)

@@ -24,6 +24,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -194,7 +196,7 @@ def sep_score(
     """Mean KS statistic over adjacent node pairs, in [0, 1]."""
     pops = _node_populations(seg, scores)
     pairs = adjacent_pairs(seg, pair_mode)
-    return sum(ks_statistic(pops[a], pops[b]) for a, b in pairs) / len(pairs)
+    return reduce(add, (ks_statistic(pops[a], pops[b]) for a, b in pairs), 0.0) / len(pairs)
 
 
 def delta_score(
@@ -215,9 +217,9 @@ def delta_score(
     if global_std == 0.0:
         return 0.0
     # a constant node's mean is its value, which sum / len can miss by an ulp
-    means = {n: v[0] if v.count(v[0]) == len(v) else sum(v) / len(v) for n, v in pops.items()}
+    means = {n: v[0] if v.count(v[0]) == len(v) else reduce(add, v, 0.0) / len(v) for n, v in pops.items()}
     pairs = adjacent_pairs(seg, pair_mode)
-    gap = sum(means[a] - means[b] for a, b in pairs) / len(pairs)
+    gap = reduce(add, (means[a] - means[b] for a, b in pairs), 0.0) / len(pairs)
     return gap / global_std
 
 
@@ -281,9 +283,9 @@ def evaluate_collection(
 def _mean_scores(results: list[SegMetricResult]) -> MeanScores:
     n = len(results)
     return MeanScores(
-        rank=sum(r.rank for r in results) / n,
-        sep=sum(r.sep for r in results) / n,
-        delta=sum(r.delta for r in results) / n,
+        rank=reduce(add, (r.rank for r in results), 0.0) / n,
+        sep=reduce(add, (r.sep for r in results), 0.0) / n,
+        delta=reduce(add, (r.delta for r in results), 0.0) / n,
         seg_count=n,
     )
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Literal, Mapping
 
 from .errors import ValidationError
-from .fileio import write_csv
+from .fileio import csv_row, write_csv, write_csv_text
 from .metametrics import AggregateReport, MeanScores, ScoreTable, SegMetricResult
 from .seg import SegCollection, SemanticErrorGraph
 from .stats import TieMode, spearman_rho
@@ -142,18 +142,20 @@ def _round6(x: float) -> float:
     return v + 0.0  # never emit -0.0
 
 
-def _line_rows(collection: SegCollection, scores: ScoreTable) -> Iterator[tuple]:
-    """The lines_*.csv rows, one SEG at a time.
+def _line_rows(collection: SegCollection, scores: ScoreTable) -> Iterator[str]:
+    """The lines_*.csv data rows as CSV text, one walk at a time.
 
     A SEG repeats each image score and normalized rank over many walks, so
-    each distinct value is formatted once; equal floats format alike.
+    each distinct value is formatted once; equal floats format alike.  Only
+    the seg id can need quoting, so the csv module renders it once per SEG.
     """
     for seg in collection:
         lines = walk_line_data(seg, scores)
         text = {x: _fmt(x) for x in {x for points in lines for point in points for x in point}}
+        sid = csv_row((seg.id, ""))[:-1]  # id and comma; a lone empty field would render as ""
         for w_idx, points in enumerate(lines):
-            for xr, sc in points:
-                yield seg.id, w_idx, text[xr], text[sc]
+            head = f"{sid}{w_idx},"
+            yield "".join([f"{head}{text[xr]},{text[sc]}\n" for xr, sc in points])
 
 
 def _safe_name(name: str) -> str:
@@ -208,9 +210,9 @@ def emit_report(
     subset_of = {seg.id: seg.subset for seg in collection} if collection else {}
     written: list[Path] = []
 
-    def write(file_name: str, header: list[str], rows: Iterable[tuple]) -> None:
+    def write(file_name: str, header: list[str], rows: Iterable, writer=write_csv) -> None:
         path = out / file_name
-        write_csv(path, header, rows)
+        writer(path, header, rows)
         written.append(path)
 
     correlations = {}
@@ -260,6 +262,7 @@ def emit_report(
                 f"lines_{_safe_name(name)}.csv",
                 ["seg_id", "walk_index", "normalized_rank", "score"],
                 _line_rows(collection, score_tables[name]),
+                write_csv_text,
             )
 
     return written

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add, mul
 from pathlib import Path
 from typing import Literal, Mapping
 
@@ -252,7 +253,7 @@ class EmbeddingVector:
     values: tuple[float, ...]
 
     def norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.values))
+        return math.sqrt(reduce(add, map(mul, self.values, self.values), 0.0))
 
 
 def load_embeddings(path: str | Path) -> dict[str, EmbeddingVector]:
@@ -304,7 +305,7 @@ def embedding_correlation_score(text_vec: EmbeddingVector, image_vec: EmbeddingV
     nt, ni = text_vec.norm(), image_vec.norm()
     if nt == 0.0 or ni == 0.0:
         raise ValueError("zero-norm embedding vector")
-    dot = sum(a * b for a, b in zip(text_vec.values, image_vec.values))
+    dot = reduce(add, map(mul, text_vec.values, image_vec.values), 0.0)
     return min(1.0, max(0.0, dot / (nt * ni)))
 
 

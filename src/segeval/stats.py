@@ -108,6 +108,10 @@ def ks_statistic(x: Sequence[float], y: Sequence[float]) -> float:
     """
     xs = sorted(_check_sample(x, "x"))
     ys = sorted(_check_sample(y, "y"))
+    if xs[-1] < ys[0] or ys[-1] < xs[0]:  # disjoint: 1 - 0 at the lower maximum
+        return 1.0
+    if xs == ys or xs[0] == xs[-1] == ys[0] == ys[-1]:  # equal ECDFs
+        return 0.0
     nx, ny = len(xs), len(ys)
     return max(abs(bisect_right(xs, t) / nx - bisect_right(ys, t) / ny) for t in xs + ys)
 

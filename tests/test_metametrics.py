@@ -10,6 +10,7 @@ import pytest
 from segeval.errors import CoverageError, ParseError, ValidationError
 from segeval.metametrics import (
     ScoreTable,
+    SegMetricResult,
     aggregate,
     delta_score,
     evaluate_collection,
@@ -328,6 +329,18 @@ def test_aggregate_rejects_duplicate_cell():
     r = evaluate_seg(seg, table_for(seg, [1.0, 0.0]), 0.5)
     with pytest.raises(ValidationError, match="duplicate result"):
         aggregate([r, r], col)
+
+
+def test_aggregate_means_are_a_left_fold():
+    # 0.1 added ten times from the left is 0.9999999999999999; the builtin
+    # sum() compensates rounding from Python 3.12 on and would give 1.0
+    segs = [chain_seg([1, 1], seg_id=f"s{i}") for i in range(10)]
+    results = [
+        SegMetricResult(seg_id=seg.id, metric_name="m", rank=0.1, sep=0.1, delta=0.1, walk_count=1, pair_count=1)
+        for seg in segs
+    ]
+    overall = aggregate(results, collection_of(*segs)).metrics["m"].overall
+    assert overall.rank == overall.sep == overall.delta == 0.09999999999999999
 
 
 # ---------------------------------------------------------------------------

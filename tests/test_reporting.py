@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 
 import pytest
@@ -24,7 +25,7 @@ from segeval.reporting import (
 from segeval.seg import SegCollection
 from segeval.synth import SynthConfig, generate_segs, oracle_scores
 
-from conftest import chain_seg, table_for
+from conftest import chain_seg, stacked_diamond, table_for
 
 
 def result(metric, seg_id, rank, sep=0.5, delta=0.0):
@@ -224,19 +225,20 @@ def test_histogram_counts_in_emitted_files_sum_to_seg_count(tmp_path):
 
 
 def assert_lines_match_walk_line_data(out, collection, tables):
+    """Each lines_*.csv has the bytes csv.writer gives the formatted walk_line_data points."""
     results = [r for name in sorted(tables) for r in evaluate_collection(collection, tables[name])]
     emit_report(aggregate(results, collection), results, out, collection=collection, score_tables=tables)
     for name, table in tables.items():
-        with open(out / f"lines_{name}.csv", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["seg_id", "walk_index", "normalized_rank", "score"]
-        expected = [
-            [seg.id, str(w_idx), _fmt(xr), _fmt(sc)]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["seg_id", "walk_index", "normalized_rank", "score"])
+        writer.writerows(
+            (seg.id, w_idx, _fmt(xr), _fmt(sc))
             for seg in collection
             for w_idx, points in enumerate(walk_line_data(seg, table))
             for xr, sc in points
-        ]
-        assert rows[1:] == expected, name
+        )
+        assert (out / f"lines_{name}.csv").read_bytes() == buf.getvalue().encode("utf-8"), name
 
 
 @pytest.mark.parametrize("seed", [5, 23, 81])
@@ -256,3 +258,12 @@ def test_lines_csv_formats_a_negative_zero_score_as_zero(tmp_path):
     assert_lines_match_walk_line_data(tmp_path, collection, tables)
     rows = (tmp_path / "lines_m.csv").read_text(encoding="utf-8").splitlines()
     assert [row.split(",")[3] for row in rows[1:]] == ["0.5", "0", "0", "1e-07", "0"]
+
+
+def test_lines_csv_quotes_odd_seg_ids_as_the_csv_module_does(tmp_path):
+    ids = ["", " leading space", "a,b", 'say "hi"', "two\nlines", "cr\rid", "crlf\r\nid", "plain"]
+    segs = [stacked_diamond(2, seg_id=sid) for sid in ids]  # 4 walks each
+    scores = [0.9, -0.0, 1 / 3, 0.25, 0.5, 1e-7, 0.7]
+    entries = {k: v for seg in segs for k, v in table_for(seg, scores).entries.items()}
+    tables = {"m": ScoreTable(metric_name="m", entries=entries)}
+    assert_lines_match_walk_line_data(tmp_path, SegCollection(tuple(segs)), tables)

@@ -332,6 +332,41 @@ def test_ks_matches_numpy_reference_exactly(x, y):
     assert ks_statistic(x, y) == numpy_ks_reference(x, y)
 
 
+def _short_circuit_pairs(rng):
+    """Seeded pairs on both sides of ks_statistic's 1.0 and 0.0 short-circuits."""
+    pool = [0.0, -0.0, 0.1, 0.5, 1 / 3, 1.0, -1.0, 1e3]
+
+    def draw(lo, hi, n):  # ties at both ends
+        return [rng.choice([lo, hi, rng.uniform(lo, hi)]) for _ in range(n)]
+
+    for _ in range(300):
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        a = rng.choice(pool[:-1])  # below 1e3, the draws' upper end
+        gap = math.nextafter(a, math.inf)
+        yield "disjoint", draw(-1e3, a, n), draw(gap, 1e3, m)
+        yield "touching", draw(-1e3, a, n) + [a], [a] + draw(a, 1e3, m)
+        yield "touching", [a] * n, draw(-1e3, a, m) + [a]  # constant x at y's maximum
+        x = draw(-1.0, 1.0, n) + [rng.choice(pool) for _ in range(m)]
+        y = [-v if v == 0.0 else v for v in x]  # flips the sign of zeros
+        rng.shuffle(y)
+        yield "equal", x, y
+        c = rng.choice(pool)
+        yield "equal", [c] * n, [-c if c == 0.0 else c] * m
+    yield "equal", [-0.0], [0.0]
+
+
+def test_ks_short_circuits_are_bit_identical_to_numpy_reference():
+    expected = {"disjoint": 1.0, "equal": 0.0}
+    for kind, x, y in _short_circuit_pairs(random.Random(2026)):
+        for a, b in ((x, y), (y, x)):
+            d = ks_statistic(a, b)
+            assert d == numpy_ks_reference(a, b), (kind, a, b)
+            if kind == "touching":
+                assert d < 1.0, (a, b)
+            else:
+                assert d == expected[kind], (kind, a, b)
+
+
 def test_ks_against_oracle_500_samples():
     rng = random.Random(11)
     for _ in range(500):
