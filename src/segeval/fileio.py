@@ -2,15 +2,15 @@
 
 Malformed input becomes a :class:`ParseError` naming the file; filesystem
 trouble stays an :class:`OSError`.  The :mod:`csv` module quotes any field
-containing ``,``, ``"`` or a newline, so every row round-trips.
+containing ``,``, ``"``, CR or LF, so every row round-trips.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError
@@ -59,19 +59,22 @@ def read_csv(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[st
             raise not_utf8(path, exc) from exc
 
 
+def _lf_writer(write):
+    """A csv writer calling ``write`` once per row, LF-terminated; CRLF rendering quotes a lone CR on 3.10-3.12."""
+    return csv.writer(SimpleNamespace(write=lambda row: write(row[:-2] + "\n")))
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write ``header`` then ``rows`` as UTF-8 CSV with LF line ends."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = _lf_writer(fh.write)
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def csv_row(fields: Sequence) -> str:
     """``fields`` as :func:`write_csv` renders a row, line end included."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()
+    return _lf_writer(str).writerow(fields)  # writerow returns what write returns
 
 
 def write_csv_text(path: str | Path, header: Sequence[str], chunks: Iterable[str]) -> None:

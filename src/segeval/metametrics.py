@@ -33,7 +33,7 @@ from .errors import CoverageError, ParseError, ValidationError
 from .fileio import read_csv
 from .seg import SUBSETS, SegCollection, SemanticErrorGraph
 from .stats import TieMode, ks_statistic, population_moments, spearman_rho
-from .walks import PairMode, _walk_pairs, adjacent_pairs, enumerate_walks
+from .walks import PairMode, adjacent_pairs, enumerate_walks
 
 SCORE_CSV_HEADER = ["seg_id", "image_id", "metric", "score"]
 
@@ -186,8 +186,12 @@ def rank_score(
 def _node_populations(
     seg: SemanticErrorGraph, scores: ScoreTable
 ) -> dict[str, list[float]]:
-    by_image = scores.seg_scores(seg)
-    return {n.id: [by_image[img] for img in n.images] for n in seg.nodes}
+    entries, sid = scores.entries, seg.id
+    try:
+        return {n.id: [entries[(sid, img)] for img in n.images] for n in seg.nodes}
+    except KeyError:
+        scores.seg_scores(seg)  # raises the CoverageError that lists every gap
+        raise
 
 
 def sep_score(
@@ -231,9 +235,9 @@ def global_std(
     gaps: list[tuple[str, str]] = []
     for seg in collection:
         try:
-            values.extend(scores.seg_scores(seg).values())
-        except CoverageError as exc:
-            gaps.extend(exc.missing)
+            values.extend([scores.entries[(seg.id, img)] for n in seg.nodes for img in n.images])
+        except KeyError:
+            gaps.extend(missing_scores([seg], scores))
     if gaps:
         by_seg: dict[str, int] = {}
         for seg_id, _ in gaps:
@@ -253,7 +257,7 @@ def evaluate_seg(
     tie_mode: TieMode = "midrank",
     pair_mode: PairMode = "per-walk",
 ) -> SegMetricResult:
-    walks = enumerate_walks(seg)
+    walks, pairs = seg._walk_data  # derived once per SEG; sep_score checks pair_mode
     return SegMetricResult(
         seg_id=seg.id,
         metric_name=scores.metric_name,
@@ -261,7 +265,7 @@ def evaluate_seg(
         sep=sep_score(seg, scores, pair_mode),
         delta=delta_score(seg, scores, std, pair_mode),
         walk_count=len(walks),
-        pair_count=len(_walk_pairs(walks, pair_mode)),
+        pair_count=len(pairs) if pair_mode == "per-walk" else len(set(pairs)),
     )
 
 

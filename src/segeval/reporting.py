@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Literal, Mapping
 
 from .errors import ValidationError
 from .fileio import csv_row, write_csv, write_csv_text
-from .metametrics import AggregateReport, MeanScores, ScoreTable, SegMetricResult
+from .metametrics import AggregateReport, MeanScores, ScoreTable, SegMetricResult, _node_populations
 from .seg import SegCollection, SemanticErrorGraph
 from .stats import TieMode, spearman_rho
 from .walks import enumerate_walks
@@ -119,13 +119,17 @@ def walk_line_data(
     normalized_rank = error_count / max error count in the walk, so 0 is the
     head and 1 the walk's deepest node regardless of depth.
     """
-    by_image = scores.seg_scores(seg)
-    nodes = seg.node_map()
+    pops = _node_populations(seg, scores)
+    counts = {n.id: n.error_count for n in seg.nodes}
+    by_top: dict[int, dict[str, list[tuple[float, float]]]] = {}
     out = []
     for walk in enumerate_walks(seg):
-        path = [nodes[node_id] for node_id in walk]
-        top = max(node.error_count for node in path)  # > 0: counts strictly increase
-        out.append([(node.error_count / top, by_image[img]) for node in path for img in node.images])
+        top = max(map(counts.__getitem__, walk))  # > 0: counts strictly increase
+        points = by_top.setdefault(top, {})  # a node's points depend on its walk only through top
+        for node in walk:
+            if node not in points:
+                points[node] = [(counts[node] / top, v) for v in pops[node]]
+        out.append([p for node in walk for p in points[node]])
     return out
 
 

@@ -22,6 +22,7 @@ import heapq
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -91,6 +92,25 @@ class SemanticErrorGraph:
 
     def image_ids(self) -> list[str]:
         return [img for n in self.nodes for img in n.images]
+
+    # frozen and deeply immutable, so the cache never goes stale; cached_property leaves __eq__ and
+    # __hash__ alone and caches no exception (two heads). One attribute: a second un-shares __dict__.
+    @cached_property
+    def _walk_data(self) -> tuple[tuple[tuple[str, ...], ...], tuple[tuple[str, str], ...]]:
+        """(walks, pairs): the head-to-leaf node-id tuples in lexicographic order, and their adjacent pairs."""
+        children = self.children()
+        walks: list[tuple[str, ...]] = []
+        stack = [(self.head().id,)]
+        while stack:
+            path = stack.pop()
+            kids = children[path[-1]]
+            if not kids:
+                walks.append(path)
+            for kid in kids:
+                stack.append(path + (kid,))
+        walks.sort()
+        edges: dict[tuple[str, str], tuple[str, str]] = {}  # one shared tuple per distinct edge
+        return tuple(walks), tuple(edges.setdefault(p, p) for walk in walks for p in zip(walk, walk[1:]))
 
 
 @dataclass(frozen=True)

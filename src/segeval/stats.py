@@ -40,8 +40,8 @@ TieMode = Literal["midrank", "countbelow"]
 TIE_MODES = ("midrank", "countbelow")
 
 
-def _check_sample(values: Sequence[float], name: str = "sample") -> list[float]:
-    vals = list(map(float, values))
+def _check_sample(values: Sequence[float], name: str = "sample", sort: bool = False) -> list[float]:
+    vals = sorted(map(float, values)) if sort else list(map(float, values))
     if not vals:
         raise ValueError(f"{name} must be non-empty")
     if not all(map(math.isfinite, vals)):
@@ -106,8 +106,8 @@ def ks_statistic(x: Sequence[float], y: Sequence[float]) -> float:
     sup over pooled sample points t of |F_X(t) - F_Y(t)|, with
     F(t) = fraction of values <= t.
     """
-    xs = sorted(_check_sample(x, "x"))
-    ys = sorted(_check_sample(y, "y"))
+    xs = _check_sample(x, "x", sort=True)
+    ys = _check_sample(y, "y", sort=True)
     if xs[-1] < ys[0] or ys[-1] < xs[0]:  # disjoint: 1 - 0 at the lower maximum
         return 1.0
     if xs == ys or xs[0] == xs[-1] == ys[0] == ys[-1]:  # equal ECDFs

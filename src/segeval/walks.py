@@ -7,6 +7,8 @@ along a walk, so expanding each node into its images yields the in-order
 
 Enumeration is exhaustive (SEGs are small by construction) and ordered
 lexicographically by node-id sequence so downstream reports are byte-stable.
+Each SEG object derives its walks and per-walk pairs once; every call here
+returns a fresh list of them.
 """
 
 from __future__ import annotations
@@ -22,18 +24,7 @@ PAIR_MODES = ("per-walk", "unique-edge")
 
 def enumerate_walks(seg: SemanticErrorGraph) -> list[tuple[str, ...]]:
     """Every head-to-leaf path as a node-id tuple, exactly once, in lexicographic order."""
-    children = seg.children()
-    walks: list[tuple[str, ...]] = []
-    stack = [(seg.head().id,)]
-    while stack:
-        path = stack.pop()
-        kids = children[path[-1]]
-        if not kids:
-            walks.append(path)
-        for kid in kids:
-            stack.append(path + (kid,))
-    walks.sort()
-    return walks
+    return list(seg._walk_data[0])
 
 
 def walk_triples(seg: SemanticErrorGraph, walk: tuple[str, ...]) -> list[tuple[str, int]]:
@@ -45,14 +36,6 @@ def walk_triples(seg: SemanticErrorGraph, walk: tuple[str, ...]) -> list[tuple[s
     return [(img, node.error_count) for node in path for img in node.images]
 
 
-def _walk_pairs(walks: list[tuple[str, ...]], mode: PairMode) -> list[tuple[str, str]]:
-    """Consecutive node pairs over the given walks; see :func:`adjacent_pairs`."""
-    if mode not in PAIR_MODES:
-        raise ValueError(f"unknown pair mode: {mode!r}")
-    pairs = [pair for walk in walks for pair in zip(walk, walk[1:])]
-    return list(dict.fromkeys(pairs)) if mode == "unique-edge" else pairs
-
-
 def adjacent_pairs(seg: SemanticErrorGraph, mode: PairMode = "per-walk") -> list[tuple[str, str]]:
     """Consecutive node pairs over all walks.
 
@@ -60,4 +43,7 @@ def adjacent_pairs(seg: SemanticErrorGraph, mode: PairMode = "per-walk") -> list
     by k walks contributes k entries).  unique-edge: deduplicated to the
     traversed edge set, keeping first-traversal order.
     """
-    return _walk_pairs(enumerate_walks(seg), mode)
+    if mode not in PAIR_MODES:
+        raise ValueError(f"unknown pair mode: {mode!r}")
+    pairs = seg._walk_data[1]
+    return list(dict.fromkeys(pairs)) if mode == "unique-edge" else list(pairs)

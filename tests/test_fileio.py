@@ -9,7 +9,7 @@ import pytest
 
 from segeval.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from segeval.errors import ParseError
-from segeval.fileio import read_csv, read_json, write_csv
+from segeval.fileio import csv_row, read_csv, read_json, write_csv
 from segeval.metametrics import write_score_tables
 from segeval.scorers import load_embeddings
 from segeval.seg import write_seg_file
@@ -41,6 +41,16 @@ def test_write_csv_quotes_and_reads_back(tmp_path):
     write_csv(path, ["a", "b", "c"], rows)
     assert path.read_bytes().count(b"\r") == 0
     assert list(read_csv(path, ["a", "b", "c"])) == [(2, rows[0]), (3, rows[1])]
+
+
+def test_write_csv_quotes_a_lone_carriage_return(tmp_path):
+    # csv.writer(lineterminator="\n") leaves a lone \r unquoted on 3.10-3.12,
+    # and csv.reader then splits the row in two
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], [["cr\rid", 1], ["plain", 2]])
+    assert path.read_bytes() == b'a,b\n"cr\rid",1\nplain,2\n'
+    assert list(read_csv(path, ["a", "b"])) == [(2, ["cr\rid", "1"]), (3, ["plain", "2"])]
+    assert csv_row(["cr\rid", 1]) == '"cr\rid",1\n'
 
 
 def test_read_csv_rejects_empty_file_and_wrong_width(tmp_path):

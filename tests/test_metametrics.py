@@ -22,7 +22,9 @@ from segeval.metametrics import (
     sep_score,
     write_score_tables,
 )
-from segeval.synth import SynthConfig, generate_segs, oracle_scores
+from segeval.cli import EXIT_COVERAGE, main
+from segeval.reporting import walk_line_data
+from segeval.synth import SynthConfig, generate_segs, oracle_scores, write_collection
 from segeval.walks import enumerate_walks, walk_triples
 
 from conftest import chain_seg, collection_of, make_seg, table_for
@@ -98,6 +100,33 @@ def test_delta_checks_coverage_even_with_zero_spread():
     with pytest.raises(CoverageError, match="1-0.jpg") as info:
         delta_score(seg, table, global_std=0.0)
     assert info.value.missing == [("chain", "1-0.jpg")]
+
+
+def test_every_direct_lookup_names_all_missing_images(tmp_path):
+    seg = chain_seg([2, 1, 2])
+    other = chain_seg([2, 2], seg_id="other")
+    full = table_for(seg, [0.9, 0.8, 0.5, 0.2, 0.1])
+    full.entries.update(table_for(other, [1.0, 0.9, 0.1, 0.0]).entries)
+    gaps = [("chain", "0-1.jpg"), ("chain", "2-0.jpg")]
+    table = ScoreTable("m", {k: v for k, v in full.entries.items() if k not in gaps})
+    per_seg = r"missing 2 score\(s\) on seg chain: 0-1\.jpg, 2-0\.jpg$"
+    calls = {
+        "rank_score": (lambda: rank_score(seg, table), per_seg),
+        "sep_score": (lambda: sep_score(seg, table), per_seg),
+        "delta_score": (lambda: delta_score(seg, table, 0.5), per_seg),
+        "global_std": (lambda: global_std(collection_of(other, seg), table), r"cover: chain \(2 missing\)$"),
+        "walk_line_data": (lambda: walk_line_data(seg, table), per_seg),
+    }
+    for name, (call, message) in calls.items():
+        with pytest.raises(CoverageError, match=message) as info:
+            call()
+        assert info.value.missing == gaps, name
+
+    seg_dir = tmp_path / "segs"
+    write_collection(collection_of(other, seg), seg_dir)
+    write_score_tables([table], tmp_path / "scores.csv")
+    argv = ["score", "--segs", str(seg_dir), "--scores", str(tmp_path / "scores.csv"), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_COVERAGE
 
 
 def test_rank_matches_first_principles_oracle_on_synthetic_segs():

@@ -24,8 +24,9 @@ from segeval.reporting import (
 )
 from segeval.seg import SegCollection
 from segeval.synth import SynthConfig, generate_segs, oracle_scores
+from segeval.walks import enumerate_walks
 
-from conftest import chain_seg, stacked_diamond, table_for
+from conftest import chain_seg, make_seg, stacked_diamond, table_for
 
 
 def result(metric, seg_id, rank, sep=0.5, delta=0.0):
@@ -158,6 +159,28 @@ def test_walk_line_multi_image_node_repeats_rank():
     assert [x for x, _ in line] == [0.0, 1.0, 1.0]
 
 
+def test_walk_line_points_match_a_per_walk_reference():
+    # node 1 lies on a walk of depth 2 and one of depth 3, so its rank differs per walk
+    forked = make_seg(
+        nodes=[("0", 0, ["h"]), ("1", 1, ["a", "b"]), ("2", 2, ["c"]), ("3", 3, ["d"])],
+        edges=[("0", "1"), ("1", "2"), ("1", "3", 2)],
+    )
+    synth = generate_segs(
+        SynthConfig(seed=11, seg_count=30, nodes_per_seg=(3, 12), branch_probability=0.7)
+    )
+    for seg in [forked, *synth]:
+        table = oracle_scores(SegCollection((seg,)), "noisy", seed=3)
+        nodes = seg.node_map()
+        expected = []
+        for walk in enumerate_walks(seg):
+            path = [nodes[node_id] for node_id in walk]
+            top = max(node.error_count for node in path)
+            expected.append(
+                [(node.error_count / top, table.entries[(seg.id, img)]) for node in path for img in node.images]
+            )
+        assert walk_line_data(seg, table) == expected, seg.id
+
+
 # ---------------------------------------------------------------------------
 # emit_report
 
@@ -224,21 +247,27 @@ def test_histogram_counts_in_emitted_files_sum_to_seg_count(tmp_path):
     assert total == report.seg_count
 
 
+def _lf_row(fields) -> str:
+    """A CRLF csv.writer row with its line end made LF; a lone \\r is quoted on every version."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()[:-2] + "\n"
+
+
 def assert_lines_match_walk_line_data(out, collection, tables):
     """Each lines_*.csv has the bytes csv.writer gives the formatted walk_line_data points."""
     results = [r for name in sorted(tables) for r in evaluate_collection(collection, tables[name])]
     emit_report(aggregate(results, collection), results, out, collection=collection, score_tables=tables)
     for name, table in tables.items():
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["seg_id", "walk_index", "normalized_rank", "score"])
-        writer.writerows(
+        rows = [("seg_id", "walk_index", "normalized_rank", "score")]
+        rows += (
             (seg.id, w_idx, _fmt(xr), _fmt(sc))
             for seg in collection
             for w_idx, points in enumerate(walk_line_data(seg, table))
             for xr, sc in points
         )
-        assert (out / f"lines_{name}.csv").read_bytes() == buf.getvalue().encode("utf-8"), name
+        expected = "".join(map(_lf_row, rows))
+        assert (out / f"lines_{name}.csv").read_bytes() == expected.encode("utf-8"), name
 
 
 @pytest.mark.parametrize("seed", [5, 23, 81])

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
+from segeval.errors import ValidationError
 from segeval.walks import adjacent_pairs, enumerate_walks, walk_triples
 from segeval.synth import SynthConfig, generate_segs
 
-from conftest import chain_seg, make_seg
+from conftest import chain_seg, make_seg, stacked_diamond
 
 
 def brute_force_paths(seg):
@@ -144,3 +146,60 @@ def test_rng_walk_determinism():
     random.seed()  # ambient state must not influence enumeration
     seg = chain_seg([2, 1, 3])
     assert enumerate_walks(seg) == enumerate_walks(seg)
+
+
+def _reference_pairs(walks, mode):
+    pairs = [pair for walk in walks for pair in zip(walk, walk[1:])]
+    return list(dict.fromkeys(pairs)) if mode == "unique-edge" else pairs
+
+
+def _cache_test_segs():
+    synth = generate_segs(
+        SynthConfig(seed=17, seg_count=40, nodes_per_seg=(2, 12), branch_probability=0.7)
+    )
+    return [*synth, *(stacked_diamond(k) for k in range(1, 9))]
+
+
+def test_cached_walks_and_pairs_match_a_plain_dfs_on_every_call():
+    for seg in _cache_test_segs():
+        expected = brute_force_paths(seg)
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            assert enumerate_walks(seg) == expected
+            for mode in ("per-walk", "unique-edge"):
+                assert adjacent_pairs(seg, mode) == _reference_pairs(expected, mode)
+
+
+def test_mutating_a_returned_list_leaves_the_next_call_alone():
+    seg = stacked_diamond(3)
+    walks = enumerate_walks(seg)
+    expected = list(walks)
+    walks.clear()
+    assert enumerate_walks(seg) == expected
+    for mode in ("per-walk", "unique-edge"):
+        pairs = adjacent_pairs(seg, mode)
+        expected = list(pairs)
+        pairs.reverse()
+        pairs.append(("x", "y"))
+        assert adjacent_pairs(seg, mode) == expected
+
+
+def test_a_filled_cache_leaves_equality_and_hash_alone():
+    for seg in (stacked_diamond(4), *_cache_test_segs()[:5]):
+        fresh = dataclasses.replace(seg)
+        enumerate_walks(seg)
+        adjacent_pairs(seg)
+        assert seg == fresh and hash(seg) == hash(fresh)
+        assert enumerate_walks(fresh) == enumerate_walks(seg)
+
+
+def test_two_heads_raise_on_every_call():
+    seg = make_seg(
+        nodes=[("0", 0, ["a"]), ("0b", 0, ["b"]), ("1", 1, ["c"])],
+        edges=[("0", "1"), ("0b", "1")],
+    )
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="exactly one head"):
+            enumerate_walks(seg)
+        for mode in ("per-walk", "unique-edge"):
+            with pytest.raises(ValidationError, match="exactly one head"):
+                adjacent_pairs(seg, mode)
