@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Literal, Mapping
+from typing import Callable, Iterable, Iterator, Literal, Mapping
 
 from .errors import ValidationError
 from .fileio import csv_row, write_csv, write_csv_text
@@ -120,17 +120,26 @@ def walk_line_data(
     head and 1 the walk's deepest node regardless of depth.
     """
     pops = _node_populations(seg, scores)
+    return list(_walk_points(seg, pops, lambda xr, values: [(xr, v) for v in values]))
+
+
+def _walk_points(
+    seg: SemanticErrorGraph, pops: Mapping[str, list], node_points: Callable[[float, list], list]
+) -> Iterator[list]:
+    """Each walk's points in walk order: ``node_points(normalized_rank, pops[node])`` per node.
+
+    A node's points depend on its walk only through the walk's deepest
+    error count, so they are built once per (walk depth, node).
+    """
     counts = {n.id: n.error_count for n in seg.nodes}
-    by_top: dict[int, dict[str, list[tuple[float, float]]]] = {}
-    out = []
+    by_top: dict[int, dict[str, list]] = {}
     for walk in enumerate_walks(seg):
         top = max(map(counts.__getitem__, walk))  # > 0: counts strictly increase
-        points = by_top.setdefault(top, {})  # a node's points depend on its walk only through top
+        points = by_top.setdefault(top, {})
         for node in walk:
             if node not in points:
-                points[node] = [(counts[node] / top, v) for v in pops[node]]
-        out.append([p for node in walk for p in points[node]])
-    return out
+                points[node] = node_points(counts[node] / top, pops[node])
+        yield [p for node in walk for p in points[node]]
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +158,23 @@ def _round6(x: float) -> float:
 def _line_rows(collection: SegCollection, scores: ScoreTable) -> Iterator[str]:
     """The lines_*.csv data rows as CSV text, one walk at a time.
 
-    A SEG repeats each image score and normalized rank over many walks, so
-    each distinct value is formatted once; equal floats format alike.  Only
-    the seg id can need quoting, so the csv module renders it once per SEG.
+    Each score is formatted once per image and each "normalized_rank,score"
+    point text once per (walk depth, node); a walk's rows are its points
+    joined behind its "seg_id,walk_index," head.  Only the seg id can need
+    quoting, so the csv module renders it once per SEG.
     """
     for seg in collection:
-        lines = walk_line_data(seg, scores)
-        text = {x: _fmt(x) for x in {x for points in lines for point in points for x in point}}
+        texts = {node: list(map(_fmt, vals)) for node, vals in _node_populations(seg, scores).items()}
         sid = csv_row((seg.id, ""))[:-1]  # id and comma; a lone empty field would render as ""
-        for w_idx, points in enumerate(lines):
-            head = f"{sid}{w_idx},"
-            yield "".join([f"{head}{text[xr]},{text[sc]}\n" for xr, sc in points])
+        for w_idx, points in enumerate(_walk_points(seg, texts, _point_texts)):
+            if points:  # an unvalidated SEG can have a walk without images
+                head = f"{sid}{w_idx},"
+                yield head + head.join(points)
+
+
+def _point_texts(xr: float, score_texts: list[str]) -> list[str]:
+    x = _fmt(xr)
+    return [f"{x},{s}\n" for s in score_texts]
 
 
 def _safe_name(name: str) -> str:

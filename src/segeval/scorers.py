@@ -24,9 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import repeat
 from operator import add, mul
 from pathlib import Path
-from typing import Literal, Mapping
+from typing import Literal, Mapping, NamedTuple
 
 from .errors import CoverageError, ParseError, ValidationError
 from .fileio import not_utf8, read_csv, read_json
@@ -51,9 +52,6 @@ class Question:
 class QuestionGraph:
     prompt_id: str
     questions: tuple[Question, ...]
-
-    def question_ids(self) -> set[str]:
-        return {q.id for q in self.questions}
 
 
 @dataclass(frozen=True)
@@ -80,15 +78,21 @@ def _normalize_answer(text: str) -> str:
     return text.strip().casefold()
 
 
-def _gating_order(qg: QuestionGraph, source: str) -> list[str]:
-    """Question ids with every parent before its children."""
+def _gating_order(qg: QuestionGraph) -> list[str] | None:
+    """Question ids with every parent before its children; None on a cycle."""
+    seen: set[str] = set()
+    for q in qg.questions:  # usually listed in such an order already
+        if q.id in seen or not seen.issuperset(q.parent_ids):
+            break
+        seen.add(q.id)
+    else:
+        return [q.id for q in qg.questions]
     edges = [(p, q.id) for q in qg.questions for p in q.parent_ids]
-    order = _topological_order([q.id for q in qg.questions], edges)
-    if order is None:
-        raise ValidationError(
-            f"{source}: question graph {qg.prompt_id!r} has a cyclic dependency"
-        )
-    return order
+    return _topological_order([q.id for q in qg.questions], edges)
+
+
+def _cycle_error(qg: QuestionGraph, source: str) -> ValidationError:
+    return ValidationError(f"{source}: question graph {qg.prompt_id!r} has a cyclic dependency")
 
 
 def _parse_question_graph(data: dict, source: str) -> QuestionGraph:
@@ -100,6 +104,8 @@ def _parse_question_graph(data: dict, source: str) -> QuestionGraph:
     prompt_id = data["prompt_id"]
     if not isinstance(prompt_id, str):
         raise ParseError("field 'prompt_id' must be a string", source=source)
+    if not isinstance(data["questions"], list) or not data["questions"]:
+        raise ParseError("field 'questions' must be a non-empty list", source=source)
     questions = []
     ids = set()
     for i, q in enumerate(data["questions"]):
@@ -129,7 +135,8 @@ def _parse_question_graph(data: dict, source: str) -> QuestionGraph:
                     f"{source}: question {q.id!r} references unknown parent {pid!r}"
                 )
     qg = QuestionGraph(prompt_id=prompt_id, questions=tuple(questions))
-    _gating_order(qg, source)
+    if _gating_order(qg) is None:
+        raise _cycle_error(qg, source)
     return qg
 
 
@@ -164,22 +171,46 @@ def load_answer_table(path: str | Path) -> AnswerTable:
 # accumulation
 
 
-def _correctness(qg: QuestionGraph, answers: Mapping[str, str]) -> dict[str, bool]:
-    missing = sorted(q.id for q in qg.questions if q.id not in answers)
-    if missing:
+class _Plan(NamedTuple):
+    """What scoring one image against a question graph needs, derived once per graph."""
+
+    expected: dict[str, str]  # question id -> normalized expected answer
+    # (id, normalized expected answer, ids it is gated on), each parent before
+    # its children; None when the gating order has a cycle
+    steps: tuple[tuple[str, str, tuple[str, ...]], ...] | None
+    denominator: int
+
+
+def _plan(qg: QuestionGraph, gated: bool) -> _Plan:
+    expected = {q.id: _normalize_answer(q.expected_answer) for q in qg.questions}
+    if not gated:
+        return _Plan(expected, tuple(zip(expected, expected.values(), repeat(()))), len(expected))
+    parents = {q.id: q.parent_ids for q in qg.questions}
+    order = _gating_order(qg)
+    steps = None if order is None else tuple((qid, expected[qid], parents[qid]) for qid in order)
+    # len(expected) is smaller only on an API-built graph that repeats an id
+    return _Plan(expected, steps, len(qg.questions))
+
+
+def _accumulate(qg: QuestionGraph, plan: _Plan, answers: Mapping[str, str]) -> float:
+    """The share of questions answered correctly with every gating parent satisfied."""
+    if not answers.keys() >= plan.expected.keys():
+        missing = sorted(q.id for q in qg.questions if q.id not in answers)
         raise CoverageError(
             "missing answer(s) for question id(s): " + ", ".join(missing), missing=missing
         )
-    return {
-        q.id: _normalize_answer(answers[q.id]) == _normalize_answer(q.expected_answer)
-        for q in qg.questions
-    }
+    if plan.steps is None:
+        raise _cycle_error(qg, "<data>")
+    satisfied: set[str] = set()
+    for qid, expected, parents in plan.steps:
+        if _normalize_answer(answers[qid]) == expected and satisfied.issuperset(parents):
+            satisfied.add(qid)
+    return len(satisfied) / plan.denominator
 
 
 def tifa_accumulate(qg: QuestionGraph, answers: Mapping[str, str]) -> float:
     """Flat correct-answer rate over all questions, in [0, 1]."""
-    correct = _correctness(qg, answers)
-    return sum(correct.values()) / len(correct)
+    return _accumulate(qg, _plan(qg, gated=False), answers)
 
 
 def dsg_accumulate(qg: QuestionGraph, answers: Mapping[str, str]) -> float:
@@ -189,12 +220,7 @@ def dsg_accumulate(qg: QuestionGraph, answers: Mapping[str, str]) -> float:
     question is satisfied (so a wrong answer anywhere upstream removes
     credit for the whole subtree).
     """
-    correct = _correctness(qg, answers)
-    parents = {q.id: q.parent_ids for q in qg.questions}
-    satisfied: dict[str, bool] = {}
-    for qid in _gating_order(qg, "<data>"):
-        satisfied[qid] = correct[qid] and all(satisfied[p] for p in parents[qid])
-    return sum(satisfied.values()) / len(qg.questions)
+    return _accumulate(qg, _plan(qg, gated=True), answers)
 
 
 def accumulate_scores(
@@ -208,13 +234,15 @@ def accumulate_scores(
     With a single graph it applies to every seg in the table; with several,
     each seg uses the graph whose prompt_id equals the seg id.  The metric
     name defaults to the prompt id (or "questions") suffixed ``-{mode}-acc``.
+    Each graph's expected answers and gating order are derived once, on
+    first use.
     """
     if mode not in ACCUMULATION_MODES:
         raise ValueError(f"unknown accumulation mode: {mode!r}")
     if not graphs:
         raise ValueError("no question graphs given")
-    accumulate = tifa_accumulate if mode == "tifa" else dsg_accumulate
     by_prompt = {g.prompt_id: g for g in graphs}
+    plans: dict[str, _Plan] = {}
     base = metric_name or (graphs[0].prompt_id if len(graphs) == 1 else "questions")
     name = f"{base}-{mode}-acc"
 
@@ -228,15 +256,18 @@ def accumulate_scores(
             raise CoverageError(
                 f"no question graph with prompt_id {seg_id!r} for seg {seg_id!r}"
             )
+        plan = plans.get(qg.prompt_id)
+        if plan is None:
+            plan = plans[qg.prompt_id] = _plan(qg, gated=mode == "dsg")
         per_image = answers.answers_for(seg_id, image_id)
-        unknown = sorted(set(per_image) - qg.question_ids())
+        unknown = sorted(per_image.keys() - plan.expected.keys())
         if unknown:
             raise ValidationError(
                 f"answers for seg {seg_id!r} image {image_id!r} reference unknown "
                 "question id(s): " + ", ".join(unknown)
             )
         try:
-            entries[(seg_id, image_id)] = accumulate(qg, per_image)
+            entries[(seg_id, image_id)] = _accumulate(qg, plan, per_image)
         except CoverageError as exc:
             raise CoverageError(
                 f"seg {seg_id!r} image {image_id!r}: {exc}", missing=exc.missing

@@ -288,6 +288,16 @@ def test_accumulate_cyclic_questions(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("questions", [5, {"id": "q1"}, []])
+def test_accumulate_malformed_questions_field_is_a_parse_error(qa_files, tmp_path, capsys, questions):
+    q_path, answers = qa_files
+    q_path.write_text(json.dumps({"prompt_id": "0001", "questions": questions}))
+    code = main(["accumulate", "--mode", "dsg", "--questions", str(q_path), "--answers", str(answers), "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_PARSE
+    assert "field 'questions' must be a non-empty list" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # pareto
 

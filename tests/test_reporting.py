@@ -15,8 +15,10 @@ from segeval.metametrics import (
     aggregate,
     evaluate_collection,
 )
+from segeval.fileio import csv_row
 from segeval.reporting import (
     _fmt,
+    _line_rows,
     emit_report,
     histogram_data,
     metric_correlation_matrix,
@@ -296,3 +298,39 @@ def test_lines_csv_quotes_odd_seg_ids_as_the_csv_module_does(tmp_path):
     entries = {k: v for seg in segs for k, v in table_for(seg, scores).entries.items()}
     tables = {"m": ScoreTable(metric_name="m", entries=entries)}
     assert_lines_match_walk_line_data(tmp_path, SegCollection(tuple(segs)), tables)
+
+
+def reference_line_rows(collection, scores):
+    """lines_*.csv data rows rendered point by point, straight from each walk's nodes."""
+    for seg in collection:
+        nodes = seg.node_map()
+        sid = csv_row((seg.id, ""))[:-1]
+        for w_idx, walk in enumerate(enumerate_walks(seg)):
+            path = [nodes[node_id] for node_id in walk]
+            top = max(node.error_count for node in path)
+            yield "".join(
+                f"{sid}{w_idx},{_fmt(node.error_count / top)},{_fmt(scores.entries[(seg.id, img)])}\n"
+                for node in path
+                for img in node.images
+            )
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_line_rows_match_the_point_by_point_rendering(seed):
+    synth = generate_segs(
+        SynthConfig(seed=seed, seg_count=12, nodes_per_seg=(3, 12), branch_probability=0.7)
+    )
+    diamonds = [stacked_diamond(k, seg_id=f"d{k}") for k in (1, 3, 5)]
+    for collection in (synth, SegCollection(tuple(diamonds))):
+        for kind in ("perfect", "noisy", "constant"):
+            table = oracle_scores(collection, kind, seed=seed)
+            rows = list(_line_rows(collection, table))
+            assert rows == list(reference_line_rows(collection, table)), kind
+
+
+def test_line_rows_skip_a_walk_without_images():
+    seg = make_seg(
+        nodes=[("0", 0, []), ("1", 1, []), ("2", 1, ["b"])], edges=[("0", "1"), ("0", "2")], seg_id="s"
+    )
+    table = ScoreTable(metric_name="m", entries={("s", "b"): 0.5})
+    assert "".join(_line_rows(SegCollection((seg,)), table)) == "s,1,1,0.5\n"

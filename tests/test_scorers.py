@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from segeval import scorers
 from segeval.errors import CoverageError, ParseError, ValidationError
 from segeval.scorers import (
     AnswerTable,
@@ -204,6 +205,14 @@ def test_cyclic_question_graph_rejected_at_load(tmp_path):
         load_question_graphs(path)
 
 
+@pytest.mark.parametrize("questions", [5, None, "q1", {"id": "q1"}, []])
+def test_questions_field_must_be_a_non_empty_list(tmp_path, questions):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"prompt_id": "p", "questions": questions}))
+    with pytest.raises(ParseError, match="field 'questions' must be a non-empty list"):
+        load_question_graphs(path)
+
+
 def test_unknown_parent_rejected(tmp_path):
     path = tmp_path / "q.json"
     path.write_text(
@@ -289,6 +298,134 @@ def test_accumulate_scores_multi_graph_matches_by_seg_id():
     assert table.metric_name == "questions-tifa-acc"
     assert table.entries[("sa", "i")] == 1.0
     assert table.entries[("sb", "i")] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# per-graph plans against a per-image reference
+
+ANSWER_VARIANTS = ["yes", " Yes", "YES\t", "no", " No ", "blue", "Blue\n", "red"]
+
+
+def oracle_tifa(qg: QuestionGraph, answers: dict[str, str]) -> float:
+    correct = [answers[q.id].strip().casefold() == q.expected_answer.strip().casefold() for q in qg.questions]
+    return sum(correct) / len(correct)
+
+
+def reference_scores(graphs: list[QuestionGraph], answers: AnswerTable, mode: str) -> dict:
+    """Each image scored on its own by the oracles, with the checks accumulate_scores makes."""
+    oracle = oracle_tifa if mode == "tifa" else oracle_dsg
+    by_prompt = {g.prompt_id: g for g in graphs}
+    out = {}
+    for seg_id, image_id in answers.images():
+        qg = graphs[0] if len(graphs) == 1 else by_prompt[seg_id]
+        per_image = answers.answers_for(seg_id, image_id)
+        assert set(per_image) == {q.id for q in qg.questions}
+        out[(seg_id, image_id)] = oracle(qg, per_image)
+    return out
+
+
+def random_answer_table(rng: random.Random, graphs: list[QuestionGraph], seg_ids: list[str]) -> AnswerTable:
+    by_prompt = {g.prompt_id: g for g in graphs}
+    entries = {}
+    for seg_id in seg_ids:
+        qg = graphs[0] if len(graphs) == 1 else by_prompt[seg_id]
+        for img in range(rng.randint(1, 6)):
+            for q in qg.questions:
+                entries[(seg_id, f"i{img}", q.id)] = rng.choice(ANSWER_VARIANTS)
+    return AnswerTable(entries=entries)
+
+
+def random_question_graph(rng: random.Random, prompt_id: str) -> QuestionGraph:
+    n = rng.randint(1, 9)
+    questions = []
+    for i in range(n):
+        parents = rng.sample([f"q{j}" for j in range(i)], rng.randint(0, min(i, 3)))
+        questions.append((f"q{i}", parents, rng.choice(["yes", "No ", " blue"])))
+    rng.shuffle(questions)  # listed in any order, not only parents first
+    return qgraph(*questions, prompt_id=prompt_id)
+
+
+@pytest.mark.parametrize("mode", ["tifa", "dsg"])
+def test_single_graph_plan_matches_the_per_image_reference(mode):
+    rng = random.Random(37)
+    for _ in range(60):
+        qg = random_question_graph(rng, "p")
+        answers = random_answer_table(rng, [qg], [f"s{i}" for i in range(rng.randint(1, 4))])
+        table = accumulate_scores([qg], answers, mode)
+        assert table.entries == reference_scores([qg], answers, mode)
+        assert list(table.entries) == answers.images()
+
+
+@pytest.mark.parametrize("mode", ["tifa", "dsg"])
+def test_multi_graph_plans_match_the_per_image_reference(mode):
+    rng = random.Random(41)
+    for _ in range(30):
+        graphs = [random_question_graph(rng, f"s{i}") for i in range(rng.randint(2, 6))]
+        used = rng.sample([g.prompt_id for g in graphs], rng.randint(1, len(graphs)))
+        answers = random_answer_table(rng, graphs, used)
+        assert accumulate_scores(graphs, answers, mode).entries == reference_scores(graphs, answers, mode)
+
+
+def test_answers_differing_only_in_whitespace_or_case_score_alike():
+    qg = qgraph(("q1", [], " Yes"), ("q2", ["q1"], "BLUE "), ("q3", ["q2"], "no"))
+    entries = {}
+    for img, (a1, a2, a3) in enumerate([("yes", "blue", "no"), ("  YES\t", "Blue", " No\n"), ("yEs", "bLUE  ", "NO")]):
+        entries |= {("s", f"i{img}", "q1"): a1, ("s", f"i{img}", "q2"): a2, ("s", f"i{img}", "q3"): a3}
+    answers = AnswerTable(entries=entries)
+    for mode in ("tifa", "dsg"):
+        assert set(accumulate_scores([qg], answers, mode).entries.values()) == {1.0}
+
+
+def test_each_graph_is_planned_once_on_first_use(monkeypatch):
+    planned = []
+    plan = scorers._plan
+    monkeypatch.setattr(scorers, "_plan", lambda qg, gated: planned.append(qg.prompt_id) or plan(qg, gated))
+    qa, qb, qc = (qgraph(("q1", [], "yes"), prompt_id=p) for p in ("sa", "sb", "sc"))
+    entries = {(seg, f"i{n}", "q1"): "yes" for seg in ("sa", "sb") for n in range(5)}
+    accumulate_scores([qa, qb, qc], AnswerTable(entries=entries), "dsg")
+    assert planned == ["sa", "sb"]  # sc has no images, so it is never planned
+
+
+@pytest.mark.parametrize("mode", ["tifa", "dsg"])
+def test_missing_answers_listed_sorted_with_the_image(mode):
+    qg = qgraph(("q3", [], "yes"), ("q1", [], "yes"), ("q2", ["q1"], "yes"), ("q0", [], "yes"))
+    answers = AnswerTable(entries={("s", "i1", "q1"): "yes", ("s", "i2", "q2"): "yes"})
+    with pytest.raises(CoverageError) as exc:
+        accumulate_scores([qg], answers, mode)
+    assert str(exc.value) == "seg 's' image 'i1': missing answer(s) for question id(s): q0, q2, q3"
+    assert exc.value.missing == ["q0", "q2", "q3"]
+    with pytest.raises(CoverageError) as exc:
+        (tifa_accumulate if mode == "tifa" else dsg_accumulate)(qg, {"q2": "no"})
+    assert str(exc.value) == "missing answer(s) for question id(s): q0, q1, q3"
+    assert exc.value.missing == ["q0", "q1", "q3"]
+
+
+@pytest.mark.parametrize("mode", ["tifa", "dsg"])
+def test_unknown_answer_ids_rejected_before_missing_ones(mode):
+    qg = qgraph(("q1", [], "yes"), ("q2", ["q1"], "yes"))
+    answers = AnswerTable(entries={("s", "i", "q1"): "yes", ("s", "i", "zz"): "yes", ("s", "i", "aa"): "no"})
+    with pytest.raises(ValidationError) as exc:
+        accumulate_scores([qg], answers, mode)
+    assert str(exc.value) == "answers for seg 's' image 'i' reference unknown question id(s): aa, zz"
+
+
+def test_api_built_cyclic_graph_fails_dsg_after_the_answer_checks_and_scores_tifa():
+    cyclic = qgraph(("a", ["b"], "y"), ("b", ["a"], "y"), ("c", [], "y"))
+    full = AnswerTable(entries={("s", "i", "a"): "y", ("s", "i", "b"): "n", ("s", "i", "c"): "Y"})
+    message = "<data>: question graph 'p1' has a cyclic dependency"
+    with pytest.raises(ValidationError) as exc:
+        accumulate_scores([cyclic], full, "dsg")
+    assert str(exc.value) == message
+    with pytest.raises(ValidationError) as exc:
+        dsg_accumulate(cyclic, {"a": "y", "b": "y", "c": "y"})
+    assert str(exc.value) == message
+    assert accumulate_scores([cyclic], full, "tifa").entries == {("s", "i"): 2 / 3}
+    assert tifa_accumulate(cyclic, {"a": "y", "b": "n", "c": "y"}) == 2 / 3
+    unknown = AnswerTable(entries={**full.entries, ("s", "i", "x"): "y"})
+    with pytest.raises(ValidationError, match="unknown question id"):
+        accumulate_scores([cyclic], unknown, "dsg")
+    with pytest.raises(CoverageError, match="missing answer"):
+        accumulate_scores([cyclic], AnswerTable(entries={("s", "i", "a"): "y"}), "dsg")
 
 
 # ---------------------------------------------------------------------------
