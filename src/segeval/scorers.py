@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import repeat
 from operator import add, mul
 from pathlib import Path
 from typing import Literal, Mapping, NamedTuple
@@ -80,13 +79,6 @@ def _normalize_answer(text: str) -> str:
 
 def _gating_order(qg: QuestionGraph) -> list[str] | None:
     """Question ids with every parent before its children; None on a cycle."""
-    seen: set[str] = set()
-    for q in qg.questions:  # usually listed in such an order already
-        if q.id in seen or not seen.issuperset(q.parent_ids):
-            break
-        seen.add(q.id)
-    else:
-        return [q.id for q in qg.questions]
     edges = [(p, q.id) for q in qg.questions for p in q.parent_ids]
     return _topological_order([q.id for q in qg.questions], edges)
 
@@ -175,37 +167,43 @@ class _Plan(NamedTuple):
     """What scoring one image against a question graph needs, derived once per graph."""
 
     expected: dict[str, str]  # question id -> normalized expected answer
-    # (id, normalized expected answer, ids it is gated on), each parent before
-    # its children; None when the gating order has a cycle
+    gated: bool
+    # dsg only: (id, normalized expected answer, parent ids), each parent
+    # before its children; None in tifa mode or when the graph has a cycle
     steps: tuple[tuple[str, str, tuple[str, ...]], ...] | None
-    denominator: int
 
 
 def _plan(qg: QuestionGraph, gated: bool) -> _Plan:
     expected = {q.id: _normalize_answer(q.expected_answer) for q in qg.questions}
     if not gated:
-        return _Plan(expected, tuple(zip(expected, expected.values(), repeat(()))), len(expected))
+        return _Plan(expected, False, None)
     parents = {q.id: q.parent_ids for q in qg.questions}
     order = _gating_order(qg)
     steps = None if order is None else tuple((qid, expected[qid], parents[qid]) for qid in order)
-    # len(expected) is smaller only on an API-built graph that repeats an id
-    return _Plan(expected, steps, len(qg.questions))
+    return _Plan(expected, True, steps)
 
 
 def _accumulate(qg: QuestionGraph, plan: _Plan, answers: Mapping[str, str]) -> float:
-    """The share of questions answered correctly with every gating parent satisfied."""
+    """The share of questions answered correctly (and, gated, with every parent satisfied)."""
     if not answers.keys() >= plan.expected.keys():
         missing = sorted(q.id for q in qg.questions if q.id not in answers)
         raise CoverageError(
             "missing answer(s) for question id(s): " + ", ".join(missing), missing=missing
         )
+    if not plan.gated:
+        correct = 0
+        for qid, expected in plan.expected.items():
+            if _normalize_answer(answers[qid]) == expected:
+                correct += 1
+        return correct / len(plan.expected)
     if plan.steps is None:
         raise _cycle_error(qg, "<data>")
     satisfied: set[str] = set()
     for qid, expected, parents in plan.steps:
         if _normalize_answer(answers[qid]) == expected and satisfied.issuperset(parents):
             satisfied.add(qid)
-    return len(satisfied) / plan.denominator
+    # not len(plan.expected): the two differ only on an API-built graph that repeats an id
+    return len(satisfied) / len(qg.questions)
 
 
 def tifa_accumulate(qg: QuestionGraph, answers: Mapping[str, str]) -> float:
@@ -235,14 +233,14 @@ def accumulate_scores(
     each seg uses the graph whose prompt_id equals the seg id.  The metric
     name defaults to the prompt id (or "questions") suffixed ``-{mode}-acc``.
     Each graph's expected answers and gating order are derived once, on
-    first use.
+    first use, and held while that graph's images are scored.
     """
     if mode not in ACCUMULATION_MODES:
         raise ValueError(f"unknown accumulation mode: {mode!r}")
     if not graphs:
         raise ValueError("no question graphs given")
     by_prompt = {g.prompt_id: g for g in graphs}
-    plans: dict[str, _Plan] = {}
+    planned: QuestionGraph | None = None
     base = metric_name or (graphs[0].prompt_id if len(graphs) == 1 else "questions")
     name = f"{base}-{mode}-acc"
 
@@ -256,9 +254,8 @@ def accumulate_scores(
             raise CoverageError(
                 f"no question graph with prompt_id {seg_id!r} for seg {seg_id!r}"
             )
-        plan = plans.get(qg.prompt_id)
-        if plan is None:
-            plan = plans[qg.prompt_id] = _plan(qg, gated=mode == "dsg")
+        if qg is not planned:  # images come sorted by seg id, so a graph's are contiguous
+            plan, planned = _plan(qg, gated=mode == "dsg"), qg
         per_image = answers.answers_for(seg_id, image_id)
         unknown = sorted(per_image.keys() - plan.expected.keys())
         if unknown:

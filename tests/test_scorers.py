@@ -381,9 +381,12 @@ def test_each_graph_is_planned_once_on_first_use(monkeypatch):
     plan = scorers._plan
     monkeypatch.setattr(scorers, "_plan", lambda qg, gated: planned.append(qg.prompt_id) or plan(qg, gated))
     qa, qb, qc = (qgraph(("q1", [], "yes"), prompt_id=p) for p in ("sa", "sb", "sc"))
-    entries = {(seg, f"i{n}", "q1"): "yes" for seg in ("sa", "sb") for n in range(5)}
-    accumulate_scores([qa, qb, qc], AnswerTable(entries=entries), "dsg")
-    assert planned == ["sa", "sb"]  # sc has no images, so it is never planned
+    # listed interleaved; images are scored sorted by seg id, so each graph's run together
+    entries = {(seg, f"i{n}", "q1"): "yes" for n in range(5) for seg in ("sb", "sa")}
+    for mode in ("tifa", "dsg"):
+        planned.clear()
+        accumulate_scores([qa, qb, qc], AnswerTable(entries=entries), mode)
+        assert planned == ["sa", "sb"]  # sc has no images, so it is never planned
 
 
 @pytest.mark.parametrize("mode", ["tifa", "dsg"])
