@@ -28,7 +28,7 @@ def read_json(path: str | Path):
             return json.load(fh)
         except UnicodeDecodeError as exc:
             raise not_utf8(path, exc) from exc
-        except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+        except (ValueError, RecursionError) as exc:  # also an integer over the digit limit, or deep nesting
             raise ParseError(f"invalid JSON: {exc}", source=str(path)) from exc
 
 
@@ -57,6 +57,8 @@ def read_csv(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[st
                 yield lineno, row
         except UnicodeDecodeError as exc:  # raised while the reader pulls lines
             raise not_utf8(path, exc) from exc
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise ParseError(f"line {reader.line_num}: {exc}", source=str(path)) from exc
 
 
 def _lf_writer(write):

@@ -25,7 +25,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add
+from operator import add, itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -105,6 +105,11 @@ def load_score_tables(path: str | Path) -> dict[str, ScoreTable]:
     """Parse a score CSV into one table per metric, keyed by metric name."""
     path = Path(path)
     tables: dict[str, dict[tuple[str, str], float]] = {}
+    # every table shares one key tuple per image and one string per seg id;
+    # segs maps a seg id to (that string, {image id: key}) and is read once
+    # per run of rows with the same seg id
+    segs: dict[str, tuple[str, dict[str, tuple[str, str]]]] = {}
+    seg_key = images = None
     for lineno, (seg_id, image_id, metric, raw) in read_csv(path, SCORE_CSV_HEADER):
         try:
             score = float(raw)
@@ -115,7 +120,11 @@ def load_score_tables(path: str | Path) -> dict[str, ScoreTable]:
         if not math.isfinite(score):
             raise ParseError(f"line {lineno}: non-finite score {raw!r}", source=str(path))
         bucket = tables.setdefault(metric, {})
-        key = (seg_id, image_id)
+        if seg_id != seg_key:
+            seg_key, images = segs.setdefault(seg_id, (seg_id, {}))
+        key = images.get(image_id)
+        if key is None:
+            key = images[image_id] = (seg_key, image_id)
         if key in bucket:
             raise ParseError(
                 f"line {lineno}: duplicate score for seg {seg_id!r} image {image_id!r} "
@@ -130,22 +139,27 @@ def load_score_tables(path: str | Path) -> dict[str, ScoreTable]:
 
 
 def write_score_tables(tables: Iterable[ScoreTable], path: str | Path) -> None:
-    """Write tables as the standard CSV, rows sorted for byte stability.
+    """Write tables as the standard CSV, rows sorted by (metric, key, score).
 
+    One metric is sorted at a time; tables sharing a metric name are merged.
     Lines end in CRLF (the csv default, unlike the LF report bundle), so
     score files keep the bytes earlier versions wrote.
     """
-    rows = []
+    by_metric: dict[str, list[ScoreTable]] = {}
     for table in tables:
-        for (seg_id, image_id), score in table.entries.items():
-            rows.append((table.metric_name, seg_id, image_id, score))
-    rows.sort()
-    path = Path(path)
+        by_metric.setdefault(table.metric_name, []).append(table)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORE_CSV_HEADER)
-        for metric, seg_id, image_id, score in rows:
-            writer.writerow([seg_id, image_id, metric, format(score, ".17g")])
+        for metric in sorted(by_metric):
+            group = by_metric[metric]
+            rows = [item for table in group for item in table.entries.items()]
+            # keys are unique within one table; merged tables break ties by score
+            rows.sort(key=itemgetter(0) if len(group) == 1 else None)
+            writer.writerows(
+                [seg_id, image_id, metric, format(score, ".17g")]
+                for (seg_id, image_id), score in rows
+            )
 
 
 def missing_scores(

@@ -146,6 +146,43 @@ def test_non_utf8_input_exits_3_naming_the_file(tmp_path, capsys, argv, bad):
     assert f"{bad}: not valid UTF-8: invalid start byte (byte 0xff)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["score", "--segs", "{seg}", "--scores", "{scores}", "--out", "{out}"], "scores"),
+        (["accumulate", "--mode", "dsg", "--questions", "{questions}", "--answers", "{answers}", "--out", "{out}"], "answers"),
+    ],
+    ids=["score", "accumulate"],
+)
+def test_field_over_the_csv_size_limit_exits_3_naming_the_line(tmp_path, capsys, argv, bad):
+    paths = _non_utf8_inputs(tmp_path)
+    header = {"scores": "seg_id,image_id,metric,score", "answers": "seg_id,image_id,question_id,answer"}[bad]
+    paths[bad].write_text(f"{header}\nchain,0-0.jpg,q,1\nchain,1-0.jpg,q,{'x' * 200_000}\n")
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"{paths[bad]}: line 3: field larger than field limit (131072)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{deep}"],
+        ["score", "--segs", "{deep}", "--scores", "{scores}", "--out", "{out}"],
+        ["pareto", "--report", "{deep}", "--costs", "{deep}", "--out", "{out}"],
+    ],
+    ids=["validate", "score", "pareto"],
+)
+def test_json_nested_past_the_recursion_limit_exits_3(tmp_path, capsys, argv):
+    paths = _non_utf8_inputs(tmp_path)
+    paths["deep"] = tmp_path / "deep.json"
+    paths["deep"].write_text("[" * 200_000 + "]" * 200_000)
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"{paths['deep']}: invalid JSON: maximum recursion depth exceeded" in err
+    assert "Traceback" not in err
+
+
 def test_load_embeddings_rejects_non_utf8(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_bytes(b"a 1.0 0.0\n\xff 0.5 0.5\n")

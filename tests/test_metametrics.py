@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 
 import pytest
 
 from segeval.errors import CoverageError, ParseError, ValidationError
+from segeval.fileio import read_csv
 from segeval.metametrics import (
+    SCORE_CSV_HEADER,
     ScoreTable,
     SegMetricResult,
     aggregate,
@@ -404,6 +407,111 @@ def test_score_csv_rejects_bad_and_duplicate_rows(tmp_path):
     path.write_text("seg_id,image_id,metric,score\ns,i,m,1\ns,i,m,2\n")
     with pytest.raises(ParseError, match="duplicate"):
         load_score_tables(path)
+
+
+def reference_load(path):
+    """The loader as it was before tables shared keys: a fresh key per row."""
+    tables = {}
+    for lineno, (seg_id, image_id, metric, raw) in read_csv(path, SCORE_CSV_HEADER):
+        try:
+            score = float(raw)
+        except ValueError:
+            raise ParseError(f"line {lineno}: score {raw!r} is not a number", source=str(path)) from None
+        if not math.isfinite(score):
+            raise ParseError(f"line {lineno}: non-finite score {raw!r}", source=str(path))
+        bucket = tables.setdefault(metric, {})
+        if (seg_id, image_id) in bucket:
+            raise ParseError(
+                f"line {lineno}: duplicate score for seg {seg_id!r} image {image_id!r} metric {metric!r}",
+                source=str(path),
+            )
+        bucket[(seg_id, image_id)] = score
+    return {name: entries for name, entries in sorted(tables.items())}
+
+
+def reference_write(tables, path):
+    """The writer as it was: one (metric, seg, image, score) sort over every row."""
+    rows = sorted((t.metric_name, s, i, x) for t in tables for (s, i), x in t.entries.items())
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SCORE_CSV_HEADER)
+        writer.writerows([s, i, m, format(x, ".17g")] for m, s, i, x in rows)
+
+
+def _load_error(loader, path) -> str:
+    with pytest.raises(ParseError) as info:
+        loader(path)
+    return str(info.value)
+
+
+def test_loaded_tables_share_one_key_per_image_and_one_seg_id_string(tmp_path):
+    path = tmp_path / "scores.csv"
+    args = ["synth", "--seed", "3", "--segs", "40", "--out", str(tmp_path / "segs"), "--scores-out", str(path)]
+    assert main(args) == 0
+    loaded = load_score_tables(path)
+    expected = reference_load(path)
+    assert list(loaded) == list(expected) and len(loaded) == 4
+    assert all(loaded[name].entries == expected[name] for name in expected)
+
+    first = {key: key for key in next(iter(loaded.values())).entries}
+    assert all(first[key] is key for table in loaded.values() for key in table.entries)
+    seg_ids = {key[0] for key in first}
+    assert len({id(key[0]) for key in first}) == len(seg_ids) == 40
+
+
+def test_same_image_under_two_metrics_is_accepted_with_one_key(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("seg_id,image_id,metric,score\ns,i,a,1\ns,i,b,0.5\n")
+    loaded = load_score_tables(path)
+    assert {name: table.entries for name, table in loaded.items()} == reference_load(path)
+    (key_a,), (key_b,) = loaded["a"].entries, loaded["b"].entries
+    assert key_a is key_b
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("s,i,a,1\ns,i,b,2\ns,j,a,3\ns,i,a,4\n", "line 5: duplicate score for seg 's' image 'i' metric 'a'"),
+        ("s,i,a,1\ns,i\n", "line 3: expected 4 fields, got 2"),
+    ],
+    ids=["duplicate", "short-row"],
+)
+def test_loader_errors_keep_their_messages(tmp_path, body, message):
+    path = tmp_path / "scores.csv"
+    path.write_text("seg_id,image_id,metric,score\n" + body)
+    assert _load_error(load_score_tables, path) == _load_error(reference_load, path) == f"{path}: {message}"
+
+
+def test_loader_non_utf8_past_8_kib_keeps_its_message(tmp_path):
+    path = tmp_path / "scores.csv"
+    padding = "".join(f"chain,pad-{i},m,0.5\n" for i in range(600))
+    path.write_bytes(f"seg_id,image_id,metric,score\n{padding}".encode() + b"chain,\xff,m,1\n")
+    assert path.stat().st_size > 8192
+    message = f"{path}: not valid UTF-8: invalid start byte (byte 0xff)"
+    assert _load_error(load_score_tables, path) == _load_error(reference_load, path) == message
+
+
+def test_writer_bytes_equal_the_all_rows_sort(tmp_path):
+    config = SynthConfig(seed=4, seg_count=30)
+    collection = generate_segs(config)
+    oracles = [
+        oracle_scores(collection, kind, noise_sigma=config.noise_sigma, seed=4)
+        for kind in ("noisy", "perfect", "inverse", "constant")
+    ]
+    shared = [  # one metric name over two tables, one key in both
+        ScoreTable("m", {("s", "b"): 0.5, ("s", "a"): 0.25}),
+        ScoreTable("a", {("t", "x"): 1.0}),
+        ScoreTable("m", {("r", "z"): 0.75, ("s", "a"): 0.125}),
+    ]
+    for tables in (oracles, shared):
+        write_score_tables(tables, tmp_path / "new.csv")
+        reference_write(tables, tmp_path / "old.csv")
+        data = (tmp_path / "new.csv").read_bytes()
+        assert data == (tmp_path / "old.csv").read_bytes()
+        assert data.count(b"\r\n") == data.count(b"\n") == 1 + sum(len(t.entries) for t in tables)
+    assert data.decode().splitlines()[1:] == [
+        "t,x,a,1", "r,z,m,0.75", "s,a,m,0.125", "s,a,m,0.25", "s,b,m,0.5",
+    ]
 
 
 def test_missing_scores_listed_in_collection_order():
