@@ -40,12 +40,14 @@ def read_csv(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[st
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
+        lineno = 0  # the last record read whole
         try:
             got = next(reader, None)
             if got is None:
                 raise ParseError("empty file", source=str(path))
             if got != header:
                 raise ParseError(f"bad header {got!r}, expected {header!r}", source=str(path))
+            lineno = 1
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -58,7 +60,7 @@ def read_csv(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[st
         except UnicodeDecodeError as exc:  # raised while the reader pulls lines
             raise not_utf8(path, exc) from exc
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
-            raise ParseError(f"line {reader.line_num}: {exc}", source=str(path)) from exc
+            raise ParseError(f"line {lineno + 1}: {exc}", source=str(path)) from exc
 
 
 def _lf_writer(write):

@@ -25,7 +25,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add, itemgetter
+from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -141,7 +141,8 @@ def load_score_tables(path: str | Path) -> dict[str, ScoreTable]:
 def write_score_tables(tables: Iterable[ScoreTable], path: str | Path) -> None:
     """Write tables as the standard CSV, rows sorted by (metric, key, score).
 
-    One metric is sorted at a time; tables sharing a metric name are merged.
+    One metric is sorted at a time; tables sharing a metric name are merged,
+    ties on a key broken by score (keys are unique within one table).
     Lines end in CRLF (the csv default, unlike the LF report bundle), so
     score files keep the bytes earlier versions wrote.
     """
@@ -152,10 +153,8 @@ def write_score_tables(tables: Iterable[ScoreTable], path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(SCORE_CSV_HEADER)
         for metric in sorted(by_metric):
-            group = by_metric[metric]
-            rows = [item for table in group for item in table.entries.items()]
-            # keys are unique within one table; merged tables break ties by score
-            rows.sort(key=itemgetter(0) if len(group) == 1 else None)
+            rows = [item for table in by_metric[metric] for item in table.entries.items()]
+            rows.sort()
             writer.writerows(
                 [seg_id, image_id, metric, format(score, ".17g")]
                 for (seg_id, image_id), score in rows

@@ -154,10 +154,12 @@ def test_non_utf8_input_exits_3_naming_the_file(tmp_path, capsys, argv, bad):
     ],
     ids=["score", "accumulate"],
 )
-def test_field_over_the_csv_size_limit_exits_3_naming_the_line(tmp_path, capsys, argv, bad):
+# "line N" counts CSV records, also when a quoted field spans many physical lines
+@pytest.mark.parametrize("field", ["x" * 200_000, '"' + "x\n" * 100_000 + '"'], ids=["one-line", "multi-line"])
+def test_field_over_the_csv_size_limit_exits_3_naming_the_line(tmp_path, capsys, argv, bad, field):
     paths = _non_utf8_inputs(tmp_path)
     header = {"scores": "seg_id,image_id,metric,score", "answers": "seg_id,image_id,question_id,answer"}[bad]
-    paths[bad].write_text(f"{header}\nchain,0-0.jpg,q,1\nchain,1-0.jpg,q,{'x' * 200_000}\n")
+    paths[bad].write_text(f"{header}\nchain,0-0.jpg,q,1\nchain,1-0.jpg,q,{field}\n")
     assert main([arg.format(**paths) for arg in argv]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert f"{paths[bad]}: line 3: field larger than field limit (131072)" in err
