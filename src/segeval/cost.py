@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ParseError, ValidationError
-from .fileio import read_json
+from .fileio import NUMBER, fields, read_json
 
 FLOPS_PER_PARAM_PASS = 2.0
 
@@ -70,40 +70,25 @@ def estimate_flops(model: CostModel) -> float:
     return reduce(add, flops, 0.0)
 
 
+_MODEL_FIELDS = {"metric": str, "stages": list}
+_STAGE_FIELDS = {"calls": int, "tokens_per_call": int, "model_params": NUMBER}
+
+
 def _parse_cost_model(data: dict, source: str) -> CostModel:
-    if not isinstance(data, dict):
-        raise ParseError("cost model must be an object", source=source)
-    for key in ("metric", "stages"):
-        if key not in data:
-            raise ParseError(f"cost model missing field {key!r}", source=source)
-    metric = data["metric"]
-    if not isinstance(metric, str) or not metric:
-        raise ParseError("field 'metric' must be a non-empty string", source=source)
-    raw_stages = data["stages"]
-    if not isinstance(raw_stages, list):
-        raise ParseError("field 'stages' must be a list", source=source)
-    stages = []
-    for i, st in enumerate(raw_stages):
-        where = f"stages[{i}]"
-        if not isinstance(st, dict):
-            raise ParseError(f"{where}: must be an object", source=source)
-        for key in ("calls", "tokens_per_call", "model_params"):
-            if key not in st:
-                raise ParseError(f"{where}: missing field {key!r}", source=source)
-        calls, tokens = st["calls"], st["tokens_per_call"]
-        params = st["model_params"]
-        if not isinstance(calls, int) or isinstance(calls, bool):
-            raise ParseError(f"{where}: field 'calls' must be an integer", source=source)
-        if not isinstance(tokens, int) or isinstance(tokens, bool):
-            raise ParseError(f"{where}: field 'tokens_per_call' must be an integer", source=source)
-        if not isinstance(params, (int, float)) or isinstance(params, bool):
-            raise ParseError(f"{where}: field 'model_params' must be a number", source=source)
-        stages.append(CostStage(calls=calls, tokens_per_call=tokens, model_params=float(params)))
-    model = CostModel(metric_name=metric, stages=tuple(stages))
+    metric, raw_stages = fields(data, _MODEL_FIELDS, "cost model", source)
+    if not metric:
+        raise ParseError("cost model: field 'metric' must be a non-empty string", source=source)
+    where = f"cost model {metric!r}: stages"
+    stages = [fields(st, _STAGE_FIELDS, f"{where}[{i}]", source) for i, st in enumerate(raw_stages)]
     try:
-        model.validate()
+        model = CostModel(metric, tuple(CostStage(c, t, float(p)) for c, t, p in stages))
+        flops = estimate_flops(model)  # validates the model first
+    except OverflowError:  # an integer too large for a float
+        flops = math.inf
     except ValueError as exc:
         raise ParseError(str(exc), source=source) from exc
+    if not math.isfinite(flops):
+        raise ParseError(f"cost model for {metric!r}: FLOPs per image overflow a float", source=source)
     return model
 
 

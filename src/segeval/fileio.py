@@ -1,8 +1,10 @@
 """JSON and CSV helpers shared by every loader and writer.
 
 Malformed input becomes a :class:`ParseError` naming the file; filesystem
-trouble stays an :class:`OSError`.  The :mod:`csv` module quotes any field
-containing ``,``, ``"``, CR or LF, so every row round-trips.
+trouble stays an :class:`OSError`.  Every JSON format reads its objects
+through :func:`fields`, so a missing or mistyped field reads the same in
+each.  The :mod:`csv` module quotes any field containing ``,``, ``"``, CR
+or LF, so every row round-trips.
 """
 
 from __future__ import annotations
@@ -30,6 +32,44 @@ def read_json(path: str | Path):
             raise not_utf8(path, exc) from exc
         except (ValueError, RecursionError) as exc:  # also an integer over the digit limit, or deep nesting
             raise ParseError(f"invalid JSON: {exc}", source=str(path)) from exc
+
+
+NUMBER = (int, float)
+
+_BOOL_REJECTED = {int: "an integer", NUMBER: "a number"}  # bool subclasses int but is neither
+
+
+def fields(obj, spec: dict, where: str, source: str) -> list:
+    """``obj``'s values for the keys of ``spec``, in spec order.
+
+    ``spec`` maps each required key to its type (a class or a tuple of
+    classes); a bool is never an ``int`` or a :data:`NUMBER`.  A non-object,
+    a missing key or a value of another type is a ParseError naming
+    ``source``, ``where`` and the key.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: must be an object", source=source)
+    values = []
+    for key, kind in spec.items():
+        if key not in obj:
+            raise ParseError(f"{where}: missing field {key!r}", source=source)
+        val = obj[key]
+        if isinstance(val, bool) and kind in _BOOL_REJECTED:
+            raise ParseError(f"{where}: field {key!r} must be {_BOOL_REJECTED[kind]}", source=source)
+        if not isinstance(val, kind):
+            expected = "number" if kind is NUMBER else kind.__name__
+            raise ParseError(
+                f"{where}: field {key!r} has type {type(val).__name__}, expected {expected}", source=source
+            )
+        values.append(val)
+    return values
+
+
+def str_list(val: list, key: str, where: str, source: str) -> tuple[str, ...]:
+    """The list ``val`` of field ``key`` as a tuple, when every item is a string."""
+    if not all(isinstance(x, str) for x in val):
+        raise ParseError(f"{where}: field {key!r} must be a list of strings", source=source)
+    return tuple(val)
 
 
 def read_csv(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
@@ -76,9 +116,9 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         writer.writerows(rows)
 
 
-def csv_row(fields: Sequence) -> str:
-    """``fields`` as :func:`write_csv` renders a row, line end included."""
-    return _lf_writer(str).writerow(fields)  # writerow returns what write returns
+def csv_row(row: Sequence) -> str:
+    """``row`` as :func:`write_csv` renders it, line end included."""
+    return _lf_writer(str).writerow(row)  # writerow returns what write returns
 
 
 def write_csv_text(path: str | Path, header: Sequence[str], chunks: Iterable[str]) -> None:

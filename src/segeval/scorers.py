@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Literal, Mapping, NamedTuple
 
 from .errors import CoverageError, ParseError, ValidationError
-from .fileio import not_utf8, read_csv, read_json
+from .fileio import fields, not_utf8, read_csv, read_json, str_list
 from .metametrics import ScoreTable
 from .seg import SegCollection, _topological_order
 
@@ -87,45 +87,29 @@ def _cycle_error(qg: QuestionGraph, source: str) -> ValidationError:
     return ValidationError(f"{source}: question graph {qg.prompt_id!r} has a cyclic dependency")
 
 
+_GRAPH_FIELDS = {"prompt_id": str, "questions": object}  # any non-list is the non-empty-list error below
+_QUESTION_FIELDS = {"id": str, "parent_ids": list, "expected_answer": str}
+
+
 def _parse_question_graph(data: dict, source: str) -> QuestionGraph:
-    if not isinstance(data, dict):
-        raise ParseError("question graph must be an object", source=source)
-    for key in ("prompt_id", "questions"):
-        if key not in data:
-            raise ParseError(f"question graph missing field {key!r}", source=source)
-    prompt_id = data["prompt_id"]
-    if not isinstance(prompt_id, str):
-        raise ParseError("field 'prompt_id' must be a string", source=source)
-    if not isinstance(data["questions"], list) or not data["questions"]:
+    prompt_id, raw_questions = fields(data, _GRAPH_FIELDS, "question graph", source)
+    if not isinstance(raw_questions, list) or not raw_questions:
         raise ParseError("field 'questions' must be a non-empty list", source=source)
     questions = []
     ids = set()
-    for i, q in enumerate(data["questions"]):
-        where = f"questions[{i}]"
-        if not isinstance(q, dict):
-            raise ParseError(f"{where}: must be an object", source=source)
-        for key in ("id", "parent_ids", "expected_answer"):
-            if key not in q:
-                raise ParseError(f"{where}: missing field {key!r}", source=source)
-        qid = q["id"]
-        if not isinstance(qid, str) or not qid:
+    for i, q in enumerate(raw_questions):
+        where = f"question graph {prompt_id!r}: questions[{i}]"
+        qid, parent_ids, expected = fields(q, _QUESTION_FIELDS, where, source)
+        if not qid:
             raise ParseError(f"{where}: field 'id' must be a non-empty string", source=source)
         if qid in ids:
             raise ValidationError(f"{source}: duplicate question id {qid!r}")
         ids.add(qid)
-        parent_ids = q["parent_ids"]
-        if not isinstance(parent_ids, list) or not all(isinstance(p, str) for p in parent_ids):
-            raise ParseError(f"{where}: field 'parent_ids' must be a list of strings", source=source)
-        expected = q["expected_answer"]
-        if not isinstance(expected, str):
-            raise ParseError(f"{where}: field 'expected_answer' must be a string", source=source)
-        questions.append(Question(id=qid, parent_ids=tuple(parent_ids), expected_answer=expected))
+        questions.append(Question(qid, str_list(parent_ids, "parent_ids", where, source), expected))
     for q in questions:
         for pid in q.parent_ids:
             if pid not in ids:
-                raise ValidationError(
-                    f"{source}: question {q.id!r} references unknown parent {pid!r}"
-                )
+                raise ValidationError(f"{source}: question {q.id!r} references unknown parent {pid!r}")
     qg = QuestionGraph(prompt_id=prompt_id, questions=tuple(questions))
     if _gating_order(qg) is None:
         raise _cycle_error(qg, source)

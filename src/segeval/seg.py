@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ParseError, ValidationError
-from .fileio import read_json
+from .fileio import fields, read_json, str_list
 
 SUBSETS = ("synth", "nat", "real")
 
@@ -72,9 +72,6 @@ class SemanticErrorGraph:
     subset: str
     nodes: tuple[ErrorNode, ...]
     edges: tuple[ErrorEdge, ...]
-
-    def node_map(self) -> dict[str, ErrorNode]:
-        return {n.id: n for n in self.nodes}
 
     def children(self) -> dict[str, list[str]]:
         out: dict[str, list[str]] = {n.id: [] for n in self.nodes}
@@ -124,12 +121,6 @@ class SegCollection:
 
     def __len__(self) -> int:
         return len(self.segs)
-
-    def get(self, seg_id: str) -> SemanticErrorGraph:
-        for seg in self.segs:
-            if seg.id == seg_id:
-                return seg
-        raise KeyError(seg_id)
 
     def filter_subset(self, subset: str | None) -> "SegCollection":
         if subset is None:
@@ -303,87 +294,50 @@ def validate_seg(seg: SemanticErrorGraph) -> ValidationReport:
 # parsing / serialization
 
 
-def _require(obj: dict, key: str, kind, where: str, source: str):
-    if key not in obj:
-        raise ParseError(f"{where}: missing field {key!r}", source=source)
-    val = obj[key]
-    if kind is int and isinstance(val, bool):
-        raise ParseError(f"{where}: field {key!r} must be an integer", source=source)
-    if not isinstance(val, kind):
-        raise ParseError(
-            f"{where}: field {key!r} has type {type(val).__name__}, expected {kind.__name__}",
-            source=source,
-        )
-    return val
+_SEG_FIELDS = {"id": str, "prompt": str, "subset": str, "nodes": list, "edges": list}
+_NODE_FIELDS = {"id": str, "error_count": int, "images": list}
+_EDGE_FIELDS = {"error_labels": list, "from": str, "to": str}
+_EDGE_KNOWN = {*_EDGE_FIELDS, "weight"}
+_WEIGHT_FIELD = {"weight": int}
 
 
-def _warn_unknown(obj: dict, known: set[str], where: str, source: str) -> None:
-    for key in obj:
-        if key not in known:
-            warnings.warn(f"{source}: {where}: ignoring unknown field {key!r}", stacklevel=3)
-
-
-def _str_list(val, where: str, key: str, source: str) -> tuple[str, ...]:
-    if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
-        raise ParseError(f"{where}: field {key!r} must be a list of strings", source=source)
-    return tuple(val)
+def _warn_unknown(obj, known, where: str, source: str) -> None:
+    """Warn, in key order, about each key of ``obj`` not in ``known``; a non-object is left to :func:`fields`."""
+    if isinstance(obj, dict):
+        for key in obj:
+            if key not in known:
+                warnings.warn(f"{source}: {where}: ignoring unknown field {key!r}", stacklevel=3)
 
 
 def parse_seg(data: dict, source: str = "<data>") -> SemanticErrorGraph:
     """Build a SEG from a decoded JSON object; strict about schema, not structure."""
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object", source=source)
-    _warn_unknown(data, {"id", "prompt", "subset", "nodes", "edges"}, "seg", source)
-    seg_id = _require(data, "id", str, "seg", source)
-    prompt = _require(data, "prompt", str, "seg", source)
-    subset = _require(data, "subset", str, "seg", source)
+    _warn_unknown(data, _SEG_FIELDS, "seg", source)
+    seg_id, prompt, subset, raw_nodes, raw_edges = fields(data, _SEG_FIELDS, "seg", source)
     if subset not in SUBSETS:
-        raise ParseError(
-            f"seg: field 'subset' must be one of {'/'.join(SUBSETS)}, got {subset!r}",
-            source=source,
-        )
-    raw_nodes = _require(data, "nodes", list, "seg", source)
-    raw_edges = _require(data, "edges", list, "seg", source)
+        raise ParseError(f"seg: field 'subset' must be one of {'/'.join(SUBSETS)}, got {subset!r}", source=source)
 
     nodes = []
     for i, nd in enumerate(raw_nodes):
         where = f"nodes[{i}]"
-        if not isinstance(nd, dict):
-            raise ParseError(f"{where}: must be an object", source=source)
-        _warn_unknown(nd, {"id", "error_count", "images"}, where, source)
-        nodes.append(
-            ErrorNode(
-                id=_require(nd, "id", str, where, source),
-                error_count=_require(nd, "error_count", int, where, source),
-                images=_str_list(_require(nd, "images", list, where, source), where, "images", source),
-            )
-        )
+        _warn_unknown(nd, _NODE_FIELDS, where, source)
+        node_id, count, images = fields(nd, _NODE_FIELDS, where, source)
+        nodes.append(ErrorNode(node_id, count, str_list(images, "images", where, source)))
 
     edges = []
     for i, ed in enumerate(raw_edges):
         where = f"edges[{i}]"
-        if not isinstance(ed, dict):
-            raise ParseError(f"{where}: must be an object", source=source)
-        _warn_unknown(ed, {"from", "to", "error_labels", "weight"}, where, source)
-        labels = _str_list(
-            _require(ed, "error_labels", list, where, source), where, "error_labels", source
-        )
+        _warn_unknown(ed, _EDGE_KNOWN, where, source)
+        labels, src, dst = fields(ed, _EDGE_FIELDS, where, source)
+        labels = str_list(labels, "error_labels", where, source)
         if "weight" in ed:
-            weight = _require(ed, "weight", int, where, source)
+            (weight,) = fields(ed, _WEIGHT_FIELD, where, source)
         else:
             weight = ErrorEdge.default_weight(labels)
-        edges.append(
-            ErrorEdge(
-                src=_require(ed, "from", str, where, source),
-                dst=_require(ed, "to", str, where, source),
-                error_labels=labels,
-                weight=weight,
-            )
-        )
+        edges.append(ErrorEdge(src, dst, labels, weight))
 
-    return SemanticErrorGraph(
-        id=seg_id, prompt=prompt, subset=subset, nodes=tuple(nodes), edges=tuple(edges)
-    )
+    return SemanticErrorGraph(seg_id, prompt, subset, tuple(nodes), tuple(edges))
 
 
 def seg_to_dict(seg: SemanticErrorGraph) -> dict:

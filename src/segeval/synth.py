@@ -10,6 +10,7 @@ carries no information, and a noisy one degrades smoothly with sigma.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,8 +61,8 @@ class SynthConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def _subseed(seed: int, tag: str) -> int:

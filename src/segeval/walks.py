@@ -27,15 +27,6 @@ def enumerate_walks(seg: SemanticErrorGraph) -> list[tuple[str, ...]]:
     return list(seg._walk_data[0])
 
 
-def walk_triples(seg: SemanticErrorGraph, walk: tuple[str, ...]) -> list[tuple[str, int]]:
-    """Expand a walk into per-image (image_id, error_count) pairs.
-
-    Images appear in the order listed on each node; nodes in walk order.
-    """
-    path = map(seg.node_map().__getitem__, walk)
-    return [(img, node.error_count) for node in path for img in node.images]
-
-
 def adjacent_pairs(seg: SemanticErrorGraph, mode: PairMode = "per-walk") -> list[tuple[str, str]]:
     """Consecutive node pairs over all walks.
 

@@ -160,8 +160,9 @@ def test_criterion_7_invariance_suite():
     originals = {
         sid: ScoreTable(metric_name="m", entries=entries) for sid, entries in base.items()
     }
+    by_id = {seg.id: seg for seg in collection}
     reference = {
-        sid: (rank_score(collection.get(sid), t), sep_score(collection.get(sid), t))
+        sid: (rank_score(by_id[sid], t), sep_score(by_id[sid], t))
         for sid, t in originals.items()
     }
     for _ in range(50):

@@ -56,6 +56,18 @@ def test_readme_library_example_runs_on_top_level_names(tmp_path, monkeypatch):
     assert (tmp_path / "report" / "lines_noisy.csv").is_file()
 
 
+def test_readme_cost_models_cover_the_quickstart_metrics(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    costs = re.search(r"save this as `costs.json`.*?```json\n(.*?)```", text, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "costs.json").write_text(costs, encoding="utf-8")
+    commands = re.findall(r"^segeval ((?:synth|score|pareto) .*)$", text, re.M)
+    assert [c.split()[0] for c in commands] == ["synth", "score", "pareto"]
+    for command in commands:
+        assert main(command.split()) == EXIT_OK, command
+    assert (tmp_path / "frontier.csv").read_text(encoding="utf-8").startswith("metric,quality,cost_flops\n")
+
+
 NO_NUMPY_QUICKSTART = """
 import sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError

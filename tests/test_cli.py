@@ -384,6 +384,27 @@ def test_pareto_report_that_is_not_an_object(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "stage",
+    [
+        {"calls": 1, "tokens_per_call": 1, "model_params": 10**400},
+        {"calls": 10**400, "tokens_per_call": 1, "model_params": 100},
+        {"calls": 10**200, "tokens_per_call": 1, "model_params": 1e300},
+    ],
+    ids=["params-401-digits", "calls-401-digits", "infinite-flops"],
+)
+def test_pareto_cost_model_whose_flops_overflow_exits_3(pareto_files, tmp_path, capsys, stage):
+    report, costs = pareto_files
+    models = json.loads(costs.read_text())
+    models[1]["stages"] = [stage]
+    costs.write_text(json.dumps(models))
+    code = main(["pareto", "--report", str(report), "--costs", str(costs), "--out", str(tmp_path / "f.csv")])
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"{costs}: cost model for 'vqa-flat': FLOPs per image overflow a float" in err
+    assert "Traceback" not in err and not (tmp_path / "f.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -422,6 +443,15 @@ def test_synth_oracle_scores_roundtrip(tmp_path):
 def test_synth_bad_config(tmp_path, capsys):
     code = main(["synth", "--seed", "1", "--segs", "2", "--nodes", "9", "3", "--out", str(tmp_path / "x")])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_synth_rejects_a_non_finite_noise_sigma(tmp_path, capsys, sigma):
+    out = tmp_path / "x"
+    argv = ["synth", "--seed", "1", "--segs", "3", "--out", str(out), "--scores-out", str(tmp_path / "s.csv")]
+    assert main([*argv, "--noise-sigma", sigma]) == EXIT_USAGE
+    assert f"error: noise_sigma must be finite and >= 0, got {sigma}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

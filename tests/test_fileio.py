@@ -200,3 +200,59 @@ def test_validate_on_integer_past_the_digit_limit_exits_3_naming_the_file_once(t
     line = capsys.readouterr().err.splitlines()[0]
     assert line.startswith(f"PARSE ERROR {path}: invalid JSON:")
     assert line.count(str(path)) == 1
+
+
+# One valid object per JSON format; each case breaks the first entry of its list.
+_VALID_JSON = {
+    "seg": {"id": "s", "prompt": "p", "subset": "synth", "nodes": [{"id": "0", "error_count": 0, "images": ["a"]}], "edges": []},
+    "questions": {"prompt_id": "p", "questions": [{"id": "q", "parent_ids": [], "expected_answer": "yes"}]},
+    "costs": {"metric": "m", "stages": [{"calls": 1, "tokens_per_call": 1, "model_params": 100}]},
+}
+_ENTRIES = {"seg": "nodes", "questions": "questions", "costs": "stages"}
+_DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "kind, entry, message",
+    [
+        ("seg", 5, "nodes[0]: must be an object"),
+        ("seg", {"error_count": _DELETE}, "nodes[0]: missing field 'error_count'"),
+        ("seg", {"images": "a"}, "nodes[0]: field 'images' has type str, expected list"),
+        ("seg", {"error_count": False}, "nodes[0]: field 'error_count' must be an integer"),
+        ("questions", 5, "question graph 'p': questions[0]: must be an object"),
+        ("questions", {"expected_answer": _DELETE}, "question graph 'p': questions[0]: missing field 'expected_answer'"),
+        ("questions", {"parent_ids": "q0"}, "question graph 'p': questions[0]: field 'parent_ids' has type str, expected list"),
+        # a question graph holds no number, and a bool is not a string either
+        ("questions", {"id": True}, "question graph 'p': questions[0]: field 'id' has type bool, expected str"),
+        ("costs", 5, "cost model 'm': stages[0]: must be an object"),
+        ("costs", {"tokens_per_call": _DELETE}, "cost model 'm': stages[0]: missing field 'tokens_per_call'"),
+        ("costs", {"calls": 1.5}, "cost model 'm': stages[0]: field 'calls' has type float, expected int"),
+        ("costs", {"model_params": True}, "cost model 'm': stages[0]: field 'model_params' must be a number"),
+    ],
+    ids=[f"{kind}-{case}" for kind in _ENTRIES for case in ("not-an-object", "missing", "wrong-type", "bool")],
+)
+def test_json_field_errors_exit_3_naming_file_object_and_field(tmp_path, capsys, kind, entry, message):
+    data = json.loads(json.dumps(_VALID_JSON[kind]))
+    entries = data[_ENTRIES[kind]]
+    if isinstance(entry, dict):
+        for key, value in entry.items():
+            if value is _DELETE:
+                del entries[0][key]
+            else:
+                entries[0][key] = value
+    else:
+        entries[0] = entry
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    answers = tmp_path / "answers.csv"
+    answers.write_text("seg_id,image_id,question_id,answer\ns,a,q,yes\n")
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"metrics": {"m": {"overall": {"rank": 0.5}}}}))
+    out = str(tmp_path / "out")
+    argv = {
+        "seg": ["validate", str(path)],
+        "questions": ["accumulate", "--mode", "dsg", "--questions", str(path), "--answers", str(answers), "--out", out],
+        "costs": ["pareto", "--report", str(report), "--costs", str(path), "--out", out],
+    }[kind]
+    assert main(argv) == EXIT_PARSE
+    assert f"{path}: {message}" in capsys.readouterr().err

@@ -28,7 +28,7 @@ from segeval.metametrics import (
 from segeval.cli import EXIT_COVERAGE, main
 from segeval.reporting import walk_line_data
 from segeval.synth import SynthConfig, generate_segs, oracle_scores, write_collection
-from segeval.walks import enumerate_walks, walk_triples
+from segeval.walks import enumerate_walks
 
 from conftest import chain_seg, collection_of, make_seg, table_for
 
@@ -53,9 +53,10 @@ def oracle_rank(seg, table, tie_mode="midrank"):
         return 0.0 if sa == 0 or sb == 0 else cov / (sa * sb)
 
     total = 0.0
+    nodes = {n.id: n for n in seg.nodes}
     walks = enumerate_walks(seg)
     for walk in walks:
-        triples = walk_triples(seg, walk)
+        triples = [(img, nodes[nid].error_count) for nid in walk for img in nodes[nid].images]
         scores = [table.entries[(seg.id, img)] for img, _ in triples]
         counts = [float(c) for _, c in triples]
         total += -pearson(ranks(scores), ranks(counts))

@@ -172,7 +172,7 @@ def test_walk_line_points_match_a_per_walk_reference():
     )
     for seg in [forked, *synth]:
         table = oracle_scores(SegCollection((seg,)), "noisy", seed=3)
-        nodes = seg.node_map()
+        nodes = {n.id: n for n in seg.nodes}
         expected = []
         for walk in enumerate_walks(seg):
             path = [nodes[node_id] for node_id in walk]
@@ -303,7 +303,7 @@ def test_lines_csv_quotes_odd_seg_ids_as_the_csv_module_does(tmp_path):
 def reference_line_rows(collection, scores):
     """lines_*.csv data rows rendered point by point, straight from each walk's nodes."""
     for seg in collection:
-        nodes = seg.node_map()
+        nodes = {n.id: n for n in seg.nodes}
         sid = csv_row((seg.id, ""))[:-1]
         for w_idx, walk in enumerate(enumerate_walks(seg)):
             path = [nodes[node_id] for node_id in walk]

@@ -198,9 +198,10 @@ def test_load_single_valid_file(tmp_path):
     seg_json(tmp_path)
     collection = load_segs(tmp_path)
     assert len(collection) == 1
-    assert collection.get("0001").prompt == "a boy with fruit"
+    seg = {s.id: s for s in collection}["0001"]
+    assert seg.prompt == "a boy with fruit"
     # optional weight defaults to the label count
-    assert collection.get("0001").edges[0].weight == 1
+    assert seg.edges[0].weight == 1
 
 
 def test_missing_prompt_field_names_the_field(tmp_path):
@@ -224,6 +225,14 @@ def test_unknown_fields_warn_but_load(tmp_path):
     with pytest.warns(UserWarning, match="unknown field 'extra_field'"):
         collection = load_segs(tmp_path)
     assert len(collection) == 1
+
+
+def test_unknown_fields_warn_in_key_order(tmp_path):
+    seg_json(tmp_path, zeta=1, alpha=2)
+    with pytest.warns(UserWarning) as record:
+        load_segs(tmp_path)
+    unknown = [str(w.message).rsplit(" ", 1)[1] for w in record if "unknown field" in str(w.message)]
+    assert unknown == ["'zeta'", "'alpha'"]
 
 
 def test_bad_subset_rejected(tmp_path):

@@ -1,4 +1,4 @@
-"""Walk enumeration, triple expansion, and adjacent-pair modes."""
+"""Walk enumeration and adjacent-pair modes."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import random
 import pytest
 
 from segeval.errors import ValidationError
-from segeval.walks import adjacent_pairs, enumerate_walks, walk_triples
+from segeval.walks import adjacent_pairs, enumerate_walks
 from segeval.synth import SynthConfig, generate_segs
 
 from conftest import chain_seg, make_seg, stacked_diamond
@@ -67,26 +67,6 @@ def test_three_walk_example():
     ]
 
 
-def test_walk_triples_expand_images_in_node_order():
-    seg = make_seg(
-        nodes=[("0", 0, ["a", "b"]), ("1", 1, ["c"])],
-        edges=[("0", "1")],
-    )
-    (walk,) = enumerate_walks(seg)
-    assert walk_triples(seg, walk) == [("a", 0), ("b", 0), ("c", 1)]
-
-
-def test_walk_triples_counts_non_decreasing(diamond):
-    for walk in enumerate_walks(diamond):
-        counts = [n for _, n in walk_triples(diamond, walk)]
-        assert counts == sorted(counts)
-
-
-def test_walk_triples_unknown_node_rejected(diamond):
-    with pytest.raises(KeyError):
-        walk_triples(diamond, ("0", "nope"))
-
-
 def test_adjacent_pairs_chain():
     seg = chain_seg([1, 1, 1])
     assert adjacent_pairs(seg, "per-walk") == [("0", "1"), ("1", "2")]
@@ -134,12 +114,14 @@ def test_every_edge_on_some_walk():
 def test_triples_preserve_walk_image_multiset():
     collection = generate_segs(SynthConfig(seed=13, seg_count=10))
     for seg in collection:
-        nodes = seg.node_map()
+        nodes = {n.id: n for n in seg.nodes}
+        covered = set()
         for walk in enumerate_walks(seg):
-            expected = sorted(
-                img for nid in walk for img in nodes[nid].images
-            )
-            assert sorted(img for img, _ in walk_triples(seg, walk)) == expected
+            triples = [(img, nodes[nid].error_count) for nid in walk for img in nodes[nid].images]
+            counts = [count for _, count in triples]
+            assert counts == sorted(counts)
+            covered.update(img for img, _ in triples)
+        assert covered == set(seg.image_ids())
 
 
 def test_rng_walk_determinism():
