@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``validate <paths...>``: check SEG files, exit 0 iff all valid.
+* ``validate <paths...>``: check SEG files, exit 0 iff all are valid and
+  no seg id is defined twice.
 * ``score --segs DIR --scores FILE [--metric NAME]... [--tie-mode ...]
   [--pair-mode ...] [--subset ...] --out DIR``: compute per-SEG and
   aggregate meta-metrics and write the report bundle.
@@ -108,6 +109,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
             print(f"error: {raw}: no SEG files found", file=sys.stderr)
             return EXIT_PARSE
         files.extend(found)
+    files = list(dict.fromkeys(files))  # a file named twice is checked once
+    first_file = {}  # seg id -> the first file defining it, as load_segs checks
     for f in files:
         try:
             seg = load_seg_file(f)
@@ -116,13 +119,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
             any_parse = True
             continue
         report = validate_seg(seg)
+        violations = list(report.violations)
+        if seg.id in first_file:
+            violations.insert(0, f"duplicate seg id {seg.id!r} (already defined in {first_file[seg.id]})")
+        else:
+            first_file[seg.id] = f
         for w in report.warnings:
             print(f"WARN {f}: {w}", file=sys.stderr)
-        if report.ok:
+        if not violations:
             print(f"OK {f}")
         else:
-            violations_total += len(report.violations)
-            for msg in report.violations:
+            violations_total += len(violations)
+            for msg in violations:
                 print(f"INVALID {f}: {msg}")
     if any_parse:
         return EXIT_PARSE

@@ -24,8 +24,8 @@ def not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ParseError:
 
 
 def read_json(path: str | Path):
-    """The decoded contents of a UTF-8 JSON file."""
-    with open(path, encoding="utf-8") as fh:
+    """The decoded contents of a UTF-8 JSON file; a leading byte-order mark is skipped."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except UnicodeDecodeError as exc:
@@ -76,9 +76,10 @@ def read_csv(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[st
     """``(lineno, row)`` for each non-blank data row of a CSV file.
 
     ``lineno`` counts CSV records, header = 1.  The first row must equal
-    ``header`` and every data row must have as many fields.
+    ``header`` (after a leading byte-order mark, which is skipped) and every
+    data row must have as many fields.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         lineno = 0  # the last record read whole
         try:

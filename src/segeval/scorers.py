@@ -133,13 +133,15 @@ def load_question_graphs(path: str | Path) -> list[QuestionGraph]:
 
 
 def load_answer_table(path: str | Path) -> AnswerTable:
+    """Answers from a CSV file, holding one string per distinct id and answer text."""
     path = Path(path)
     entries: dict[tuple[str, str, str], str] = {}
+    share = {}.setdefault  # each field's first equal string; local, as answers are free text
     for lineno, (seg_id, image_id, question_id, answer) in read_csv(path, ANSWER_CSV_HEADER):
-        key = (seg_id, image_id, question_id)
+        key = (share(seg_id, seg_id), share(image_id, image_id), share(question_id, question_id))
         if key in entries:
             raise ParseError(f"line {lineno}: duplicate answer for {key}", source=str(path))
-        entries[key] = answer
+        entries[key] = share(answer, answer)
     return AnswerTable(entries=entries)
 
 
@@ -229,7 +231,8 @@ def accumulate_scores(
     name = f"{base}-{mode}-acc"
 
     entries: dict[tuple[str, str], float] = {}
-    for seg_id, image_id in answers.images():
+    for key in answers.images():  # the index's own key tuples, shared with the output
+        seg_id, image_id = key
         if len(graphs) == 1:
             qg = graphs[0]
         elif seg_id in by_prompt:
@@ -248,7 +251,7 @@ def accumulate_scores(
                 "question id(s): " + ", ".join(unknown)
             )
         try:
-            entries[(seg_id, image_id)] = _accumulate(qg, plan, per_image)
+            entries[key] = _accumulate(qg, plan, per_image)
         except CoverageError as exc:
             raise CoverageError(
                 f"seg {seg_id!r} image {image_id!r}: {exc}", missing=exc.missing
@@ -274,7 +277,7 @@ def load_embeddings(path: str | Path) -> dict[str, EmbeddingVector]:
     vectors: dict[str, EmbeddingVector] = {}
     dim: int | None = None
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc) from exc
     for lineno, line in enumerate(text.split("\n"), start=1):

@@ -73,6 +73,25 @@ def test_validate_malformed_json(tmp_path, capsys):
     assert main(["validate", str(tmp_path)]) == EXIT_PARSE
 
 
+def test_validate_and_score_reject_a_seg_id_repeated_across_files(tmp_path, capsys):
+    seg_dir = tmp_path / "segs"
+    seg_dir.mkdir()
+    seg = chain_seg([1, 1], seg_id="0000")
+    write_seg_file(seg, seg_dir / "a.json")
+    write_seg_file(seg, seg_dir / "b.json")
+    scores = tmp_path / "scores.csv"
+    write_score_tables([table_for(seg, [1.0, 0.0])], scores)
+    assert main(["validate", str(seg_dir)]) == EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert f"OK {seg_dir / 'a.json'}" in out
+    assert f"INVALID {seg_dir / 'b.json'}: duplicate seg id '0000' (already defined in {seg_dir / 'a.json'})" in out
+    assert "1 violation(s) across 2 file(s)" in out
+    assert main(["validate", str(seg_dir / "a.json"), str(seg_dir / "a.json")]) == EXIT_OK  # one file, named twice
+    assert "all 1 file(s) valid" in capsys.readouterr().out
+    assert main(["score", "--segs", str(seg_dir), "--scores", str(scores), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert f"duplicate seg id '0000' in {seg_dir / 'b.json'} (already defined in {seg_dir / 'a.json'})" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # score
 

@@ -10,9 +10,10 @@ import pytest
 from segeval.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from segeval.errors import ParseError
 from segeval.fileio import csv_row, read_csv, read_json, write_csv
-from segeval.metametrics import write_score_tables
-from segeval.scorers import load_embeddings
-from segeval.seg import write_seg_file
+from segeval.cost import load_cost_models
+from segeval.metametrics import load_score_tables, write_score_tables
+from segeval.scorers import load_answer_table, load_embeddings, load_question_graphs
+from segeval.seg import load_seg_file, write_seg_file
 
 from conftest import chain_seg, table_for
 
@@ -256,3 +257,69 @@ def test_json_field_errors_exit_3_naming_file_object_and_field(tmp_path, capsys,
     }[kind]
     assert main(argv) == EXIT_PARSE
     assert f"{path}: {message}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# a leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write
+
+
+BOM = "\ufeff".encode()
+
+
+def _plain_inputs(tmp_path) -> dict[str, object]:
+    """One file of each input format, written without a byte-order mark."""
+    seg = chain_seg([1, 2, 1], seg_id="s,1")
+    paths = {name: tmp_path / name for name in ("seg.json", "scores.csv", "answers.csv", "emb.txt", "questions.json", "costs.json")}
+    write_seg_file(seg, paths["seg.json"])
+    write_score_tables([table_for(seg, [1.0, 0.5, 0.5, 0.0], metric=m) for m in ("m", ODD_METRIC)], paths["scores.csv"])
+    paths["answers.csv"].write_text('seg_id,image_id,question_id,answer\n"s,1",a,q,yes\n"s,1",b,q, No \n')
+    paths["emb.txt"].write_text("a 1.0 0.0\nb 0.5 0.5\n")
+    paths["questions.json"].write_text(json.dumps(_VALID_JSON["questions"]))
+    paths["costs.json"].write_text(json.dumps(_VALID_JSON["costs"]))
+    return paths
+
+
+def _with_bom(paths: dict[str, object], bom_dir) -> dict[str, object]:
+    bom_dir.mkdir()
+    copies = {name: bom_dir / name for name in paths}
+    for name, path in paths.items():
+        copies[name].write_bytes(BOM + path.read_bytes())
+    return copies
+
+
+@pytest.mark.parametrize(
+    "name, loader",
+    [
+        ("seg.json", load_seg_file),
+        ("scores.csv", load_score_tables),
+        ("answers.csv", load_answer_table),
+        ("emb.txt", load_embeddings),
+        ("questions.json", load_question_graphs),
+        ("costs.json", load_cost_models),
+    ],
+)
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, name, loader):
+    plain = _plain_inputs(tmp_path)
+    bom = _with_bom(plain, tmp_path / "bom")
+    assert bom[name].read_bytes().startswith(BOM)
+    assert loader(bom[name]) == loader(plain[name])
+
+
+def test_only_one_leading_byte_order_mark_is_dropped(tmp_path):
+    path = tmp_path / "answers.csv"
+    path.write_bytes(BOM + b"seg_id,image_id,question_id,answer\ns,a,q," + BOM + b"yes\n")
+    assert load_answer_table(path).entries == {("s", "a", "q"): "\ufeffyes"}
+    path.write_bytes(BOM + BOM + b"seg_id,image_id,question_id,answer\n")
+    with pytest.raises(ParseError, match="bad header"):
+        load_answer_table(path)
+
+
+def test_score_on_inputs_with_a_byte_order_mark_writes_the_same_bundle(tmp_path):
+    plain = _plain_inputs(tmp_path)
+    bom = _with_bom(plain, tmp_path / "bom")
+    bundles = []
+    for paths, out in ((plain, tmp_path / "out"), (bom, tmp_path / "bom_out")):
+        assert main(["score", "--segs", str(paths["seg.json"]), "--scores", str(paths["scores.csv"]), "--out", str(out)]) == EXIT_OK
+        bundles.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert bundles[0] == bundles[1]
+    assert "report.json" in bundles[0]

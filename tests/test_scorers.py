@@ -5,12 +5,16 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from segeval import scorers
 from segeval.errors import CoverageError, ParseError, ValidationError
+from segeval.fileio import csv_row, read_csv
 from segeval.scorers import (
+    ANSWER_CSV_HEADER,
     AnswerTable,
     EmbeddingVector,
     Question,
@@ -259,6 +263,99 @@ def test_answer_table_bad_header(tmp_path):
     path.write_text("a,b,c,d\n")
     with pytest.raises(ParseError, match="bad header"):
         load_answer_table(path)
+
+
+# ---------------------------------------------------------------------------
+# shared answer strings against the loader that made a string per field
+
+
+def reference_load_answer_table(path: Path) -> AnswerTable:
+    """The answer loader with a new string for every field of every row."""
+    entries = {}
+    for lineno, (seg_id, image_id, question_id, answer) in read_csv(path, ANSWER_CSV_HEADER):
+        key = (seg_id, image_id, question_id)
+        if key in entries:
+            raise ParseError(f"line {lineno}: duplicate answer for {key}", source=str(path))
+        entries[key] = answer
+    return AnswerTable(entries=entries)
+
+
+def random_answer_csv(rng: random.Random) -> str:
+    """Shuffled answer rows with repeated ids, maybe blank lines, a duplicate and a short row."""
+    seg_ids = [f"s{i}" for i in range(rng.randint(1, 4))]
+    image_ids = ["0", "s0", "a.jpg", "b,c.jpg"][: rng.randint(1, 4)]  # an image id may equal a seg id
+    qids = [f"q{i}" for i in range(rng.randint(1, 5))]
+    rows = [
+        [s, i, q, rng.choice(ANSWER_VARIANTS + ["Yes", "YES", "", 'say "no"'])]
+        for s in seg_ids
+        for i in image_ids
+        for q in qids
+        if rng.random() < 0.9
+    ]
+    rng.shuffle(rows)
+    if rows and rng.random() < 0.5:  # an answer for a key already answered
+        rows.insert(rng.randint(0, len(rows)), rng.choice(rows)[:3] + [rng.choice(ANSWER_VARIANTS)])
+    if rng.random() < 0.2:
+        rows.insert(rng.randint(0, len(rows)), ["s0", "a.jpg", "q0"])
+    lines = [csv_row(row) for row in rows]
+    for _ in range(rng.choice([0, 0, 1, 3])):
+        lines.insert(rng.randint(0, len(lines)), "\n")
+    return csv_row(ANSWER_CSV_HEADER) + "".join(lines)
+
+
+def load_or_error(loader, path: Path) -> AnswerTable | str:
+    try:
+        return loader(path)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def assert_one_object_per_value(strings) -> None:
+    first: dict[str, str] = {}
+    for s in strings:
+        assert first.setdefault(s, s) is s
+
+
+def test_shared_answer_strings_match_the_reference_loader(tmp_path):
+    rng = random.Random(43)
+    outcomes = set()
+    for n in range(150):
+        path = tmp_path / f"answers{n}.csv"
+        path.write_text(random_answer_csv(rng), encoding="utf-8", newline="")
+        got, want = load_or_error(load_answer_table, path), load_or_error(reference_load_answer_table, path)
+        if isinstance(want, str):
+            assert got == want
+            outcomes.add(re.search(r": line \d+: (\w+)", want).group(1))
+            continue
+        outcomes.add("loaded")
+        assert got.entries == want.entries
+        assert list(got.entries) == list(want.entries)
+        keys = list(got.entries)
+        assert_one_object_per_value(s for s, _, _ in keys)
+        assert_one_object_per_value(i for _, i, _ in keys)
+        assert_one_object_per_value(q for _, _, q in keys)
+        assert_one_object_per_value(got.entries.values())
+    assert outcomes == {"loaded", "duplicate", "expected"}  # every kind of file came up
+
+
+def test_accumulated_scores_are_keyed_by_the_answer_index_keys(tmp_path):
+    rng = random.Random(47)
+    qg = random_question_graph(rng, "p")
+    path = tmp_path / "answers.csv"
+    rows = [
+        (f"s{s}", f"{n:03d}.jpg", q.id, rng.choice(ANSWER_VARIANTS))
+        for s in range(3)
+        for n in range(5)
+        for q in qg.questions
+    ]
+    rng.shuffle(rows)
+    path.write_text("".join(map(csv_row, [ANSWER_CSV_HEADER, *rows])), encoding="utf-8", newline="")
+    answers = load_answer_table(path)
+    index = {key: key for key in answers.images()}
+    for mode in ("tifa", "dsg"):
+        table = accumulate_scores([qg], answers, mode)
+        assert table.entries == reference_scores([qg], answers, mode)
+        assert all(index[key] is key for key in table.entries)
 
 
 def test_accumulate_scores_builds_table():
