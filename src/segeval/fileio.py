@@ -9,7 +9,9 @@ or LF, so every row round-trips.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,13 +27,17 @@ def not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ParseError:
 
 def read_json(path: str | Path):
     """The decoded contents of a UTF-8 JSON file; a leading byte-order mark is skipped."""
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            return json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise not_utf8(path, exc) from exc
-        except (ValueError, RecursionError) as exc:  # also an integer over the digit limit, or deep nesting
-            raise ParseError(f"invalid JSON: {exc}", source=str(path)) from exc
+    with open(path, "rb", buffering=0) as fh:  # one read, and no buffer or text layer per file
+        raw = fh.read()
+    utf8 = codecs.getincrementaldecoder("utf-8-sig")()
+    try:  # text mode's decoders: line ends read as "\n", so a JSON error names the same offsets
+        text = io.IncrementalNewlineDecoder(utf8, translate=True).decode(raw, final=True)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from exc
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an integer over the digit limit, or deep nesting
+        raise ParseError(f"invalid JSON: {exc}", source=str(path)) from exc
 
 
 NUMBER = (int, float)
@@ -54,13 +60,14 @@ def fields(obj, spec: dict, where: str, source: str) -> list:
         if key not in obj:
             raise ParseError(f"{where}: missing field {key!r}", source=source)
         val = obj[key]
-        if isinstance(val, bool) and kind in _BOOL_REJECTED:
-            raise ParseError(f"{where}: field {key!r} must be {_BOOL_REJECTED[kind]}", source=source)
-        if not isinstance(val, kind):
-            expected = "number" if kind is NUMBER else kind.__name__
-            raise ParseError(
-                f"{where}: field {key!r} has type {type(val).__name__}, expected {expected}", source=source
-            )
+        if type(val) is not kind:  # a value of exactly its type, as json decodes it, passes both checks
+            if isinstance(val, bool) and kind in _BOOL_REJECTED:
+                raise ParseError(f"{where}: field {key!r} must be {_BOOL_REJECTED[kind]}", source=source)
+            if not isinstance(val, kind):
+                expected = "number" if kind is NUMBER else kind.__name__
+                raise ParseError(
+                    f"{where}: field {key!r} has type {type(val).__name__}, expected {expected}", source=source
+                )
         values.append(val)
     return values
 

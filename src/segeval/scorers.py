@@ -79,8 +79,11 @@ def _normalize_answer(text: str) -> str:
 
 def _gating_order(qg: QuestionGraph) -> list[str] | None:
     """Question ids with every parent before its children; None on a cycle."""
-    edges = [(p, q.id) for q in qg.questions for p in q.parent_ids]
-    return _topological_order([q.id for q in qg.questions], edges)
+    succs: dict[str, list[tuple[str, int]]] = {q.id: [] for q in qg.questions}
+    for q in qg.questions:
+        for p in q.parent_ids:
+            succs[p].append((q.id, 1))  # the weight goes unread
+    return _topological_order(succs)
 
 
 def _cycle_error(qg: QuestionGraph, source: str) -> ValidationError:
@@ -243,7 +246,7 @@ def accumulate_scores(
             )
         if qg is not planned:  # images come sorted by seg id, so a graph's are contiguous
             plan, planned = _plan(qg, gated=mode == "dsg"), qg
-        per_image = answers.answers_for(seg_id, image_id)
+        per_image = answers._by_image[key]  # read, not copied as answers_for copies it
         unknown = sorted(per_image.keys() - plan.expected.keys())
         if unknown:
             raise ValidationError(

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import heapq
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
 
 from .errors import ParseError, ValidationError
 from .fileio import fields, read_json, str_list
@@ -147,24 +147,26 @@ def _roots(seg: SemanticErrorGraph) -> list[ErrorNode]:
     return [n for n in seg.nodes if n.id not in targets]
 
 
-def _shortest_counts(seg: SemanticErrorGraph, head_id: str) -> dict[str, int]:
-    """Weighted shortest-path distance from the head to every reachable node.
+def _shortest_counts(succs: dict[str, list[tuple[str, int]]], order: list[str] | None, head_id: str) -> dict[str, int]:
+    """Weighted shortest-path distance from the head to every node it reaches.
 
-    Dijkstra rather than a DAG pass so distances stay meaningful on cyclic
-    input (the cycle itself is reported separately).
+    One relaxation pass in Kahn's ``order``; Dijkstra only on a cyclic graph
+    (``order`` None), whose cycle is reported separately.
     """
-    known = {n.id for n in seg.nodes}
-    adj: dict[str, list[tuple[str, int]]] = {nid: [] for nid in known}
-    for e in seg.edges:
-        if e.src in known and e.dst in known:
-            adj[e.src].append((e.dst, e.weight))
     dist = {head_id: 0}
+    if order is not None:
+        for u in order:
+            if (d := dist.get(u)) is not None:  # reached from the head
+                for v, w in succs[u]:
+                    if d + w < dist.get(v, d + w + 1):
+                        dist[v] = d + w
+        return dist
     queue = [(0, head_id)]
     while queue:
         d, u = heapq.heappop(queue)
         if d > dist.get(u, d):
             continue
-        for v, w in adj[u]:
+        for v, w in succs.get(u, ()):
             nd = d + w
             if nd < dist.get(v, nd + 1):
                 dist[v] = nd
@@ -172,23 +174,24 @@ def _shortest_counts(seg: SemanticErrorGraph, head_id: str) -> dict[str, int]:
     return dist
 
 
-def _topological_order(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> list[str] | None:
-    """Kahn's order: every node after the sources of its incoming edges.
+def _topological_order(succs: dict[str, list[tuple[str, int]]]) -> list[str] | None:
+    """Kahn's order of ``succs``, {node: [(child, weight), ...]}: every node after its parents.
 
-    None when the graph has a directed cycle.  Iterative, so graph depth is
-    bounded only by memory.
+    A child that is not a node is skipped.  None when the graph has a directed
+    cycle.  Iterative, so graph depth is bounded only by memory.
     """
-    succs: dict[str, list[str]] = {n: [] for n in nodes}
     indeg = dict.fromkeys(succs, 0)
-    for src, dst in edges:
-        succs[src].append(dst)
-        indeg[dst] += 1
+    for kids in succs.values():
+        for m, _ in kids:
+            if m in indeg:
+                indeg[m] += 1
     order = [n for n, d in indeg.items() if d == 0]
     for n in order:  # grows while it is walked
-        for m in succs[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                order.append(m)
+        for m, _ in succs[n]:
+            if m in indeg:
+                indeg[m] -= 1
+                if indeg[m] == 0:
+                    order.append(m)
     return order if len(order) == len(indeg) else None
 
 
@@ -204,14 +207,14 @@ def validate_seg(seg: SemanticErrorGraph) -> ValidationReport:
     if len(seg.nodes) < 2:
         v(f"graph has {len(seg.nodes)} node(s), at least 2 required")
 
-    seen_nodes: set[str] = set()
+    succs: dict[str, list[tuple[str, int]]] = {}  # node -> (child, weight) edges; non-node children kept
     seen_images: set[str] = set()
     for n in seg.nodes:
         if not n.id:
             v("empty node id")
-        if n.id in seen_nodes:
+        if n.id in succs:
             v(f"duplicate node id {n.id!r}")
-        seen_nodes.add(n.id)
+        succs[n.id] = []
         if not n.images:
             v(f"node {n.id!r} has no images")
         for img in n.images:
@@ -229,9 +232,11 @@ def validate_seg(seg: SemanticErrorGraph) -> ValidationReport:
         if (e.src, e.dst) in seen_edges:
             v(f"duplicate edge {e.src}->{e.dst}")
         seen_edges.add((e.src, e.dst))
-        if e.src not in seen_nodes:
+        if e.src not in succs:
             v(f"edge references unknown node {e.src!r}")
-        if e.dst not in seen_nodes:
+        else:
+            succs[e.src].append((e.dst, e.weight))
+        if e.dst not in succs:
             v(f"edge references unknown node {e.dst!r}")
         if e.src == e.dst:
             v(f"self-loop at node {e.src!r}")
@@ -257,22 +262,20 @@ def validate_seg(seg: SemanticErrorGraph) -> ValidationReport:
         if head.error_count != 0:
             v(f"head node {head.id!r} has error_count {head.error_count}, expected 0")
 
-    known_edges = [(e.src, e.dst) for e in seg.edges if e.src in seen_nodes and e.dst in seen_nodes]
-    order = _topological_order(seen_nodes, known_edges)
+    order = _topological_order(succs)
     if order is None:
         v("graph contains a directed cycle")
     elif head is not None:
-        # walks from n to a leaf = sum over its children, capped so ints stay small
-        children = seg.children()
+        # walks from n to a leaf = sum over its children (0 for a non-node), capped so ints stay small
         walks: dict[str, int] = {}
         for n in reversed(order):
-            kids = children[n]
-            walks[n] = min(sum(walks.get(k, 0) for k in kids), _MAX_WALKS + 1) if kids else 1
+            kids = succs[n]
+            walks[n] = min(sum([walks.get(k, 0) for k, _ in kids]), _MAX_WALKS + 1) if kids else 1
         if walks[head.id] > _MAX_WALKS:
             v(f"graph has at least {walks[head.id]} head-to-leaf walks (limit {_MAX_WALKS})")
 
     if head is not None:
-        dist = _shortest_counts(seg, head.id)
+        dist = _shortest_counts(succs, order, head.id)
         for n in seg.nodes:
             if n.id == head.id:
                 continue
@@ -357,8 +360,8 @@ def seg_to_dict(seg: SemanticErrorGraph) -> dict:
 
 
 def load_seg_file(path: str | Path) -> SemanticErrorGraph:
-    path = Path(path)
-    return parse_seg(read_json(path), source=str(path))
+    source = str(path if isinstance(path, Path) else Path(path))  # a Path from seg_paths is not parsed again
+    return parse_seg(read_json(source), source=source)
 
 
 def write_seg_file(seg: SemanticErrorGraph, path: str | Path) -> None:
@@ -372,7 +375,7 @@ def seg_paths(path: str | Path) -> list[Path]:
     if path.is_file():
         return [path]
     if path.is_dir():
-        return sorted(path.glob("*.json"))
+        return sorted(path.glob("*.json"), key=lambda p: os.path.normcase(p.name))  # as Path orders them
     raise FileNotFoundError(f"{path}: path does not exist")
 
 
@@ -387,7 +390,7 @@ def load_segs(path: str | Path) -> SegCollection:
     if not files:
         raise ParseError("no SEG files found", source=str(path))
     segs: list[SemanticErrorGraph] = []
-    by_id: dict[str, str] = {}
+    by_id: dict[str, Path] = {}
     violations: list[str] = []
     for f in files:
         seg = load_seg_file(f)
@@ -395,7 +398,7 @@ def load_segs(path: str | Path) -> SegCollection:
             raise ValidationError(
                 f"duplicate seg id {seg.id!r} in {f} (already defined in {by_id[seg.id]})"
             )
-        by_id[seg.id] = str(f)
+        by_id[seg.id] = f
         rep = validate_seg(seg)
         for w in rep.warnings:
             warnings.warn(f"{f}: seg {seg.id}: {w}", stacklevel=2)

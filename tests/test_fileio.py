@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import defaultdict
 
 import pytest
 
 from segeval.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from segeval.errors import ParseError
-from segeval.fileio import csv_row, read_csv, read_json, write_csv
+from segeval.fileio import NUMBER, csv_row, fields, not_utf8, read_csv, read_json, write_csv
 from segeval.cost import load_cost_models
 from segeval.metametrics import load_score_tables, write_score_tables
 from segeval.scorers import load_answer_table, load_embeddings, load_question_graphs
-from segeval.seg import load_seg_file, write_seg_file
+from segeval.seg import load_seg_file, seg_paths, write_seg_file
 
 from conftest import chain_seg, table_for
 
@@ -323,3 +324,127 @@ def test_score_on_inputs_with_a_byte_order_mark_writes_the_same_bundle(tmp_path)
         bundles.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert bundles[0] == bundles[1]
     assert "report.json" in bundles[0]
+
+
+# ---------------------------------------------------------------------------
+# read_json, fields and seg_paths give what the text-mode reader, the
+# per-key isinstance walk and the Path sort they replaced gave
+
+
+def _text_mode_read_json(path):
+    """read_json as it read each file through a text-mode stream."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise not_utf8(path, exc) from exc
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"invalid JSON: {exc}", source=str(path)) from exc
+
+
+_CRLF_SEG = b'{\r\n  "id": "s",\r\n  "prompt": "p",\r\n  "subset": "synth"\r\n  "nodes": []\r\n}\r\n'
+
+# the text-mode reader's messages; None where the text differs between Python versions
+_READ_JSON_ERRORS = {
+    "crlf": (_CRLF_SEG, "invalid JSON: Expecting ',' delimiter: line 5 column 3 (char 54)"),
+    "lone-cr": (b'{"id": "s",\r"prompt":\r"p" "subset": "synth"}', "invalid JSON: Expecting ',' delimiter: line 3 column 5 (char 26)"),
+    "bom": (BOM + b'{"id": "s", "prompt": }', "invalid JSON: Expecting value: line 1 column 23 (char 22)"),
+    "part-of-a-bom": (BOM[:2], "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    "bad-byte-past-8k": (b'["' + b"x" * 8190 + b'\xff"]', "not valid UTF-8: invalid start byte (byte 0xff)"),
+    "split-across-8k": (b'["' + b"x" * 8189 + "€".encode() + b'", }', "invalid JSON: Expecting value: line 1 column 8196 (char 8195)"),
+    "truncated-at-eof": (b'["\xe2\x82', "not valid UTF-8: unexpected end of data (byte 0xe2)"),
+    "huge-int": (b"[" + b"9" * 5001 + b"]", None),
+    "deep": (b"[" * 100_000 + b"]" * 100_000, None),
+}
+
+
+@pytest.mark.parametrize("name", list(_READ_JSON_ERRORS))
+def test_read_json_errors_match_the_text_mode_reader(tmp_path, capsys, name):
+    data, message = _READ_JSON_ERRORS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as got:
+        read_json(path)
+    with pytest.raises(ParseError) as want:
+        _text_mode_read_json(path)
+    assert str(got.value) == str(want.value)
+    if message is not None:
+        assert str(got.value) == f"{path}: {message}"
+    scores = tmp_path / "scores.csv"
+    scores.write_text("seg_id,image_id,metric,score\n")
+    assert main(["validate", str(path)]) == EXIT_PARSE
+    assert main(["score", "--segs", str(path), "--scores", str(scores), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    assert capsys.readouterr().err.count(str(got.value)) == 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _CRLF_SEG.replace(b'"synth"', b'"synth",'),
+        b'{"a":\r1,\r\n"b": "\\r"}\r',
+        BOM + b'{"a": 1}',
+        b'["' + b"x" * 8189 + "€".encode() + b'"]',
+    ],
+    ids=["crlf", "lone-cr", "bom", "split-across-8k"],
+)
+def test_read_json_values_match_the_text_mode_reader(tmp_path, data):
+    path = tmp_path / "ok.json"
+    path.write_bytes(data)
+    assert read_json(path) == _text_mode_read_json(path)
+
+
+class _Int(int):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _Upper(dict):
+    def __getitem__(self, key):
+        val = super().__getitem__(key)
+        return val.upper() if isinstance(val, str) else val
+
+
+@pytest.mark.parametrize(
+    "obj, spec, message",
+    [
+        ({"n": True}, {"n": int}, "field 'n' must be an integer"),
+        ({"n": 1.0}, {"n": int}, "field 'n' has type float, expected int"),
+        ({"n": None}, {"n": int}, "field 'n' has type NoneType, expected int"),
+        ({"s": "a"}, {"s": str, "n": int}, "missing field 'n'"),
+        ({"x": False}, {"x": NUMBER}, "field 'x' must be a number"),
+        ({"x": "1"}, {"x": NUMBER}, "field 'x' has type str, expected number"),
+        ([1], {"n": int}, "must be an object"),
+        (defaultdict(int), {"n": int}, "missing field 'n'"),
+        (_Dict(n=True), {"n": int}, "field 'n' must be an integer"),
+    ],
+)
+def test_fields_faults_read_as_before(obj, spec, message):
+    with pytest.raises(ParseError) as exc:
+        fields(obj, spec, "w", "f.json")
+    assert str(exc.value) == f"f.json: w: {message}"
+
+
+def test_fields_values_of_subclasses_and_wide_specs_read_as_before():
+    wide = {"n": int, "x": NUMBER, "y": NUMBER, "o": object}
+    assert fields({"n": 3, "x": 1.5, "y": 2, "o": [1]}, wide, "w", "f") == [3, 1.5, 2, [1]]
+    got = fields(_Dict(n=_Int(4), s="a"), {"n": int, "s": str}, "w", "f")
+    assert got == [4, "a"] and type(got[0]) is _Int
+    assert fields(_Upper(s="a", n=1), {"s": str, "n": int}, "w", "f") == ["A", 1]  # through the subclass's __getitem__
+    assert fields({"b": True}, {"b": bool}, "w", "f") == [True]
+
+
+def test_seg_paths_orders_files_as_path_objects_do(tmp_path):
+    names = [
+        "b.json", "B.json", "a.json", "A.json", "a-b.json", "a.b.json", "a_b.json", "ab.json", "a b.json",
+        "a9.json", "a10.json", "a09.json", "1.json", "10.json", "2.json", "e.json", "é.json", "É.json",
+        "z.json", "Ä.json", "ß.json", "ж.json", "Ж.json", ".hidden.json",
+    ]
+    for name in names:
+        (tmp_path / name).write_text("{}")
+    (tmp_path / "notes.txt").write_text("")
+    got = seg_paths(tmp_path)
+    assert got == sorted(tmp_path.glob("*.json"))
+    assert len(got) == len(names)

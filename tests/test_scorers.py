@@ -358,6 +358,18 @@ def test_accumulated_scores_are_keyed_by_the_answer_index_keys(tmp_path):
         assert all(index[key] is key for key in table.entries)
 
 
+def test_mutating_an_answers_for_result_leaves_the_table_and_accumulate_unchanged():
+    qg = qgraph(("q1", [], "yes"), ("q2", ["q1"], "yes"))
+    answers = AnswerTable(entries={("s1", "i1", "q1"): "yes", ("s1", "i1", "q2"): "yes"})
+    before = {mode: accumulate_scores([qg], answers, mode).entries for mode in ("tifa", "dsg")}
+    got = answers.answers_for("s1", "i1")
+    got["q1"] = "no"
+    got["q9"] = "yes"
+    assert answers.answers_for("s1", "i1") == {"q1": "yes", "q2": "yes"}
+    after = {mode: accumulate_scores([qg], answers, mode).entries for mode in ("tifa", "dsg")}
+    assert after == before == {"tifa": {("s1", "i1"): 1.0}, "dsg": {("s1", "i1"): 1.0}}
+
+
 def test_accumulate_scores_builds_table():
     qg = qgraph(("q1", [], "yes"), ("q2", ["q1"], "yes"))
     answers = AnswerTable(

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
+import random
 
 import pytest
 
@@ -10,6 +13,8 @@ import segeval.seg
 from segeval.errors import ParseError, ValidationError
 from segeval.seg import (
     ErrorEdge,
+    ErrorNode,
+    SemanticErrorGraph,
     load_seg_file,
     load_segs,
     parse_seg,
@@ -286,3 +291,228 @@ def test_parse_seg_requires_exact_case(tmp_path):
     with pytest.warns(UserWarning, match="'Prompt'"):  # wrong case is an unknown field
         with pytest.raises(ParseError, match="missing field 'prompt'"):
             parse_seg({"id": "x", "Prompt": "p", "subset": "synth", "nodes": [], "edges": []})
+
+
+# ---------------------------------------------------------------------------
+# validate_seg against the three-adjacency, Dijkstra-only validator it replaced
+
+
+def _reference_shortest_counts(seg, head_id):
+    known = {n.id for n in seg.nodes}
+    adj = {nid: [] for nid in known}
+    for e in seg.edges:
+        if e.src in known and e.dst in known:
+            adj[e.src].append((e.dst, e.weight))
+    dist = {head_id: 0}
+    queue = [(0, head_id)]
+    while queue:
+        d, u = heapq.heappop(queue)
+        if d > dist.get(u, d):
+            continue
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist.get(v, nd + 1):
+                dist[v] = nd
+                heapq.heappush(queue, (nd, v))
+    return dist
+
+
+def _reference_topological_order(nodes, edges):
+    succs = {n: [] for n in nodes}
+    indeg = dict.fromkeys(succs, 0)
+    for src, dst in edges:
+        succs[src].append(dst)
+        indeg[dst] += 1
+    order = [n for n, d in indeg.items() if d == 0]
+    for n in order:
+        for m in succs[n]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                order.append(m)
+    return order if len(order) == len(indeg) else None
+
+
+def _reference_validate(seg):
+    """(violations, warnings) as validate_seg reported them before it built one successor map."""
+    violations = []
+    v = violations.append
+    if not seg.id:
+        v("empty seg id")
+    if seg.subset not in segeval.seg.SUBSETS:
+        v(f"unknown subset {seg.subset!r}")
+    if len(seg.nodes) < 2:
+        v(f"graph has {len(seg.nodes)} node(s), at least 2 required")
+    seen_nodes, seen_images = set(), set()
+    for n in seg.nodes:
+        if not n.id:
+            v("empty node id")
+        if n.id in seen_nodes:
+            v(f"duplicate node id {n.id!r}")
+        seen_nodes.add(n.id)
+        if not n.images:
+            v(f"node {n.id!r} has no images")
+        for img in n.images:
+            if not img:
+                v(f"node {n.id!r} has an empty image id")
+            elif img in seen_images:
+                v(f"duplicate image id {img!r}")
+            seen_images.add(img)
+        if n.error_count < 0:
+            v(f"node {n.id!r} has negative error_count {n.error_count}")
+    counts = {n.id: n.error_count for n in seg.nodes}
+    seen_edges = set()
+    for e in seg.edges:
+        if (e.src, e.dst) in seen_edges:
+            v(f"duplicate edge {e.src}->{e.dst}")
+        seen_edges.add((e.src, e.dst))
+        if e.src not in seen_nodes:
+            v(f"edge references unknown node {e.src!r}")
+        if e.dst not in seen_nodes:
+            v(f"edge references unknown node {e.dst!r}")
+        if e.src == e.dst:
+            v(f"self-loop at node {e.src!r}")
+        if e.weight < 1:
+            v(f"edge {e.src}->{e.dst} has non-positive weight {e.weight}")
+        expected_w = ErrorEdge.default_weight(e.error_labels)
+        if e.weight != expected_w:
+            v(
+                f"edge {e.src}->{e.dst} weight {e.weight} disagrees with its "
+                f"{len(e.error_labels)} error label(s) (expected {expected_w})"
+            )
+        if e.src in counts and e.dst in counts and counts[e.dst] <= counts[e.src]:
+            v(f"error_count not increasing along edge {e.src}->{e.dst}")
+    targets = {e.dst for e in seg.edges}
+    roots = [n for n in seg.nodes if n.id not in targets]
+    head = None
+    if not roots:
+        v("no head node (every node has an incoming edge)")
+    elif len(roots) > 1:
+        v("multiple head nodes: " + ", ".join(sorted(n.id for n in roots)))
+    else:
+        head = roots[0]
+        if head.error_count != 0:
+            v(f"head node {head.id!r} has error_count {head.error_count}, expected 0")
+    known_edges = [(e.src, e.dst) for e in seg.edges if e.src in seen_nodes and e.dst in seen_nodes]
+    order = _reference_topological_order(seen_nodes, known_edges)
+    if order is None:
+        v("graph contains a directed cycle")
+    elif head is not None:
+        children = seg.children()
+        walks = {}
+        for n in reversed(order):
+            kids = children[n]
+            walks[n] = min(sum(walks.get(k, 0) for k in kids), segeval.seg._MAX_WALKS + 1) if kids else 1
+        if walks[head.id] > segeval.seg._MAX_WALKS:
+            v(f"graph has at least {walks[head.id]} head-to-leaf walks (limit {segeval.seg._MAX_WALKS})")
+    if head is not None:
+        dist = _reference_shortest_counts(seg, head.id)
+        for n in seg.nodes:
+            if n.id == head.id:
+                continue
+            if n.id not in dist:
+                v(f"node {n.id!r} not reachable from head {head.id!r}")
+            elif n.error_count != dist[n.id]:
+                v(f"error_count mismatch at node {n.id}: expected {dist[n.id]}")
+    total_images = len(seg.image_ids())
+    lo, hi = segeval.seg.IMAGE_COUNT_RANGE
+    warns = [] if lo <= total_images <= hi else [f"total image count {total_images} outside expected range [{lo}, {hi}]"]
+    return violations, warns
+
+
+_FAULTS = (
+    "cycle", "self-loop", "unreachable", "wrong-count", "no-head", "two-heads",
+    "duplicate-edge", "edge-to-unknown", "edge-from-unknown", "zero-weight", "negative-weight", "only-unknown-child",
+    "wrong-labels",
+)
+
+
+def _faulty_seg(rng: random.Random, faults: set[str]) -> SemanticErrorGraph:
+    """A valid random DAG (every edge weighs the count difference it spans), then each of ``faults`` injected."""
+    ids = [f"n{i}" for i in range(rng.randint(2, 8))]
+    counts = dict(zip(ids, itertools.accumulate(rng.choice((1, 1, 2)) for _ in ids)))
+    counts[ids[0]] = 0
+    edges = [
+        (ids[i], ids[j], counts[ids[j]] - counts[ids[i]])
+        for j in range(1, len(ids))
+        for i in rng.sample(range(j), rng.randint(1, min(j, 3)))
+    ]
+    if "cycle" in faults:  # a back edge between two nodes below the head
+        if len(ids) > 2:
+            edges.append((ids[-1], ids[1], 1))
+    if "self-loop" in faults:
+        node = rng.choice(ids)
+        edges.append((node, node, rng.choice((0, 1))))
+    if "no-head" in faults:
+        edges.append((ids[-1], ids[0], 1))
+    if "two-heads" in faults:
+        ids.append("top")
+        counts["top"] = rng.choice((0, 1))
+        edges.append(("top", rng.choice(ids[1:-1]), 1))
+    if "unreachable" in faults:  # in-edge from a node that does not exist
+        ids.append("lost")
+        counts["lost"] = 5
+        edges.append(("ghost", "lost", 1))
+    if "edge-from-unknown" in faults:
+        edges.append(("ghost", rng.choice(ids), 1))
+    if "edge-to-unknown" in faults:
+        edges.append((rng.choice(ids), "ghost", 1))
+    if "only-unknown-child" in faults:
+        ids.append("stub")
+        counts["stub"] = counts[ids[0]] + 1 if ids[0] in counts else 1
+        edges += [(ids[0], "stub", 1), ("stub", "nowhere", 1)]
+    if "duplicate-edge" in faults:
+        edges.append(rng.choice(edges))
+    cyclic = faults & {"cycle", "self-loop", "no-head"}
+    for fault, weight in (("zero-weight", 0), ("negative-weight", -1)):
+        if fault in faults and not (cyclic and weight < 0):  # Dijkstra never ends on a negative cycle
+            k = rng.randrange(len(edges))
+            edges[k] = edges[k][:2] + (weight,)
+    if "wrong-count" in faults:
+        node = rng.choice(ids)
+        counts[node] = counts.get(node, 0) + rng.choice((-1, 1))
+    labels = [max(w, 1) for _, _, w in edges]
+    if "wrong-labels" in faults:
+        labels[rng.randrange(len(labels))] += 1
+    nodes = tuple(ErrorNode(i, counts.get(i, 0), (f"{i}.jpg",)) for i in ids)
+    edge_objs = tuple(ErrorEdge(src, dst, tuple(f"e{k}" for k in range(n)), w) for (src, dst, w), n in zip(edges, labels))
+    return SemanticErrorGraph(f"g{rng.random():.6f}", "p", "synth", nodes, edge_objs)
+
+
+def test_validate_matches_the_three_adjacency_reference_on_faulty_graphs():
+    rng = random.Random(15)
+    graphs = [_faulty_seg(rng, {f for f in _FAULTS if rng.random() < 0.25}) for _ in range(300)]
+    graphs += [_faulty_seg(rng, faults) for faults in [set()] * 20 + [{fault} for fault in _FAULTS] * 10]
+    seen = []
+    for seg in graphs:
+        report = validate_seg(seg)
+        assert (report.violations, report.warnings) == _reference_validate(seg), seg
+        seen += report.violations
+    assert sum(validate_seg(g).ok for g in graphs) >= 20
+    needles = ("directed cycle", "self-loop", "not reachable", "mismatch", "no head", "multiple head", "duplicate edge",
+               "unknown node", "non-positive weight", "disagrees", "not increasing")
+    assert [n for n in needles if not any(n in msg for msg in seen)] == []
+
+
+def _diamonds_plus(extra_edges, extra_nodes=()):
+    seg = stacked_diamond(16)
+    nodes = seg.nodes + tuple(ErrorNode(i, c, (f"{i}.jpg",)) for i, c in extra_nodes)
+    edges = seg.edges + tuple(ErrorEdge(s, d, ("x",), 1) for s, d in extra_edges)
+    return SemanticErrorGraph(seg.id, seg.prompt, seg.subset, nodes, edges)
+
+
+@pytest.mark.parametrize(
+    "seg, walks",
+    [
+        (_diamonds_plus(()), 2**16),
+        (_diamonds_plus([("0", "extra")], [("extra", 1)]), 2**16 + 1),
+        # a node whose only child is unknown counts 0 walks, not 1
+        (_diamonds_plus([("0", "extra"), ("extra", "ghost")], [("extra", 1)]), 2**16),
+        (_diamonds_plus([("0", "extra"), ("extra", "ghost"), ("extra", "1a")], [("extra", 1)]), 2**16 + 2**15),
+    ],
+    ids=["limit", "limit+1", "only-unknown-child", "known-and-unknown-child"],
+)
+def test_walk_counts_at_the_limit_match_the_reference(seg, walks):
+    report = validate_seg(seg)
+    assert (report.violations, report.warnings) == _reference_validate(seg)
+    over = f"graph has at least {2**16 + 1} head-to-leaf walks (limit {2**16})"  # the count is capped
+    assert (over in report.violations) == (walks > 2**16)
