@@ -35,7 +35,7 @@ from .metametrics import (
     write_score_tables,
 )
 from .reporting import _fmt, emit_report
-from .seg import SUBSETS, load_seg_file, load_segs, seg_paths, validate_seg
+from .seg import SUBSETS, check_seg_files, load_segs
 from .scorers import accumulate_scores, load_answer_table, load_question_graphs
 from .stats import TIE_MODES
 from .synth import ORACLE_KINDS, SynthConfig, generate_segs, oracle_scores, write_collection
@@ -101,43 +101,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     any_parse = False
-    violations_total = 0
-    files = []
-    for raw in args.paths:
-        found = seg_paths(raw)  # a missing path raises OSError: exit 6 in main
-        if not found:
-            print(f"error: {raw}: no SEG files found", file=sys.stderr)
-            return EXIT_PARSE
-        files.extend(found)
-    files = list(dict.fromkeys(files))  # a file named twice is checked once
-    first_file = {}  # seg id -> the first file defining it, as load_segs checks
-    for f in files:
-        try:
-            seg = load_seg_file(f)
-        except ParseError as exc:
-            print(f"PARSE ERROR {exc}", file=sys.stderr)  # the message names the file
+    violations_total = files = 0
+    for f, seg, report in check_seg_files(args.paths):  # a missing path raises OSError: exit 6 in main
+        files += 1
+        if report is None:
+            print(f"PARSE ERROR {seg}", file=sys.stderr)  # the ParseError names the file
             any_parse = True
             continue
-        report = validate_seg(seg)
-        violations = list(report.violations)
-        if seg.id in first_file:
-            violations.insert(0, f"duplicate seg id {seg.id!r} (already defined in {first_file[seg.id]})")
-        else:
-            first_file[seg.id] = f
         for w in report.warnings:
             print(f"WARN {f}: {w}", file=sys.stderr)
-        if not violations:
+        if report.ok:
             print(f"OK {f}")
         else:
-            violations_total += len(violations)
-            for msg in violations:
+            violations_total += len(report.violations)
+            for msg in report.violations:
                 print(f"INVALID {f}: {msg}")
     if any_parse:
         return EXIT_PARSE
     if violations_total:
-        print(f"{violations_total} violation(s) across {len(files)} file(s)")
+        print(f"{violations_total} violation(s) across {files} file(s)")
         return EXIT_VALIDATION
-    print(f"all {len(files)} file(s) valid")
+    print(f"all {files} file(s) valid")
     return EXIT_OK
 
 

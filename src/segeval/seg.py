@@ -18,10 +18,10 @@ data, collected into a :class:`ValidationReport`.
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import warnings
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -147,31 +147,25 @@ def _roots(seg: SemanticErrorGraph) -> list[ErrorNode]:
     return [n for n in seg.nodes if n.id not in targets]
 
 
-def _shortest_counts(succs: dict[str, list[tuple[str, int]]], order: list[str] | None, head_id: str) -> dict[str, int]:
-    """Weighted shortest-path distance from the head to every node it reaches.
+def _shortest_counts(succs: dict[str, list[tuple[str, int]]], order: list[str] | None, head_id: str) -> dict[str, int] | None:
+    """Weighted shortest-path distance from the head to every node it reaches; None if it reaches a negative cycle.
 
-    One relaxation pass in Kahn's ``order``; Dijkstra only on a cyclic graph
-    (``order`` None), whose cycle is reported separately.
+    Bellman-Ford: one round in Kahn's ``order`` on a DAG.  On a cyclic graph
+    (``order`` None), rounds in node order until one changes nothing; a
+    round |V|+1 that still lowers a distance has met a negative-weight cycle.
     """
     dist = {head_id: 0}
-    if order is not None:
-        for u in order:
+    for _ in range(1 if order is not None else len(succs) + 1):
+        changed = False
+        for u in order if order is not None else succs:
             if (d := dist.get(u)) is not None:  # reached from the head
                 for v, w in succs[u]:
                     if d + w < dist.get(v, d + w + 1):
                         dist[v] = d + w
-        return dist
-    queue = [(0, head_id)]
-    while queue:
-        d, u = heapq.heappop(queue)
-        if d > dist.get(u, d):
-            continue
-        for v, w in succs.get(u, ()):
-            nd = d + w
-            if nd < dist.get(v, nd + 1):
-                dist[v] = nd
-                heapq.heappush(queue, (nd, v))
-    return dist
+                        changed = True
+        if order is not None or not changed:
+            return dist
+    return None
 
 
 def _topological_order(succs: dict[str, list[tuple[str, int]]]) -> list[str] | None:
@@ -274,8 +268,9 @@ def validate_seg(seg: SemanticErrorGraph) -> ValidationReport:
         if walks[head.id] > _MAX_WALKS:
             v(f"graph has at least {walks[head.id]} head-to-leaf walks (limit {_MAX_WALKS})")
 
-    if head is not None:
-        dist = _shortest_counts(succs, order, head.id)
+    if head is not None and (dist := _shortest_counts(succs, order, head.id)) is None:
+        v("graph has a negative-weight cycle")  # distances are undefined, so no per-node check
+    elif head is not None:
         for n in seg.nodes:
             if n.id == head.id:
                 continue
@@ -379,35 +374,52 @@ def seg_paths(path: str | Path) -> list[Path]:
     raise FileNotFoundError(f"{path}: path does not exist")
 
 
+def check_seg_files(
+    paths: Sequence[str | Path],
+) -> Iterator[tuple[Path, SemanticErrorGraph | ParseError, ValidationReport | None]]:
+    """Parse and validate each SEG file under ``paths`` once, in argument order.
+
+    Every path is expanded first: a missing one raises OSError, one without
+    SEG files ParseError.  Yields ``(file, seg, report)``, or ``(file, error,
+    None)`` for a file that does not parse.  A seg id that an earlier file
+    defined is the first violation of the later file's report.
+    """
+    files: list[Path] = []
+    for path in paths:
+        found = seg_paths(path)
+        if not found:
+            raise ParseError("no SEG files found", source=str(path))
+        files += found
+    first_file: dict[str, Path] = {}  # seg id -> the first file defining it
+    for f in dict.fromkeys(files) if len(paths) > 1 else files:  # one directory lists a file once
+        try:
+            seg = load_seg_file(f)
+        except ParseError as exc:
+            yield f, exc, None
+            continue
+        report = validate_seg(seg)
+        if (prev := first_file.setdefault(seg.id, f)) is not f:
+            report.violations.insert(0, f"duplicate seg id {seg.id!r} (already defined in {prev})")
+        yield f, seg, report
+
+
 def load_segs(path: str | Path) -> SegCollection:
     """Load and validate every SEG under ``path``; sorted by id.
 
-    Raises ParseError on malformed files, ValidationError when any graph
-    violates an invariant or two files share an id.  Lint warnings from
-    validation are emitted via :mod:`warnings`.
+    Raises the first ParseError of :func:`check_seg_files`, and one
+    ValidationError listing every violation, a repeated seg id included.
+    Lint warnings from validation are emitted via :mod:`warnings`.
     """
-    files = seg_paths(path)
-    if not files:
-        raise ParseError("no SEG files found", source=str(path))
     segs: list[SemanticErrorGraph] = []
-    by_id: dict[str, Path] = {}
     violations: list[str] = []
-    for f in files:
-        seg = load_seg_file(f)
-        if seg.id in by_id:
-            raise ValidationError(
-                f"duplicate seg id {seg.id!r} in {f} (already defined in {by_id[seg.id]})"
-            )
-        by_id[seg.id] = f
-        rep = validate_seg(seg)
+    for f, seg, rep in check_seg_files([path]):
+        if rep is None:
+            raise seg
         for w in rep.warnings:
             warnings.warn(f"{f}: seg {seg.id}: {w}", stacklevel=2)
-        if not rep.ok:
-            violations.extend(f"{f}: seg {seg.id}: {msg}" for msg in rep.violations)
+        violations.extend(f"{f}: seg {seg.id}: {msg}" for msg in rep.violations)
         segs.append(seg)
     if violations:
-        raise ValidationError(
-            f"{len(violations)} validation violation(s)", violations=violations
-        )
+        raise ValidationError(f"{len(violations)} validation violation(s)", violations=violations)
     segs.sort(key=lambda s: s.id)
     return SegCollection(tuple(segs))

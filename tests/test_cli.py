@@ -88,8 +88,11 @@ def test_validate_and_score_reject_a_seg_id_repeated_across_files(tmp_path, caps
     assert "1 violation(s) across 2 file(s)" in out
     assert main(["validate", str(seg_dir / "a.json"), str(seg_dir / "a.json")]) == EXIT_OK  # one file, named twice
     assert "all 1 file(s) valid" in capsys.readouterr().out
-    assert main(["score", "--segs", str(seg_dir), "--scores", str(scores), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
-    assert f"duplicate seg id '0000' in {seg_dir / 'b.json'} (already defined in {seg_dir / 'a.json'})" in capsys.readouterr().err
+    with pytest.warns(UserWarning, match="total image count"):
+        assert main(["score", "--segs", str(seg_dir), "--scores", str(scores), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "error: 1 validation violation(s)\n" in err
+    assert f"  {seg_dir / 'b.json'}: seg 0000: duplicate seg id '0000' (already defined in {seg_dir / 'a.json'})\n" in err
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +163,8 @@ def test_score_constant_seg_beside_a_varied_one_has_zero_delta(tmp_path):
     scores = tmp_path / "scores.csv"
     write_score_tables([table_for(flat, [0.1] * 6), table_for(other, [0.9, 0.2])], scores)
     out = tmp_path / "rep"
-    assert main(["score", "--segs", str(seg_dir), "--scores", str(scores), "--out", str(out)]) == EXIT_OK
+    with pytest.warns(UserWarning, match="total image count"):
+        assert main(["score", "--segs", str(seg_dir), "--scores", str(scores), "--out", str(out)]) == EXIT_OK
     rows = (out / "per_seg.csv").read_text().splitlines()
     assert "m,flat,synth,0,0,0,1,2" in rows
 
@@ -489,7 +493,8 @@ def test_score_deep_chain_ranks_strictly_decreasing_scores_at_one(tmp_path):
     scores = tmp_path / "scores.csv"
     write_score_tables([table_for(seg, [1.0 - i / 1500 for i in range(1500)])], scores)
     out = tmp_path / "rep"
-    assert main(["score", "--segs", str(tmp_path / "deep.json"), "--scores", str(scores), "--out", str(out)]) == EXIT_OK
+    with pytest.warns(UserWarning, match="total image count"):
+        assert main(["score", "--segs", str(tmp_path / "deep.json"), "--scores", str(scores), "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert report["metrics"]["m"]["overall"]["rank"] == 1.0
 

@@ -219,10 +219,11 @@ def test_missing_prompt_field_names_the_field(tmp_path):
 
 
 def test_duplicate_seg_id_across_files(tmp_path):
-    seg_json(tmp_path, name="a.json")
-    seg_json(tmp_path, name="b.json")
-    with pytest.raises(ValidationError, match="duplicate seg id"):
+    a = seg_json(tmp_path, name="a.json")
+    b = seg_json(tmp_path, name="b.json")
+    with pytest.raises(ValidationError, match=r"^1 validation violation\(s\)$") as exc:
         load_segs(tmp_path)
+    assert exc.value.violations == [f"{b}: seg 0001: duplicate seg id '0001' (already defined in {a})"]
 
 
 def test_unknown_fields_warn_but_load(tmp_path):
@@ -332,8 +333,11 @@ def _reference_topological_order(nodes, edges):
     return order if len(order) == len(indeg) else None
 
 
-def _reference_validate(seg):
-    """(violations, warnings) as validate_seg reported them before it built one successor map."""
+def _reference_validate(seg, distances=True):
+    """(violations, warnings) as validate_seg reported them before it built one successor map.
+
+    ``distances=False`` skips the Dijkstra step, which never ends on a negative-weight cycle the head reaches.
+    """
     violations = []
     v = violations.append
     if not seg.id:
@@ -404,7 +408,7 @@ def _reference_validate(seg):
             walks[n] = min(sum(walks.get(k, 0) for k in kids), segeval.seg._MAX_WALKS + 1) if kids else 1
         if walks[head.id] > segeval.seg._MAX_WALKS:
             v(f"graph has at least {walks[head.id]} head-to-leaf walks (limit {segeval.seg._MAX_WALKS})")
-    if head is not None:
+    if head is not None and distances:
         dist = _reference_shortest_counts(seg, head.id)
         for n in seg.nodes:
             if n.id == head.id:
@@ -464,7 +468,7 @@ def _faulty_seg(rng: random.Random, faults: set[str]) -> SemanticErrorGraph:
         edges.append(rng.choice(edges))
     cyclic = faults & {"cycle", "self-loop", "no-head"}
     for fault, weight in (("zero-weight", 0), ("negative-weight", -1)):
-        if fault in faults and not (cyclic and weight < 0):  # Dijkstra never ends on a negative cycle
+        if fault in faults and not (cyclic and weight < 0):  # the reference Dijkstra never ends on a negative cycle
             k = rng.randrange(len(edges))
             edges[k] = edges[k][:2] + (weight,)
     if "wrong-count" in faults:
@@ -478,10 +482,34 @@ def _faulty_seg(rng: random.Random, faults: set[str]) -> SemanticErrorGraph:
     return SemanticErrorGraph(f"g{rng.random():.6f}", "p", "synth", nodes, edge_objs)
 
 
+def _cyclic_seg(rng: random.Random) -> SemanticErrorGraph:
+    """A one-head graph with back edges, self-loops and zero or negative weights, but no negative-weight cycle.
+
+    Each edge weighs p(dst) - p(src) + slack for a node potential p and a slack >= 0, so every cycle weighs its
+    slacks' sum, >= 0, and Dijkstra with re-insertion ends.  Half the graphs store the true distances.
+    """
+    ids = [f"n{i}" for i in range(rng.randint(2, 7))]
+    p = {i: rng.randint(-3, 3) for i in ids}
+    pairs = {(ids[i - 1], ids[i]) for i in range(1, len(ids))}  # every node below the head is reached
+    pairs |= {(rng.choice(ids), rng.choice(ids[1:])) for _ in range(rng.randint(1, 2 * len(ids)))}
+    edges = [(src, dst, p[dst] - p[src] + rng.choice((0, 0, 1, 2))) for src, dst in sorted(pairs)]
+    if rng.random() < 0.3:
+        edges.append((rng.choice(ids), "ghost", rng.choice((-3, -1, 0, 1))))  # a child that is not a node
+    counts = {i: rng.randint(0, 6) for i in ids}
+    counts[ids[0]] = 0
+    seg = make_seg([(i, counts[i], [f"{i}.jpg"]) for i in ids], edges)
+    if rng.random() < 0.5:
+        dist = _reference_shortest_counts(seg, ids[0])
+        seg = make_seg([(i, dist.get(i, 9), [f"{i}.jpg"]) for i in ids], edges)
+    return seg
+
+
 def test_validate_matches_the_three_adjacency_reference_on_faulty_graphs():
     rng = random.Random(15)
     graphs = [_faulty_seg(rng, {f for f in _FAULTS if rng.random() < 0.25}) for _ in range(300)]
     graphs += [_faulty_seg(rng, faults) for faults in [set()] * 20 + [{fault} for fault in _FAULTS] * 10]
+    cyclic = [_cyclic_seg(rng) for _ in range(300)]
+    graphs += cyclic
     seen = []
     for seg in graphs:
         report = validate_seg(seg)
@@ -491,6 +519,83 @@ def test_validate_matches_the_three_adjacency_reference_on_faulty_graphs():
     needles = ("directed cycle", "self-loop", "not reachable", "mismatch", "no head", "multiple head", "duplicate edge",
                "unknown node", "non-positive weight", "disagrees", "not increasing")
     assert [n for n in needles if not any(n in msg for msg in seen)] == []
+    assert "graph has a negative-weight cycle" not in seen
+    # cyclic graphs with a negative edge, many storing every count right, so the cycle is their last violation
+    negative = [validate_seg(g).violations for g in cyclic if min(e.weight for e in g.edges) < 0]
+    assert sum("graph contains a directed cycle" in msgs for msgs in negative) >= 200
+    assert sum(msgs[-1] == "graph contains a directed cycle" for msgs in negative) >= 100
+
+
+@pytest.mark.parametrize(
+    "seg, violations",
+    [
+        (
+            make_seg([("0", 0, ["a"]), ("1", 1, ["b"])], [("0", "1"), ("1", "1", -1)]),
+            [
+                "self-loop at node '1'",
+                "edge 1->1 has non-positive weight -1",
+                "edge 1->1 weight -1 disagrees with its 0 error label(s) (expected 1)",
+                "error_count not increasing along edge 1->1",
+                "graph contains a directed cycle",
+                "graph has a negative-weight cycle",
+            ],
+        ),
+        (
+            make_seg([("0", 0, ["a"]), ("1", 1, ["b"]), ("2", 2, ["c"])], [("0", "1"), ("1", "2"), ("2", "1", -2)]),
+            [
+                "edge 2->1 has non-positive weight -2",
+                "edge 2->1 weight -2 disagrees with its 0 error label(s) (expected 1)",
+                "error_count not increasing along edge 2->1",
+                "graph contains a directed cycle",
+                "graph has a negative-weight cycle",
+            ],
+        ),
+        (  # the cycle 1->2->3->4->1 weighs -1; relaxing it takes several rounds
+            make_seg([(str(i), i, [f"{i}.jpg"]) for i in range(5)], [(str(i), str(i + 1)) for i in range(4)] + [("4", "1", -4)]),
+            [
+                "edge 4->1 has non-positive weight -4",
+                "edge 4->1 weight -4 disagrees with its 0 error label(s) (expected 1)",
+                "error_count not increasing along edge 4->1",
+                "graph contains a directed cycle",
+                "graph has a negative-weight cycle",
+            ],
+        ),
+        (  # the head reaches no node of the cycle, so every distance is defined and nothing is added
+            make_seg(
+                [("0", 0, ["a"]), ("1", 1, ["b"]), ("2", 2, ["c"]), ("3", 3, ["d"])],
+                [("0", "1"), ("2", "3", -1), ("3", "2", 0)],
+            ),
+            [
+                "edge 2->3 has non-positive weight -1",
+                "edge 2->3 weight -1 disagrees with its 0 error label(s) (expected 1)",
+                "edge 3->2 has non-positive weight 0",
+                "edge 3->2 weight 0 disagrees with its 0 error label(s) (expected 1)",
+                "error_count not increasing along edge 3->2",
+                "graph contains a directed cycle",
+                "node '2' not reachable from head '0'",
+                "node '3' not reachable from head '0'",
+            ],
+        ),
+        (  # no head, so no distances
+            make_seg([("0", 0, ["a"]), ("1", 1, ["b"])], [("0", "1", -1), ("1", "0", 0)]),
+            [
+                "edge 0->1 has non-positive weight -1",
+                "edge 0->1 weight -1 disagrees with its 0 error label(s) (expected 1)",
+                "edge 1->0 has non-positive weight 0",
+                "edge 1->0 weight 0 disagrees with its 0 error label(s) (expected 1)",
+                "error_count not increasing along edge 1->0",
+                "no head node (every node has an incoming edge)",
+                "graph contains a directed cycle",
+            ],
+        ),
+    ],
+    ids=["self-loop", "two-cycle", "four-cycle", "unreachable-cycle", "no-head"],
+)
+def test_negative_weight_cycle_ends_with_todays_violations_plus_one(seg, violations):
+    assert validate_seg(seg).violations == violations
+    reached = "graph has a negative-weight cycle" in violations
+    # the lines before the distance step are the Dijkstra reference's; a cycle the head reaches replaces its node checks
+    assert violations == _reference_validate(seg, distances=not reached)[0] + ["graph has a negative-weight cycle"] * reached
 
 
 def _diamonds_plus(extra_edges, extra_nodes=()):
