@@ -22,6 +22,7 @@ aggregate tables print x100 unless --raw is given.  Exit codes are stable:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -49,6 +50,7 @@ EXIT_COVERAGE = 5
 EXIT_IO = 6
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="segeval",

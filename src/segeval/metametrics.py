@@ -32,7 +32,7 @@ from typing import Iterable, Mapping
 from .errors import CoverageError, ParseError, ValidationError
 from .fileio import read_csv
 from .seg import SUBSETS, SegCollection, SemanticErrorGraph
-from .stats import TieMode, ks_statistic, population_moments, spearman_rho
+from .stats import TieMode, _Sorted, _check_sample, ks_statistic, population_moments, spearman_rho
 from .walks import PairMode, adjacent_pairs, enumerate_walks
 
 SCORE_CSV_HEADER = ["seg_id", "image_id", "metric", "score"]
@@ -196,9 +196,7 @@ def rank_score(
     return total / len(walks)
 
 
-def _node_populations(
-    seg: SemanticErrorGraph, scores: ScoreTable
-) -> dict[str, list[float]]:
+def _node_populations(seg: SemanticErrorGraph, scores: ScoreTable) -> dict[str, list[float]]:
     entries, sid = scores.entries, seg.id
     try:
         return {n.id: [entries[(sid, img)] for img in n.images] for n in seg.nodes}
@@ -207,12 +205,14 @@ def _node_populations(
         raise
 
 
-def sep_score(
-    seg: SemanticErrorGraph, scores: ScoreTable, pair_mode: PairMode = "per-walk"
-) -> float:
+def sep_score(seg: SemanticErrorGraph, scores: ScoreTable, pair_mode: PairMode = "per-walk") -> float:
     """Mean KS statistic over adjacent node pairs, in [0, 1]."""
     pops = _node_populations(seg, scores)
     pairs = adjacent_pairs(seg, pair_mode)
+    try:  # check and sort each node's sample once, not once per pair
+        pops = {n: _Sorted((_check_sample(v, sort=True),)) for n, v in pops.items()}
+    except ValueError:  # a bad node: each pair checks its own samples and names the bad one x or y
+        pass
     return reduce(add, (ks_statistic(pops[a], pops[b]) for a, b in pairs), 0.0) / len(pairs)
 
 

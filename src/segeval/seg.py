@@ -366,6 +366,8 @@ def write_seg_file(seg: SemanticErrorGraph, path: str | Path) -> None:
 
 def seg_paths(path: str | Path) -> list[Path]:
     """SEG files under ``path``: the file itself, or dir/*.json sorted."""
+    if path == "":  # Path("") would be the working directory
+        raise FileNotFoundError("'': path does not exist")
     path = Path(path)
     if path.is_file():
         return [path]

@@ -23,6 +23,7 @@ empirical CDF, F(x) = fraction of sample values <= x, and takes the
 supremum over all pooled sample points.  Each ECDF value is an exact
 count, taken by bisection in the sorted sample, divided once, so the result
 is the float that evaluating F_X - F_Y at every pooled point in float64 gives.
+Direct calls check each argument; ``sep_score`` checks each node's scores once.
 
 Population moments add in numpy's pairwise order, so they are numpy's floats.
 """
@@ -38,6 +39,11 @@ from typing import Literal, Sequence
 TieMode = Literal["midrank", "countbelow"]
 
 TIE_MODES = ("midrank", "countbelow")
+
+
+class _Sorted(tuple):
+    """``(vals,)``, where ``vals`` is what ``_check_sample(..., sort=True)`` returned."""
+    __slots__ = ()
 
 
 def _check_sample(values: Sequence[float], name: str = "sample", sort: bool = False) -> list[float]:
@@ -106,8 +112,8 @@ def ks_statistic(x: Sequence[float], y: Sequence[float]) -> float:
     sup over pooled sample points t of |F_X(t) - F_Y(t)|, with
     F(t) = fraction of values <= t.
     """
-    xs = _check_sample(x, "x", sort=True)
-    ys = _check_sample(y, "y", sort=True)
+    xs = x[0] if type(x) is _Sorted else _check_sample(x, "x", sort=True)
+    ys = y[0] if type(y) is _Sorted else _check_sample(y, "y", sort=True)
     if xs[-1] < ys[0] or ys[-1] < xs[0]:  # disjoint: 1 - 0 at the lower maximum
         return 1.0
     if xs == ys or xs[0] == xs[-1] == ys[0] == ys[-1]:  # equal ECDFs

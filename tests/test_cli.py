@@ -9,10 +9,12 @@ import pytest
 
 from segeval.cli import (
     EXIT_COVERAGE,
+    EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    _build_parser,
     main,
 )
 from segeval.metametrics import write_score_tables
@@ -71,6 +73,22 @@ def test_validate_empty_directory(tmp_path, capsys):
 def test_validate_malformed_json(tmp_path, capsys):
     (tmp_path / "x.json").write_text("{oops")
     assert main(["validate", str(tmp_path)]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", ""], ["validate", "0000.json", ""], ["score", "--segs", "", "--scores", "scores.csv", "--out", "out"]],
+)
+def test_empty_path_exits_6_in_a_directory_with_a_valid_seg(tmp_path, monkeypatch, capsys, argv):
+    seg = chain_seg([1, 1], seg_id="0000")
+    write_seg_file(seg, tmp_path / "0000.json")
+    write_score_tables([table_for(seg, [1.0, 0.0])], tmp_path / "scores.csv")
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "."]) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err == "error: '': path does not exist\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_and_score_reject_a_seg_id_repeated_across_files(tmp_path, capsys):
@@ -226,6 +244,16 @@ def test_score_unknown_metric_flag(workspace, capsys):
     )
     assert code == EXIT_USAGE
     assert "nope" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(workspace):
+    tmp_path, seg_dir, scores, _ = workspace
+    argv = ["score", "--segs", str(seg_dir), "--scores", str(scores), "--out"]
+    assert main([*argv, str(tmp_path / "one"), "--metric", "perfect"]) == EXIT_OK
+    assert main([*argv, str(tmp_path / "all")]) == EXIT_OK
+    assert _build_parser() is _build_parser()
+    metrics = {d: set(json.loads((tmp_path / d / "report.json").read_text())["metrics"]) for d in ("one", "all")}
+    assert metrics == {"one": {"perfect"}, "all": {"constant", "inverse", "noisy", "perfect"}}
 
 
 def test_score_is_deterministic(workspace):

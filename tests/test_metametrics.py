@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import math
 import random
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -26,11 +28,13 @@ from segeval.metametrics import (
     write_score_tables,
 )
 from segeval.cli import EXIT_COVERAGE, main
+import segeval.metametrics as metametrics
 from segeval.reporting import walk_line_data
+from segeval.stats import ks_statistic
 from segeval.synth import SynthConfig, generate_segs, oracle_scores, write_collection
-from segeval.walks import enumerate_walks
+from segeval.walks import adjacent_pairs, enumerate_walks
 
-from conftest import chain_seg, collection_of, make_seg, table_for
+from conftest import chain_seg, collection_of, make_seg, stacked_diamond, table_for
 
 
 def oracle_rank(seg, table, tie_mode="midrank"):
@@ -187,6 +191,58 @@ def test_sep_pair_mode_changes_weighting():
     unique = sep_score(seg, table, "unique-edge")  # (0+1+1)/3
     assert per_walk == pytest.approx(0.5)
     assert unique == pytest.approx(2 / 3)
+
+
+def reference_sep(seg, table, pair_mode="per-walk"):
+    """The per-pair loop sep_score replaced: each pair checks and sorts both node samples."""
+    pops = {n.id: [table.entries[(seg.id, img)] for img in n.images] for n in seg.nodes}
+    pairs = adjacent_pairs(seg, pair_mode)
+    return reduce(add, (ks_statistic(pops[a], pops[b]) for a, b in pairs), 0.0) / len(pairs)
+
+
+def test_sep_equals_the_per_pair_loop_with_one_ks_call_per_pair(monkeypatch):
+    segs = [*generate_segs(SynthConfig(seed=5, seg_count=40, images_per_node=(1, 5)))]
+    segs += [stacked_diamond(k) for k in range(1, 7)]
+    calls = []
+
+    def counting_ks(x, y):
+        calls.append(1)
+        return ks_statistic(x, y)
+
+    rng = random.Random(8)
+    pool = [0.0, -0.0, 0.25, 0.5, 1 / 3, 1.0, 3]
+    for seg in segs:
+        draw = (lambda: rng.choice(pool)) if rng.random() < 0.5 else rng.random
+        table = ScoreTable("m", {(seg.id, img): draw() for img in seg.image_ids()})
+        for mode in ("per-walk", "unique-edge"):
+            expected = reference_sep(seg, table, mode)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(metametrics, "ks_statistic", counting_ks)
+                assert sep_score(seg, table, mode) == expected, (seg.id, mode)
+            assert len(calls) == len(adjacent_pairs(seg, mode))
+
+
+def _sep_error(seg, table):
+    with pytest.raises(ValueError) as info:
+        sep_score(seg, table)
+    with pytest.raises(ValueError) as ref:
+        reference_sep(seg, table)
+    assert str(info.value) == str(ref.value)
+    return str(info.value)
+
+
+def test_sep_on_a_bad_node_raises_the_per_pair_error():
+    nan, inf = float("nan"), float("inf")
+    chain = chain_seg([2, 1, 2])
+    assert _sep_error(chain, table_for(chain, [0.1, nan, 0.5, 0.2, 0.3])) == "x contains non-finite values"
+    assert _sep_error(chain, table_for(chain, [0.1, 0.2, 0.5, 0.2, -inf])) == "y contains non-finite values"
+    gap = chain_seg([1, 0, 1])
+    assert _sep_error(gap, table_for(gap, [0.1, 0.2])) == "y must be non-empty"
+    # a bad node in no pair (unreachable from the head) raises nothing, as in the per-pair loop
+    seg = make_seg([("0", 0, ["a"]), ("1", 1, ["b"]), ("2", 2, ["c"]), ("3", 3, [])], [("0", "1"), ("2", "3"), ("3", "2")])
+    table = ScoreTable("m", {("seg", "a"): 0.1, ("seg", "b"): 0.5, ("seg", "c"): nan})
+    assert sep_score(seg, table) == reference_sep(seg, table) == 1.0
 
 
 # ---------------------------------------------------------------------------

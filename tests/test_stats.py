@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segeval.stats import (
+    _Sorted,
+    _check_sample,
     _doubled_ranks,
     ks_statistic,
     population_moments,
@@ -365,6 +367,41 @@ def test_ks_short_circuits_are_bit_identical_to_numpy_reference():
                 assert d < 1.0, (a, b)
             else:
                 assert d == expected[kind], (kind, a, b)
+
+
+def _marked(values):
+    return _Sorted((_check_sample(values, sort=True),))
+
+
+def _marked_sample_pairs(rng):
+    """Seeded pairs: ties, signed zeros, ints, single values and both short-circuits."""
+    for k in range(400):
+        n = 1 if k % 5 == 0 else rng.randint(1, 30)
+        yield _ks_draw(rng, n, k % 4), _ks_draw(rng, rng.randint(1, 30), k % 4)
+        yield [rng.randint(-3, 3) for _ in range(n)], [rng.randint(-3, 3) for _ in range(rng.randint(1, 6))]
+    for _, x, y in _short_circuit_pairs(rng):
+        yield x, y
+
+
+def test_ks_of_marked_samples_equals_ks_of_plain_lists():
+    pooled = 0
+    for x, y in _marked_sample_pairs(random.Random(17)):
+        mx, my = _marked(x), _marked(y)
+        assert mx[0] == sorted(map(float, x)) and type(mx[0][0]) is float
+        d = ks_statistic(x, y)
+        for a, b in ((mx, my), (mx, y), (x, my)):
+            got = ks_statistic(a, b)
+            assert got == d and math.copysign(1.0, got) == 1.0, (x, y)
+        pooled += 0.0 < d < 1.0
+    assert pooled > 500  # most pairs reach the pooled loop, not a short-circuit
+
+
+def test_ks_checks_every_argument_that_is_not_marked():
+    assert ks_statistic((0.7, 0.1), (0.5, 0.3)) == ks_statistic([0.1, 0.7], [0.3, 0.5]) == 0.5
+    with pytest.raises(ValueError, match=r"^x contains non-finite values$"):
+        ks_statistic((0.5, float("nan")), _marked([0.5]))
+    with pytest.raises(ValueError, match=r"^y must be non-empty$"):
+        ks_statistic(_marked([0.5]), ())
 
 
 def test_ks_against_oracle_500_samples():
