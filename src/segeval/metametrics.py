@@ -32,7 +32,7 @@ from typing import Iterable, Mapping
 from .errors import CoverageError, ParseError, ValidationError
 from .fileio import read_csv
 from .seg import SUBSETS, SegCollection, SemanticErrorGraph
-from .stats import TieMode, _Sorted, _check_sample, ks_statistic, population_moments, spearman_rho
+from .stats import TieMode, _Sorted, _check_sample, _ranked_runs, ks_statistic, population_moments, spearman_rho
 from .walks import PairMode, adjacent_pairs, enumerate_walks
 
 SCORE_CSV_HEADER = ["seg_id", "image_id", "metric", "score"]
@@ -183,16 +183,23 @@ def rank_score(
     """Walk-averaged ordering score in [-1, 1]; higher is better.
 
     Spearman's rho of scores against error counts is negated so a faithful
-    metric (scores decreasing with errors) lands at +1.
+    metric (scores decreasing with errors) lands at +1.  When every edge raises
+    the error count, as in a valid SEG, a walk's error-count ranks come from its
+    node image counts (the integers bisection gives); direct ``spearman_rho``
+    calls still check and rank both inputs.
     """
     pops = _node_populations(seg, scores)
-    counts = {n.id: [n.error_count] * len(n.images) for n in seg.nodes}
+    counts = {n.id: n.error_count for n in seg.nodes}
+    rises = all(counts[e.src] < counts[e.dst] for e in seg.edges if e.src in counts and e.dst in counts)
     walks = enumerate_walks(seg)
-    total = 0.0
+    total, ranked = 0.0, {}  # ranked: one _Ranked per distinct walk shape (node image counts)
     for walk in walks:
-        series = [v for node in walk for v in pops[node]]
-        errors = [c for node in walk for c in counts[node]]
-        total += -spearman_rho(series, errors, tie_mode)
+        if rises:
+            runs = tuple(map(len, map(pops.__getitem__, walk)))
+            errors = ranked.get(runs) or ranked.setdefault(runs, _ranked_runs(runs, tie_mode))
+        else:  # an unvalidated SEG: rank the walk's counts as given
+            errors = [counts[node] for node in walk for _ in pops[node]]
+        total += -spearman_rho([v for node in walk for v in pops[node]], errors, tie_mode)
     return total / len(walks)
 
 
@@ -209,10 +216,11 @@ def sep_score(seg: SemanticErrorGraph, scores: ScoreTable, pair_mode: PairMode =
     """Mean KS statistic over adjacent node pairs, in [0, 1]."""
     pops = _node_populations(seg, scores)
     pairs = adjacent_pairs(seg, pair_mode)
-    try:  # check and sort each node's sample once, not once per pair
-        pops = {n: _Sorted((_check_sample(v, sort=True),)) for n, v in pops.items()}
-    except ValueError:  # a bad node: each pair checks its own samples and names the bad one x or y
-        pass
+    if len(pairs) > len(pops):  # check and sort each node's sample once, not once per pair
+        try:
+            pops = {n: _Sorted((_check_sample(v, sort=True),)) for n, v in pops.items()}
+        except ValueError:  # a bad node: each pair checks its own samples and names the bad one x or y
+            pass
     return reduce(add, (ks_statistic(pops[a], pops[b]) for a, b in pairs), 0.0) / len(pairs)
 
 

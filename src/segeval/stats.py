@@ -16,7 +16,9 @@ rank vector is constant the correlation is defined to be exactly 0.0 rather
 than NaN: a constant series carries no ordering information.  Because both
 rank conventions produce half-integer ranks, the correlation is evaluated
 in exact integer arithmetic on doubled ranks; perfectly (anti)monotone
-inputs therefore return exactly +/-1.0, ties included.
+inputs therefore return exactly +/-1.0, ties included.  ``rank_score`` derives
+a walk's error-count ranks from its node image counts (the same integers that
+bisection gives); direct ``spearman_rho`` calls check and rank both inputs.
 
 The two-sample Kolmogorov-Smirnov statistic uses the right-continuous
 empirical CDF, F(x) = fraction of sample values <= x, and takes the
@@ -46,6 +48,15 @@ class _Sorted(tuple):
     __slots__ = ()
 
 
+class _Ranked(tuple):
+    """``(ry, sum(ry), n * sum(r * r for r in ry) - sum(ry) ** 2, n)`` for an n-value sample's doubled ranks."""
+    __slots__ = ()
+
+    def __new__(cls, ry: list[int]) -> _Ranked:
+        sy = sum(ry)
+        return tuple.__new__(cls, (ry, sy, len(ry) * sum(map(mul, ry, ry)) - sy * sy, len(ry)))
+
+
 def _check_sample(values: Sequence[float], name: str = "sample", sort: bool = False) -> list[float]:
     vals = sorted(map(float, values)) if sort else list(map(float, values))
     if not vals:
@@ -65,6 +76,14 @@ def _doubled_ranks(vals: list[float], tie_mode: TieMode) -> list[int]:
     if tie_mode == "midrank":
         return [bisect_left(s, v) + bisect_right(s, v) + 1 for v in vals]
     return [2 * bisect_left(s, v) for v in vals]
+
+
+def _ranked_runs(runs: Sequence[int], tie_mode: TieMode) -> _Ranked:
+    """The doubled ranks of a sorted sample whose tie groups hold ``runs`` values, in order."""
+    ry: list[int] = []
+    for m in runs:  # a group of m after lo = len(ry) values: midrank 2 lo + m + 1, count-below 2 lo
+        ry += [2 * len(ry) + m + 1 if tie_mode == "midrank" else 2 * len(ry)] * m
+    return _Ranked(ry)
 
 
 def rank_transform(values: Sequence[float], tie_mode: TieMode = "midrank") -> list[float]:
@@ -87,17 +106,16 @@ def spearman_rho(
     +/-1.0 when the rank vectors are affinely dependent.
     """
     xs = _check_sample(x, "x")
-    ys = _check_sample(y, "y")
-    if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    ranked = type(y) is _Ranked  # y's ranks and sums for this tie_mode, built once by the caller
+    ys = y if ranked else _check_sample(y, "y")
+    if len(xs) != (n := y[3] if ranked else len(ys)):
+        raise ValueError(f"length mismatch: {len(xs)} vs {n}")
     rx = _doubled_ranks(xs, tie_mode)
-    ry = _doubled_ranks(ys, tie_mode)
-    n = len(rx)
-    sx, sy = sum(rx), sum(ry)
+    ry, sy, vy, _ = y if ranked else _Ranked(_doubled_ranks(ys, tie_mode))
+    sx = sum(rx)
     # population moments scaled by n^2; exact in integer arithmetic
     num = n * sum(map(mul, rx, ry)) - sx * sy
     vx = n * sum(map(mul, rx, rx)) - sx * sx
-    vy = n * sum(map(mul, ry, ry)) - sy * sy
     if vx == 0 or vy == 0:
         return 0.0
     if num * num == vx * vy:

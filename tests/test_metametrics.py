@@ -30,7 +30,7 @@ from segeval.metametrics import (
 from segeval.cli import EXIT_COVERAGE, main
 import segeval.metametrics as metametrics
 from segeval.reporting import walk_line_data
-from segeval.stats import ks_statistic
+from segeval.stats import ks_statistic, spearman_rho
 from segeval.synth import SynthConfig, generate_segs, oracle_scores, write_collection
 from segeval.walks import adjacent_pairs, enumerate_walks
 
@@ -150,6 +150,109 @@ def test_rank_matches_first_principles_oracle_on_synthetic_segs():
         assert rank_score(seg, table) == pytest.approx(oracle_rank(seg, table), abs=1e-12)
 
 
+def reference_rank(seg, table, tie_mode="midrank"):
+    """The per-walk loop rank_score replaced: each walk checks and ranks its expanded error counts."""
+    pops = {n.id: [table.entries[(seg.id, img)] for img in n.images] for n in seg.nodes}
+    counts = {n.id: [n.error_count] * len(n.images) for n in seg.nodes}
+    walks = enumerate_walks(seg)
+    total = 0.0
+    for walk in walks:
+        series = [v for node in walk for v in pops[node]]
+        errors = [c for node in walk for c in counts[node]]
+        total += -spearman_rho(series, errors, tie_mode)
+    return total / len(walks)
+
+
+def _draw_table(seg, rng):
+    pool = [0.0, -0.0, 0.25, 0.5, 1 / 3, 1.0, 3]
+    draw = (lambda: rng.choice(pool)) if rng.random() < 0.5 else rng.random
+    return ScoreTable("m", {(seg.id, img): draw() for img in seg.image_ids()})
+
+
+def _assert_rank_equals_the_per_walk_loop(segs, monkeypatch, seed):
+    calls = []
+
+    def counting_spearman(x, y, tie_mode="midrank"):
+        calls.append(1)
+        return spearman_rho(x, y, tie_mode)
+
+    rng = random.Random(seed)
+    for seg in segs:
+        table = _draw_table(seg, rng)
+        for tie_mode in ("midrank", "countbelow"):
+            expected = reference_rank(seg, table, tie_mode)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(metametrics, "spearman_rho", counting_spearman)
+                assert rank_score(seg, table, tie_mode) == expected, (seg.id, tie_mode)
+            assert len(calls) == len(enumerate_walks(seg))
+
+
+def test_rank_equals_the_per_walk_loop_on_synth_segs(monkeypatch):
+    segs = generate_segs(SynthConfig(seed=9, seg_count=40, images_per_node=(1, 5)))
+    _assert_rank_equals_the_per_walk_loop(segs, monkeypatch, seed=4)
+
+
+def test_rank_equals_the_per_walk_loop_on_stacked_diamonds(monkeypatch):
+    _assert_rank_equals_the_per_walk_loop([stacked_diamond(k) for k in range(1, 7)], monkeypatch, seed=5)
+
+
+def test_rank_equals_the_per_walk_loop_on_chains(monkeypatch):
+    rng = random.Random(6)
+    chains = [chain_seg([k] * 4, seg_id=f"even{k}") for k in range(1, 9)]
+    chains += [chain_seg([rng.randint(1, 8) for _ in range(rng.randint(2, 6))], seg_id=f"c{i}") for i in range(30)]
+    _assert_rank_equals_the_per_walk_loop(chains, monkeypatch, seed=7)
+
+
+def _outcome(rank, seg, table, tie_mode):
+    try:
+        return rank(seg, table, tie_mode)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_rank_of_an_unvalidated_seg_equals_the_per_walk_loop():
+    # each case sits beside its valid twin, which takes the run-length ranks
+    nodes = [("0", 0, ["a", "b"]), ("1", 1, ["c"]), ("2", 2, ["d", "e", "f"])]
+    edges = [("0", "1"), ("1", "2")]
+    cases = {
+        "valid": make_seg(nodes, edges),
+        "falls": make_seg([*nodes[:2], ("2", 0, ["d", "e", "f"])], edges),
+        "equal": make_seg([*nodes[:2], ("2", 1, ["d", "e", "f"])], edges),
+        "from an unknown node": make_seg(nodes, [*edges, ("ghost", "2")]),
+        "to an unknown node": make_seg(nodes, [*edges, ("2", "ghost")]),
+    }
+    table = table_for(cases["valid"], [0.9, 0.8, 0.5, 0.1, 0.3, 0.2])
+    outcomes = {}
+    for name, seg in cases.items():
+        for tie_mode in ("midrank", "countbelow"):
+            outcomes[name, tie_mode] = _outcome(rank_score, seg, table, tie_mode)
+            assert outcomes[name, tie_mode] == _outcome(reference_rank, seg, table, tie_mode), (name, tie_mode)
+    for tie_mode in ("midrank", "countbelow"):
+        # a falling or flat count ranks differently from a rising one
+        assert outcomes["falls", tie_mode] != outcomes["valid", tie_mode] != outcomes["equal", tie_mode]
+        assert outcomes["from an unknown node", tie_mode] == outcomes["valid", tie_mode]
+        assert outcomes["to an unknown node", tie_mode] == (KeyError, "'ghost'")
+
+
+def test_rank_of_a_nan_score_names_x_on_both_paths():
+    valid = chain_seg([2, 1, 2])
+    falls = make_seg(
+        [("0", 0, ["0-0.jpg", "0-1.jpg"]), ("1", 2, ["1-0.jpg"]), ("2", 1, ["2-0.jpg", "2-1.jpg"])],
+        [("0", "1"), ("1", "2")],
+        seg_id="chain",
+    )
+    table = table_for(valid, [0.9, 0.8, float("nan"), 0.2, 0.1])
+    for seg in (valid, falls):
+        for tie_mode in ("midrank", "countbelow"):
+            with pytest.raises(ValueError, match=r"^x contains non-finite values$"):
+                rank_score(seg, table, tie_mode)
+            assert _outcome(reference_rank, seg, table, tie_mode) == (ValueError, "x contains non-finite values")
+    clean = table_for(valid, [0.9, 0.9, 0.5, 0.1, 0.1])
+    assert rank_score(valid, clean) == 1.0
+    assert rank_score(valid, clean, "countbelow") == reference_rank(valid, clean, "countbelow") < 1.0
+
+
 # ---------------------------------------------------------------------------
 # sep_score
 
@@ -239,6 +342,11 @@ def test_sep_on_a_bad_node_raises_the_per_pair_error():
     assert _sep_error(chain, table_for(chain, [0.1, 0.2, 0.5, 0.2, -inf])) == "y contains non-finite values"
     gap = chain_seg([1, 0, 1])
     assert _sep_error(gap, table_for(gap, [0.1, 0.2])) == "y must be non-empty"
+    # more pairs than nodes: the checked node samples are built, and a bad one falls back per pair
+    diamonds = stacked_diamond(2)
+    assert len(adjacent_pairs(diamonds)) > len(diamonds.nodes)
+    assert _sep_error(diamonds, table_for(diamonds, [nan, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0])) == "x contains non-finite values"
+    assert _sep_error(diamonds, table_for(diamonds, [0.9, 0.5, 0.4, 0.3, inf, 0.1, 0.0])) == "y contains non-finite values"
     # a bad node in no pair (unreachable from the head) raises nothing, as in the per-pair loop
     seg = make_seg([("0", 0, ["a"]), ("1", 1, ["b"]), ("2", 2, ["c"]), ("3", 3, [])], [("0", "1"), ("2", "3"), ("3", "2")])
     table = ScoreTable("m", {("seg", "a"): 0.1, ("seg", "b"): 0.5, ("seg", "c"): nan})

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segeval.stats import (
+    _Ranked,
     _Sorted,
     _check_sample,
     _doubled_ranks,
+    _ranked_runs,
     ks_statistic,
     population_moments,
     rank_transform,
@@ -269,6 +272,65 @@ def test_spearman_monotone_transform_invariance(x, scale):
     remap = {v: scale * (i + 1) ** 2 for i, v in enumerate(sorted(set(x)))}
     transformed = [remap[v] for v in x]
     assert spearman_rho(x, y) == spearman_rho(transformed, y)
+
+
+def _ranked_by_runs(y, tie_mode):
+    """``y`` (sorted) as a ``_Ranked`` built from its tie-group run lengths."""
+    assert y == sorted(y)
+    return _ranked_runs([len(list(g)) for _, g in groupby(y)], tie_mode)
+
+
+def test_ranked_runs_are_the_doubled_ranks_of_the_sorted_sample():
+    rng = random.Random(31)
+    for tie_mode in ("midrank", "countbelow"):
+        for _ in range(300):
+            y = sorted(rng.choice([0, 1, 2, 3, 5]) for _ in range(rng.randint(1, 20)))
+            ranked = _ranked_by_runs(y, tie_mode)
+            ry = _doubled_ranks(_check_sample(y), tie_mode)
+            sy, n = sum(ry), len(ry)
+            assert type(ranked) is _Ranked
+            assert tuple(ranked) == (ry, sy, n * sum(r * r for r in ry) - sy * sy, n), (y, tie_mode)
+
+
+def test_spearman_of_ranked_y_equals_spearman_of_plain_y():
+    rng = random.Random(29)
+    seen = set()
+    for tie_mode in ("midrank", "countbelow"):
+        for k in range(600):
+            n = 1 if k % 10 == 0 else rng.randint(2, 25)
+            x = [rng.choice([0.0, 0.25, 0.5, 1.0, 2]) if k % 2 else rng.random() for _ in range(n)]
+            y = [rng.randint(0, 4) for _ in range(n)]
+            expected = spearman_rho(x, y, tie_mode)
+            # rho sums over (x, y) pairs, so sorting the pairs by y keeps it exactly
+            xs, ys = zip(*sorted(zip(x, y), key=lambda p: p[1]))
+            assert spearman_rho(list(xs), _ranked_by_runs(list(ys), tie_mode), tie_mode) == expected, (x, y)
+            seen.add(expected if expected in (-1.0, 0.0, 1.0) else "other")
+    assert seen == {-1.0, 0.0, 1.0, "other"}
+
+
+def test_spearman_of_ranked_y_edge_cases():
+    for tie_mode in ("midrank", "countbelow"):
+        one = _ranked_runs([1], tie_mode)
+        assert spearman_rho([0.3], one, tie_mode) == spearman_rho([0.3], [0], tie_mode) == 0.0
+        runs = _ranked_runs([2, 1, 3], tie_mode)  # y = [0, 0, 1, 2, 2, 2]
+        assert spearman_rho([0.5] * 6, runs, tie_mode) == 0.0
+        assert spearman_rho([1, 1, 2, 3, 3, 3], runs, tie_mode) == 1.0
+        distinct = _ranked_runs([1, 1, 1, 1], tie_mode)
+        assert spearman_rho([0.1, 0.2, 0.4, 0.8], distinct, tie_mode) == 1.0
+        assert spearman_rho([0.8, 0.4, 0.2, 0.1], distinct, tie_mode) == -1.0
+        assert spearman_rho([0.9, 0.8, 0.5, 0.1, 0.2, 0.3], runs, tie_mode) == spearman_rho(
+            [0.9, 0.8, 0.5, 0.1, 0.2, 0.3], [0, 0, 1, 2, 2, 2], tie_mode
+        )
+        with pytest.raises(ValueError, match=r"^length mismatch: 5 vs 6$"):
+            spearman_rho([1, 2, 3, 4, 5], runs, tie_mode)
+        with pytest.raises(ValueError, match=r"^x contains non-finite values$"):
+            spearman_rho([1, 2, float("nan"), 4, 5, 6], runs, tie_mode)
+        with pytest.raises(ValueError, match=r"^x must be non-empty$"):
+            spearman_rho([], runs, tie_mode)
+    # aligned ties anticorrelate perfectly under midrank only, as with a plain y
+    assert spearman_rho([9, 9, 4, -1, -1, -1], _ranked_runs([2, 1, 3], "midrank")) == -1.0
+    with pytest.raises(ValueError, match=r"^unknown tie_mode: 'dense'$"):
+        spearman_rho([1, 2, 3, 4, 5, 6], _ranked_runs([2, 1, 3], "midrank"), "dense")
 
 
 # ---------------------------------------------------------------------------
