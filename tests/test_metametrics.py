@@ -313,10 +313,8 @@ def test_sep_equals_the_per_pair_loop_with_one_ks_call_per_pair(monkeypatch):
         return ks_statistic(x, y)
 
     rng = random.Random(8)
-    pool = [0.0, -0.0, 0.25, 0.5, 1 / 3, 1.0, 3]
     for seg in segs:
-        draw = (lambda: rng.choice(pool)) if rng.random() < 0.5 else rng.random
-        table = ScoreTable("m", {(seg.id, img): draw() for img in seg.image_ids()})
+        table = _draw_table(seg, rng)
         for mode in ("per-walk", "unique-edge"):
             expected = reference_sep(seg, table, mode)
             calls.clear()
