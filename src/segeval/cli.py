@@ -29,12 +29,7 @@ import sys
 from .cost import QualityCostPoint, estimate_flops, load_cost_models, pareto_frontier
 from .errors import CoverageError, ParseError, ValidationError
 from .fileio import read_json, write_csv
-from .metametrics import (
-    aggregate,
-    evaluate_collection,
-    load_score_tables,
-    write_score_tables,
-)
+from .metametrics import aggregate, evaluate_collection, load_score_tables, write_score_tables
 from .reporting import _fmt, emit_report
 from .seg import SUBSETS, check_seg_files, load_segs
 from .scorers import accumulate_scores, load_answer_table, load_question_graphs
@@ -169,20 +164,9 @@ def cmd_score(args: argparse.Namespace) -> int:
             )
             return EXIT_USAGE
         tables = {name: tables[name] for name in args.metric}
-    results = []
-    for name in sorted(tables):
-        results.extend(
-            evaluate_collection(collection, tables[name], args.tie_mode, args.pair_mode)
-        )
+    results = evaluate_collection(collection, tables.values(), args.tie_mode, args.pair_mode)
     report = aggregate(results, collection)
-    emit_report(
-        report,
-        results,
-        args.out,
-        collection=collection,
-        score_tables=tables,
-        tie_mode=args.tie_mode,
-    )
+    emit_report(report, results, args.out, collection=collection, score_tables=tables, tie_mode=args.tie_mode)
     _print_table(report, args.raw)
     print(f"report written to {args.out}")
     return EXIT_OK

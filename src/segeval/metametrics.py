@@ -15,6 +15,12 @@ how well the metric recovers the graph's objective structure:
   over all images in the collection, so metrics with different dynamic
   ranges are comparable.  0 when that deviation is 0.
 
+``evaluate_collection`` scores every table in one pass over the SEGs: each
+SEG's private plan (its walks, error counts and their ranks, and adjacent
+pairs) is built once, read by every metric and dropped before the next SEG.
+The per-SEG functions take it as an optional last argument and build their
+own when none is given.
+
 Scores arrive as a CSV with header ``seg_id,image_id,metric,score`` (UTF-8,
 '.' decimal separator).  Missing scores are hard errors, never imputed.
 """
@@ -25,7 +31,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add
+from operator import add, attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -177,45 +183,72 @@ def missing_scores(
 # per-SEG meta-metrics
 
 
+class _SegPlan:
+    """What every metric's cells read of one SEG: its walks and error counts,
+    and, derived on first use, the walks' error ranks per tie mode and the
+    adjacent pairs per pair mode.
+
+    The last table's node populations are kept, so one (SEG, metric) cell
+    builds them once for rank, sep and delta.
+    """
+
+    def __init__(self, seg: SemanticErrorGraph) -> None:
+        self.seg, self.counts, self.walks = seg, {n.id: n.error_count for n in seg.nodes}, enumerate_walks(seg)
+        self._errors, self._pairs, self._cell = {}, {}, (None, {})
+
+    def populations(self, scores: ScoreTable) -> dict[str, list[float]]:
+        if self._cell[0] is not scores:
+            entries, sid = scores.entries, self.seg.id
+            try:
+                self._cell = (scores, {n.id: [entries[(sid, img)] for img in n.images] for n in self.seg.nodes})
+            except KeyError:
+                scores.seg_scores(self.seg)  # raises the CoverageError that lists every gap
+                raise
+        return self._cell[1]
+
+    def errors(self, tie_mode: TieMode) -> list:
+        """Each walk's error counts for ``spearman_rho``: when every edge raises the count, as in a
+        valid SEG, ``stats._Ranked`` from its node image counts, built once per walk shape."""
+        errors = self._errors.get(tie_mode)
+        if errors is None:
+            counts, sizes = self.counts, {n.id: len(n.images) for n in self.seg.nodes}
+            if all(counts[e.src] < counts[e.dst] for e in self.seg.edges if e.src in counts and e.dst in counts):
+                ranked = {}  # one _Ranked per walk shape: the walk's node image counts
+                shapes = (tuple(map(sizes.__getitem__, walk)) for walk in self.walks)
+                errors = [ranked.get(sh) or ranked.setdefault(sh, _ranked_runs(sh, tie_mode)) for sh in shapes]
+            else:  # an unvalidated SEG: rank each walk's counts as given
+                errors = [[counts[n] for n in walk for _ in range(sizes[n])] for walk in self.walks]
+            self._errors[tie_mode] = errors
+        return errors
+
+    def pairs(self, mode: PairMode) -> list[tuple[str, str]]:
+        known = self._pairs.get(mode)
+        return self._pairs.setdefault(mode, adjacent_pairs(self.seg, mode)) if known is None else known
+
+
 def rank_score(
-    seg: SemanticErrorGraph, scores: ScoreTable, tie_mode: TieMode = "midrank"
+    seg: SemanticErrorGraph, scores: ScoreTable, tie_mode: TieMode = "midrank", plan: _SegPlan | None = None
 ) -> float:
     """Walk-averaged ordering score in [-1, 1]; higher is better.
 
     Spearman's rho of scores against error counts is negated so a faithful
-    metric (scores decreasing with errors) lands at +1.  When every edge raises
-    the error count, as in a valid SEG, a walk's error-count ranks come from its
-    node image counts (the integers bisection gives); direct ``spearman_rho``
-    calls still check and rank both inputs.
+    metric (scores decreasing with errors) lands at +1.
     """
-    pops = _node_populations(seg, scores)
-    counts = {n.id: n.error_count for n in seg.nodes}
-    rises = all(counts[e.src] < counts[e.dst] for e in seg.edges if e.src in counts and e.dst in counts)
-    walks = enumerate_walks(seg)
-    total, ranked = 0.0, {}  # ranked: one _Ranked per distinct walk shape (node image counts)
-    for walk in walks:
-        if rises:
-            runs = tuple(map(len, map(pops.__getitem__, walk)))
-            errors = ranked.get(runs) or ranked.setdefault(runs, _ranked_runs(runs, tie_mode))
-        else:  # an unvalidated SEG: rank the walk's counts as given
-            errors = [counts[node] for node in walk for _ in pops[node]]
+    plan = plan or _SegPlan(seg)
+    pops = plan.populations(scores)
+    total = 0.0
+    for walk, errors in zip(plan.walks, plan.errors(tie_mode)):
         total += -spearman_rho([v for node in walk for v in pops[node]], errors, tie_mode)
-    return total / len(walks)
+    return total / len(plan.walks)
 
 
-def _node_populations(seg: SemanticErrorGraph, scores: ScoreTable) -> dict[str, list[float]]:
-    entries, sid = scores.entries, seg.id
-    try:
-        return {n.id: [entries[(sid, img)] for img in n.images] for n in seg.nodes}
-    except KeyError:
-        scores.seg_scores(seg)  # raises the CoverageError that lists every gap
-        raise
-
-
-def sep_score(seg: SemanticErrorGraph, scores: ScoreTable, pair_mode: PairMode = "per-walk") -> float:
+def sep_score(
+    seg: SemanticErrorGraph, scores: ScoreTable, pair_mode: PairMode = "per-walk", plan: _SegPlan | None = None
+) -> float:
     """Mean KS statistic over adjacent node pairs, in [0, 1]."""
-    pops = _node_populations(seg, scores)
-    pairs = adjacent_pairs(seg, pair_mode)
+    plan = plan or _SegPlan(seg)
+    pops = plan.populations(scores)
+    pairs = plan.pairs(pair_mode)
     if len(pairs) > len(pops):  # check and sort each node's sample once, not once per pair
         try:
             pops = {n: _Sorted((_check_sample(v, sort=True),)) for n, v in pops.items()}
@@ -225,10 +258,8 @@ def sep_score(seg: SemanticErrorGraph, scores: ScoreTable, pair_mode: PairMode =
 
 
 def delta_score(
-    seg: SemanticErrorGraph,
-    scores: ScoreTable,
-    global_std: float,
-    pair_mode: PairMode = "per-walk",
+    seg: SemanticErrorGraph, scores: ScoreTable, global_std: float,
+    pair_mode: PairMode = "per-walk", plan: _SegPlan | None = None,
 ) -> float:
     """Mean adjacent-node mean-score drop, in units of the metric's spread.
 
@@ -238,12 +269,13 @@ def delta_score(
     """
     if global_std < 0:
         raise ValueError("global_std must be non-negative")
-    pops = _node_populations(seg, scores)  # checks coverage even when the spread is 0
+    plan = plan or _SegPlan(seg)
+    pops = plan.populations(scores)  # checks coverage even when the spread is 0
     if global_std == 0.0:
         return 0.0
     # a constant node's mean is its value, which sum / len can miss by an ulp
     means = {n: v[0] if v.count(v[0]) == len(v) else reduce(add, v, 0.0) / len(v) for n, v in pops.items()}
-    pairs = adjacent_pairs(seg, pair_mode)
+    pairs = plan.pairs(pair_mode)
     gap = reduce(add, (means[a] - means[b] for a, b in pairs), 0.0) / len(pairs)
     return gap / global_std
 
@@ -264,41 +296,42 @@ def global_std(
         for seg_id, _ in gaps:
             by_seg[seg_id] = by_seg.get(seg_id, 0) + 1
         detail = ", ".join(f"{sid} ({n} missing)" for sid, n in sorted(by_seg.items()))
-        raise CoverageError(
-            f"metric {scores.metric_name!r} does not cover: {detail}", missing=gaps
-        )
+        raise CoverageError(f"metric {scores.metric_name!r} does not cover: {detail}", missing=gaps)
     _, std = population_moments(values)
     return std
 
 
 def evaluate_seg(
-    seg: SemanticErrorGraph,
-    scores: ScoreTable,
-    std: float,
-    tie_mode: TieMode = "midrank",
-    pair_mode: PairMode = "per-walk",
+    seg: SemanticErrorGraph, scores: ScoreTable, std: float,
+    tie_mode: TieMode = "midrank", pair_mode: PairMode = "per-walk", plan: _SegPlan | None = None,
 ) -> SegMetricResult:
-    walks, pairs = seg._walk_data  # derived once per SEG; sep_score checks pair_mode
+    plan = plan or _SegPlan(seg)
     return SegMetricResult(
         seg_id=seg.id,
         metric_name=scores.metric_name,
-        rank=rank_score(seg, scores, tie_mode),
-        sep=sep_score(seg, scores, pair_mode),
-        delta=delta_score(seg, scores, std, pair_mode),
-        walk_count=len(walks),
-        pair_count=len(pairs) if pair_mode == "per-walk" else len(set(pairs)),
+        rank=rank_score(seg, scores, tie_mode, plan),
+        sep=sep_score(seg, scores, pair_mode, plan),
+        delta=delta_score(seg, scores, std, pair_mode, plan),
+        walk_count=len(plan.walks),
+        pair_count=len(plan.pairs(pair_mode)),
     )
 
 
 def evaluate_collection(
     collection: SegCollection,
-    scores: ScoreTable,
+    scores: ScoreTable | Iterable[ScoreTable],
     tie_mode: TieMode = "midrank",
     pair_mode: PairMode = "per-walk",
 ) -> list[SegMetricResult]:
-    """One result per SEG, with the dynamic-range std taken collection-wide."""
-    std = global_std(collection, scores)
-    return [evaluate_seg(seg, scores, std, tie_mode, pair_mode) for seg in collection]
+    """One result per (metric, SEG), metric-major in sorted metric order.
+
+    Each metric's std, and so its coverage, is taken collection-wide first.
+    """
+    tables = [scores] if isinstance(scores, ScoreTable) else sorted(scores, key=attrgetter("metric_name"))
+    stds = [global_std(collection, table) for table in tables]
+    plans = map(_SegPlan, collection)  # one at a time; the k cells of each SEG are adjacent
+    cells = [evaluate_seg(p.seg, t, std, tie_mode, pair_mode, p) for p in plans for t, std in zip(tables, stds)]
+    return [r for i in range(len(tables)) for r in cells[i :: len(tables)]]
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ from typing import Callable, Iterable, Iterator, Literal, Mapping
 
 from .errors import ValidationError
 from .fileio import csv_row, write_csv, write_csv_text
-from .metametrics import AggregateReport, MeanScores, ScoreTable, SegMetricResult, _node_populations
+from .metametrics import AggregateReport, MeanScores, ScoreTable, SegMetricResult, _SegPlan
 from .seg import SegCollection, SemanticErrorGraph
 from .stats import TieMode, spearman_rho
-from .walks import enumerate_walks
+from .walks import enumerate_walks  # noqa: F401  the plan calls it; bench/tracing.py patches this name too
 
 Basis = Literal["rank", "sep"]
 
@@ -119,21 +119,21 @@ def walk_line_data(
     normalized_rank = error_count / max error count in the walk, so 0 is the
     head and 1 the walk's deepest node regardless of depth.
     """
-    pops = _node_populations(seg, scores)
-    return list(_walk_points(seg, pops, lambda xr, values: [(xr, v) for v in values]))
+    plan = _SegPlan(seg)
+    return list(_walk_points(plan, plan.populations(scores), lambda xr, values: [(xr, v) for v in values]))
 
 
 def _walk_points(
-    seg: SemanticErrorGraph, pops: Mapping[str, list], node_points: Callable[[float, list], list]
+    plan: _SegPlan, pops: Mapping[str, list], node_points: Callable[[float, list], list]
 ) -> Iterator[list]:
     """Each walk's points in walk order: ``node_points(normalized_rank, pops[node])`` per node.
 
     A node's points depend on its walk only through the walk's deepest
     error count, so they are built once per (walk depth, node).
     """
-    counts = {n.id: n.error_count for n in seg.nodes}
+    counts = plan.counts
     by_top: dict[int, dict[str, list]] = {}
-    for walk in enumerate_walks(seg):
+    for walk in plan.walks:
         top = max(map(counts.__getitem__, walk))  # > 0: counts strictly increase
         points = by_top.setdefault(top, {})
         for node in walk:
@@ -164,9 +164,10 @@ def _line_rows(collection: SegCollection, scores: ScoreTable) -> Iterator[str]:
     quoting, so the csv module renders it once per SEG.
     """
     for seg in collection:
-        texts = {node: list(map(_fmt, vals)) for node, vals in _node_populations(seg, scores).items()}
+        plan = _SegPlan(seg)
+        texts = {node: list(map(_fmt, vals)) for node, vals in plan.populations(scores).items()}
         sid = csv_row((seg.id, ""))[:-1]  # id and comma; a lone empty field would render as ""
-        for w_idx, points in enumerate(_walk_points(seg, texts, _point_texts)):
+        for w_idx, points in enumerate(_walk_points(plan, texts, _point_texts)):
             if points:  # an unvalidated SEG can have a walk without images
                 head = f"{sid}{w_idx},"
                 yield head + head.join(points)

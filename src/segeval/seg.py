@@ -100,7 +100,8 @@ class SemanticErrorGraph:
         stack = [(self.head().id,)]
         while stack:
             path = stack.pop()
-            kids = children[path[-1]]
+            if (kids := children.get(path[-1])) is None:  # an unvalidated graph's edge to an undefined node
+                raise ValidationError(f"seg {self.id}: edge references unknown node {path[-1]!r}")
             if not kids:
                 walks.append(path)
             for kid in kids:

@@ -10,7 +10,7 @@ from operator import add
 
 import pytest
 
-from segeval.errors import CoverageError, ParseError, ValidationError
+from segeval.errors import CoverageError, ParseError, SegEvalError, ValidationError
 from segeval.fileio import read_csv
 from segeval.metametrics import (
     SCORE_CSV_HEADER,
@@ -207,7 +207,7 @@ def test_rank_equals_the_per_walk_loop_on_chains(monkeypatch):
 def _outcome(rank, seg, table, tie_mode):
     try:
         return rank(seg, table, tie_mode)
-    except (KeyError, ValueError) as exc:
+    except (SegEvalError, ValueError) as exc:
         return type(exc), str(exc)
 
 
@@ -232,7 +232,23 @@ def test_rank_of_an_unvalidated_seg_equals_the_per_walk_loop():
         # a falling or flat count ranks differently from a rising one
         assert outcomes["falls", tie_mode] != outcomes["valid", tie_mode] != outcomes["equal", tie_mode]
         assert outcomes["from an unknown node", tie_mode] == outcomes["valid", tie_mode]
-        assert outcomes["to an unknown node", tie_mode] == (KeyError, "'ghost'")
+        assert outcomes["to an unknown node", tie_mode] == (ValidationError, "seg seg: edge references unknown node 'ghost'")
+
+
+def test_every_walk_reader_raises_the_validation_error_for_an_edge_to_an_unknown_node():
+    seg = make_seg([("0", 0, ["a"]), ("1", 1, ["b"])], [("0", "1"), ("1", "ghost")])
+    table = table_for(seg, [0.9, 0.1])
+    calls = {
+        "enumerate_walks": lambda: enumerate_walks(seg),
+        "rank_score": lambda: rank_score(seg, table),
+        "sep_score": lambda: sep_score(seg, table),
+        "evaluate_seg": lambda: evaluate_seg(seg, table, 0.5),
+        "evaluate_collection": lambda: evaluate_collection(collection_of(seg), [table]),
+        "walk_line_data": lambda: walk_line_data(seg, table),
+    }
+    for call in calls.values():
+        with pytest.raises(ValidationError, match=r"^seg seg: edge references unknown node 'ghost'$"):
+            call()
 
 
 def test_rank_of_a_nan_score_names_x_on_both_paths():
@@ -463,6 +479,129 @@ def test_delta_invariant_under_positive_affine_transform():
         d1 = delta_score(seg, base, global_std(col, base))
         d2 = delta_score(seg, scaled, global_std(col, scaled))
         assert d2 == pytest.approx(d1, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# evaluate_collection over every table at once
+
+
+def _draw_tables(segs, rng, names=("noisy", "b", "const", "a")):
+    """One table per name over every SEG, in unsorted name order; 'const' is one value everywhere."""
+    tables = []
+    for name in names:
+        entries = {}
+        for seg in segs:
+            entries.update(_draw_table(seg, rng).entries)
+        if name == "const":
+            entries = dict.fromkeys(entries, 0.5)
+        tables.append(ScoreTable(name, entries))
+    return tables
+
+
+def _per_metric_loop(collection, tables, tie_mode, pair_mode):
+    """The loop score ran before one pass served every table: each metric's SEGs in turn, each cell on its own."""
+    results = []
+    for table in sorted(tables, key=lambda t: t.metric_name):
+        std = global_std(collection, table)
+        results.extend(evaluate_seg(seg, table, std, tie_mode, pair_mode) for seg in collection)
+    return results
+
+
+def _assert_all_tables_equal_the_per_metric_loop(segs, monkeypatch, seed):
+    collection = collection_of(*segs)
+    tables = _draw_tables(segs, random.Random(seed))
+    calls = {name: 0 for name in ("evaluate_seg", "sep_score", "ks_statistic", "spearman_rho",
+                                  "enumerate_walks", "adjacent_pairs")}
+
+    def counting(name):
+        original = getattr(metametrics, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    walks = sum(len(enumerate_walks(seg)) for seg in collection)
+    for tie_mode in ("midrank", "countbelow"):
+        for pair_mode in ("per-walk", "unique-edge"):
+            expected = _per_metric_loop(collection, tables, tie_mode, pair_mode)
+            calls.update(dict.fromkeys(calls, 0))
+            with monkeypatch.context() as m:
+                for name in calls:
+                    m.setattr(metametrics, name, counting(name))
+                results = evaluate_collection(collection, tables, tie_mode, pair_mode)
+            assert results == expected, (tie_mode, pair_mode)
+            first = min(tables, key=lambda t: t.metric_name)  # its cells come first
+            assert [r.rank for r in results[: len(segs)]] == [reference_rank(s, first, tie_mode) for s in collection]
+            assert [r.sep for r in results[: len(segs)]] == [reference_sep(s, first, pair_mode) for s in collection]
+            pairs = sum(len(adjacent_pairs(seg, pair_mode)) for seg in collection)
+            cells = len(tables) * len(segs)
+            assert calls == {
+                "evaluate_seg": cells,
+                "sep_score": cells,
+                "ks_statistic": len(tables) * pairs,
+                "spearman_rho": len(tables) * walks,
+                "enumerate_walks": len(segs),  # one plan per SEG, shared by every metric
+                "adjacent_pairs": len(segs),
+            }, (tie_mode, pair_mode)
+
+
+def test_all_tables_equal_the_per_metric_loop_on_synth_segs(monkeypatch):
+    segs = generate_segs(SynthConfig(seed=12, seg_count=30, images_per_node=(1, 5)))
+    _assert_all_tables_equal_the_per_metric_loop(list(segs), monkeypatch, seed=13)
+
+
+def test_all_tables_equal_the_per_metric_loop_on_stacked_diamonds(monkeypatch):
+    segs = [stacked_diamond(k, seg_id=f"d{k}") for k in range(1, 7)]
+    _assert_all_tables_equal_the_per_metric_loop(segs, monkeypatch, seed=14)
+
+
+def test_all_tables_equal_the_per_metric_loop_on_chains(monkeypatch):
+    rng = random.Random(15)
+    segs = [chain_seg([k] * 3, seg_id=f"even{k}") for k in range(1, 9)]
+    segs += [chain_seg([rng.randint(1, 8) for _ in range(rng.randint(2, 6))], seg_id=f"c{i}") for i in range(12)]
+    _assert_all_tables_equal_the_per_metric_loop(segs, monkeypatch, seed=16)
+
+
+def test_one_plan_serves_every_tie_mode_and_pair_mode():
+    for seg in [stacked_diamond(3), chain_seg([2, 1, 3]), *generate_segs(SynthConfig(seed=19, seg_count=5))]:
+        (table,) = _draw_tables([seg], random.Random(20), names=("m",))
+        plan = metametrics._SegPlan(seg)
+        for tie_mode, pair_mode in [("midrank", "per-walk"), ("countbelow", "unique-edge"), ("midrank", "unique-edge")]:
+            fresh = evaluate_seg(seg, table, 0.25, tie_mode, pair_mode)
+            assert evaluate_seg(seg, table, 0.25, tie_mode, pair_mode, plan) == fresh, (seg.id, tie_mode, pair_mode)
+
+
+def test_one_table_gives_what_a_list_of_it_gives():
+    segs = [chain_seg([2, 1, 3], seg_id="x"), stacked_diamond(2, seg_id="y")]
+    (table,) = _draw_tables(segs, random.Random(17), names=("m",))
+    collection = collection_of(*segs)
+    assert evaluate_collection(collection, table) == evaluate_collection(collection, [table])
+    assert evaluate_collection(collection, table) == _per_metric_loop(collection, [table], "midrank", "per-walk")
+    assert evaluate_collection(collection, []) == []
+
+
+def test_coverage_gaps_in_two_metrics_raise_the_first_sorted_metrics_error(tmp_path, capsys):
+    segs = [chain_seg([2, 2], seg_id="s1"), chain_seg([1, 3], seg_id="s2"), chain_seg([2, 2], seg_id="s3")]
+    collection = collection_of(*segs)
+    full = _draw_tables(segs, random.Random(18), names=("zeta", "alpha", "mid"))
+    gaps = {"zeta": [("s1", "0-0.jpg")], "alpha": [("s3", "0-0.jpg"), ("s3", "1-0.jpg")]}
+    tables = [ScoreTable(t.metric_name, {k: v for k, v in t.entries.items() if k not in gaps.get(t.metric_name, ())})
+              for t in full]
+    with pytest.raises(CoverageError) as ref:
+        _per_metric_loop(collection, tables, "midrank", "per-walk")
+    with pytest.raises(CoverageError) as info:
+        evaluate_collection(collection, tables)
+    assert str(info.value) == str(ref.value) == "metric 'alpha' does not cover: s3 (2 missing)"
+    assert info.value.missing == ref.value.missing == gaps["alpha"]
+
+    write_collection(collection, tmp_path / "segs")
+    write_score_tables(tables, tmp_path / "scores.csv")
+    argv = ["score", "--segs", str(tmp_path / "segs"), "--scores", str(tmp_path / "scores.csv")]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_COVERAGE
+    assert capsys.readouterr().err == f"error: {ref.value}\n" + "".join(f"  missing: {g}\n" for g in gaps["alpha"])
 
 
 # ---------------------------------------------------------------------------
