@@ -263,6 +263,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if "" in (vars(args).get("out"), vars(args).get("scores_out")):  # Path("") would be the working directory
+            raise FileNotFoundError("'': path does not exist")
         return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

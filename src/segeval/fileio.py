@@ -128,9 +128,3 @@ def csv_row(row: Sequence) -> str:
     """``row`` as :func:`write_csv` renders it, line end included."""
     return _lf_writer(str).writerow(row)  # writerow returns what write returns
 
-
-def write_csv_text(path: str | Path, header: Sequence[str], chunks: Iterable[str]) -> None:
-    """Write ``header`` as :func:`write_csv` does, then chunks of ready CSV text."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_row(header))
-        fh.writelines(chunks)

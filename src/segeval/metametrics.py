@@ -19,7 +19,7 @@ how well the metric recovers the graph's objective structure:
 SEG's private plan (its walks, error counts and their ranks, and adjacent
 pairs) is built once, read by every metric and dropped before the next SEG.
 The per-SEG functions take it as an optional last argument and build their
-own when none is given.
+own when none is given, so each direct call enumerates the SEG's walks.
 
 Scores arrive as a CSV with header ``seg_id,image_id,metric,score`` (UTF-8,
 '.' decimal separator).  Missing scores are hard errors, never imputed.
@@ -50,23 +50,6 @@ class ScoreTable:
 
     metric_name: str
     entries: Mapping[tuple[str, str], float]
-
-    def seg_scores(self, seg: SemanticErrorGraph) -> dict[str, float]:
-        """The score of every image of ``seg``, keyed by image id.
-
-        Raises CoverageError listing every missing image.
-        """
-        entries = self.entries
-        try:
-            return {img: entries[(seg.id, img)] for img in seg.image_ids()}
-        except KeyError:
-            gaps = missing_scores([seg], self)
-        raise CoverageError(
-            f"metric {self.metric_name!r} missing {len(gaps)} score(s) on seg {seg.id}: "
-            + ", ".join(img for _, img in gaps[:10])
-            + ("..." if len(gaps) > 10 else ""),
-            missing=gaps,
-        )
 
 
 @dataclass(frozen=True)
@@ -186,10 +169,10 @@ def missing_scores(
 class _SegPlan:
     """What every metric's cells read of one SEG: its walks and error counts,
     and, derived on first use, the walks' error ranks per tie mode and the
-    adjacent pairs per pair mode.
+    adjacent pairs per pair mode.  Nothing else holds a SEG's walks.
 
     The last table's node populations are kept, so one (SEG, metric) cell
-    builds them once for rank, sep and delta.
+    builds them once for rank, sep and delta; any gap raises CoverageError.
     """
 
     def __init__(self, seg: SemanticErrorGraph) -> None:
@@ -202,8 +185,12 @@ class _SegPlan:
             try:
                 self._cell = (scores, {n.id: [entries[(sid, img)] for img in n.images] for n in self.seg.nodes})
             except KeyError:
-                scores.seg_scores(self.seg)  # raises the CoverageError that lists every gap
-                raise
+                gaps = missing_scores([self.seg], scores)
+                raise CoverageError(
+                    f"metric {scores.metric_name!r} missing {len(gaps)} score(s) on seg {sid}: "
+                    + ", ".join(img for _, img in gaps[:10]) + ("..." if len(gaps) > 10 else ""),
+                    missing=gaps,
+                ) from None
         return self._cell[1]
 
     def errors(self, tie_mode: TieMode) -> list:
@@ -223,7 +210,7 @@ class _SegPlan:
 
     def pairs(self, mode: PairMode) -> list[tuple[str, str]]:
         known = self._pairs.get(mode)
-        return self._pairs.setdefault(mode, adjacent_pairs(self.seg, mode)) if known is None else known
+        return self._pairs.setdefault(mode, adjacent_pairs(self.walks, mode)) if known is None else known
 
 
 def rank_score(

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Literal, Mapping
 
 from .errors import ValidationError
-from .fileio import csv_row, write_csv, write_csv_text
+from .fileio import csv_row, write_csv
 from .metametrics import AggregateReport, MeanScores, ScoreTable, SegMetricResult, _SegPlan
 from .seg import SegCollection, SemanticErrorGraph
 from .stats import TieMode, spearman_rho
@@ -155,22 +156,20 @@ def _round6(x: float) -> float:
     return v + 0.0  # never emit -0.0
 
 
-def _line_rows(collection: SegCollection, scores: ScoreTable) -> Iterator[str]:
-    """The lines_*.csv data rows as CSV text, one walk at a time.
+def _line_rows(plan: _SegPlan, scores: ScoreTable) -> Iterator[str]:
+    """One SEG's lines_*.csv data rows as CSV text, one walk at a time.
 
     Each score is formatted once per image and each "normalized_rank,score"
     point text once per (walk depth, node); a walk's rows are its points
     joined behind its "seg_id,walk_index," head.  Only the seg id can need
-    quoting, so the csv module renders it once per SEG.
+    quoting, so the csv module renders it once.
     """
-    for seg in collection:
-        plan = _SegPlan(seg)
-        texts = {node: list(map(_fmt, vals)) for node, vals in plan.populations(scores).items()}
-        sid = csv_row((seg.id, ""))[:-1]  # id and comma; a lone empty field would render as ""
-        for w_idx, points in enumerate(_walk_points(plan, texts, _point_texts)):
-            if points:  # an unvalidated SEG can have a walk without images
-                head = f"{sid}{w_idx},"
-                yield head + head.join(points)
+    texts = {node: list(map(_fmt, vals)) for node, vals in plan.populations(scores).items()}
+    sid = csv_row((plan.seg.id, ""))[:-1]  # id and comma; a lone empty field would render as ""
+    for w_idx, points in enumerate(_walk_points(plan, texts, _point_texts)):
+        if points:  # an unvalidated SEG can have a walk without images
+            head = f"{sid}{w_idx},"
+            yield head + head.join(points)
 
 
 def _point_texts(xr: float, score_texts: list[str]) -> list[str]:
@@ -214,7 +213,8 @@ def emit_report(
     """Write report.json, per_seg.csv, and plot-data CSVs under ``out_path``.
 
     Histograms are emitted per metric and basis; walk-line CSVs only when
-    the collection and score tables are provided.  Returns written paths.
+    the collection and score tables are provided, all of them in one pass
+    over the SEGs from one plan per SEG.  Returns written paths.
     Raises ValidationError, before writing anything, when two metric names
     map to the same plot-file name.
     """
@@ -230,9 +230,9 @@ def emit_report(
     subset_of = {seg.id: seg.subset for seg in collection} if collection else {}
     written: list[Path] = []
 
-    def write(file_name: str, header: list[str], rows: Iterable, writer=write_csv) -> None:
+    def write(file_name: str, header: list[str], rows: Iterable) -> None:
         path = out / file_name
-        writer(path, header, rows)
+        write_csv(path, header, rows)
         written.append(path)
 
     correlations = {}
@@ -274,15 +274,18 @@ def emit_report(
                 ((_fmt(lo), _fmt(hi), n) for lo, hi, n in rows),
             )
 
-    if collection is not None and score_tables:
-        for name in metric_names:
-            if name not in score_tables:
-                continue
-            write(
-                f"lines_{_safe_name(name)}.csv",
-                ["seg_id", "walk_index", "normalized_rank", "score"],
-                _line_rows(collection, score_tables[name]),
-                write_csv_text,
-            )
+    tables = {name: score_tables[name] for name in metric_names if name in (score_tables or {})}
+    if collection is not None and tables:
+        with ExitStack() as stack:
+            files = []  # (open lines_*.csv, its table), in metric order
+            for name, table in tables.items():
+                path = out / f"lines_{_safe_name(name)}.csv"
+                fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+                fh.write(csv_row(["seg_id", "walk_index", "normalized_rank", "score"]))
+                files.append((fh, table))
+                written.append(path)
+            for plan in map(_SegPlan, collection):
+                for fh, table in files:
+                    fh.writelines(_line_rows(plan, table))
 
     return written

@@ -23,7 +23,6 @@ import os
 import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -89,26 +88,6 @@ class SemanticErrorGraph:
 
     def image_ids(self) -> list[str]:
         return [img for n in self.nodes for img in n.images]
-
-    # frozen and deeply immutable, so the cache never goes stale; cached_property leaves __eq__ and
-    # __hash__ alone and caches no exception (two heads). One attribute: a second un-shares __dict__.
-    @cached_property
-    def _walk_data(self) -> tuple[tuple[tuple[str, ...], ...], tuple[tuple[str, str], ...]]:
-        """(walks, pairs): the head-to-leaf node-id tuples in lexicographic order, and their adjacent pairs."""
-        children = self.children()
-        walks: list[tuple[str, ...]] = []
-        stack = [(self.head().id,)]
-        while stack:
-            path = stack.pop()
-            if (kids := children.get(path[-1])) is None:  # an unvalidated graph's edge to an undefined node
-                raise ValidationError(f"seg {self.id}: edge references unknown node {path[-1]!r}")
-            if not kids:
-                walks.append(path)
-            for kid in kids:
-                stack.append(path + (kid,))
-        walks.sort()
-        edges: dict[tuple[str, str], tuple[str, str]] = {}  # one shared tuple per distinct edge
-        return tuple(walks), tuple(edges.setdefault(p, p) for walk in walks for p in zip(walk, walk[1:]))
 
 
 @dataclass(frozen=True)

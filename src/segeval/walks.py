@@ -7,14 +7,15 @@ along a walk, so expanding each node into its images yields the in-order
 
 Enumeration is exhaustive (SEGs are small by construction) and ordered
 lexicographically by node-id sequence so downstream reports are byte-stable.
-Each SEG object derives its walks and per-walk pairs once; every call here
-returns a fresh list of them.
+Nothing is cached on the SEG: each call returns a new list, and callers that
+read a SEG's walks twice hold them in a plan (``metametrics._SegPlan``).
 """
 
 from __future__ import annotations
 
 from typing import Literal
 
+from .errors import ValidationError
 from .seg import SemanticErrorGraph
 
 PairMode = Literal["per-walk", "unique-edge"]
@@ -24,11 +25,23 @@ PAIR_MODES = ("per-walk", "unique-edge")
 
 def enumerate_walks(seg: SemanticErrorGraph) -> list[tuple[str, ...]]:
     """Every head-to-leaf path as a node-id tuple, exactly once, in lexicographic order."""
-    return list(seg._walk_data[0])
+    children = seg.children()
+    walks: list[tuple[str, ...]] = []
+    stack = [(seg.head().id,)]
+    while stack:
+        path = stack.pop()
+        if (kids := children.get(path[-1])) is None:  # an unvalidated graph's edge to an undefined node
+            raise ValidationError(f"seg {seg.id}: edge references unknown node {path[-1]!r}")
+        if not kids:
+            walks.append(path)
+        for kid in kids:
+            stack.append(path + (kid,))
+    walks.sort()
+    return walks
 
 
-def adjacent_pairs(seg: SemanticErrorGraph, mode: PairMode = "per-walk") -> list[tuple[str, str]]:
-    """Consecutive node pairs over all walks.
+def adjacent_pairs(walks: list[tuple[str, ...]], mode: PairMode = "per-walk") -> list[tuple[str, str]]:
+    """Consecutive node pairs over ``walks``, one shared tuple per distinct edge.
 
     per-walk: a pair appears once per walk that traverses it (an edge shared
     by k walks contributes k entries).  unique-edge: deduplicated to the
@@ -36,5 +49,6 @@ def adjacent_pairs(seg: SemanticErrorGraph, mode: PairMode = "per-walk") -> list
     """
     if mode not in PAIR_MODES:
         raise ValueError(f"unknown pair mode: {mode!r}")
-    pairs = seg._walk_data[1]
-    return list(dict.fromkeys(pairs)) if mode == "unique-edge" else list(pairs)
+    edges: dict[tuple[str, str], tuple[str, str]] = {}
+    pairs = [edges.setdefault(p, p) for walk in walks for p in zip(walk, walk[1:])]
+    return list(edges) if mode == "unique-edge" else pairs

@@ -91,6 +91,32 @@ def test_empty_path_exits_6_in_a_directory_with_a_valid_seg(tmp_path, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "--segs", "{segs}", "--scores", "{scores}", "--out", ""],
+        ["synth", "--seed", "1", "--segs", "2", "--out", ""],
+        ["synth", "--seed", "1", "--segs", "2", "--out", "{synth}", "--scores-out", ""],
+        ["accumulate", "--mode", "dsg", "--questions", "{questions}", "--answers", "{answers}", "--out", ""],
+        ["pareto", "--report", "{report}", "--costs", "{costs}", "--out", ""],
+    ],
+    ids=["score-out", "synth-out", "synth-scores-out", "accumulate-out", "pareto-out"],
+)
+def test_an_empty_output_path_exits_6_and_writes_nothing(
+    workspace, qa_files, pareto_files, tmp_path, monkeypatch, capsys, argv
+):
+    _, seg_dir, scores, _ = workspace
+    (questions, answers), (report, costs) = qa_files, pareto_files
+    paths = dict(segs=seg_dir, scores=scores, synth=tmp_path / "synth", questions=questions, answers=answers,
+                 report=report, costs=costs)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_IO
+    assert capsys.readouterr().err == "error: '': path does not exist\n"
+    assert list(cwd.iterdir()) == [] and not paths["synth"].exists()
+
+
 def test_validate_and_score_reject_a_seg_id_repeated_across_files(tmp_path, capsys):
     seg_dir = tmp_path / "segs"
     seg_dir.mkdir()

@@ -315,7 +315,7 @@ def test_sep_pair_mode_changes_weighting():
 def reference_sep(seg, table, pair_mode="per-walk"):
     """The per-pair loop sep_score replaced: each pair checks and sorts both node samples."""
     pops = {n.id: [table.entries[(seg.id, img)] for img in n.images] for n in seg.nodes}
-    pairs = adjacent_pairs(seg, pair_mode)
+    pairs = adjacent_pairs(enumerate_walks(seg), pair_mode)
     return reduce(add, (ks_statistic(pops[a], pops[b]) for a, b in pairs), 0.0) / len(pairs)
 
 
@@ -337,7 +337,7 @@ def test_sep_equals_the_per_pair_loop_with_one_ks_call_per_pair(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(metametrics, "ks_statistic", counting_ks)
                 assert sep_score(seg, table, mode) == expected, (seg.id, mode)
-            assert len(calls) == len(adjacent_pairs(seg, mode))
+            assert len(calls) == len(adjacent_pairs(enumerate_walks(seg), mode))
 
 
 def _sep_error(seg, table):
@@ -358,7 +358,7 @@ def test_sep_on_a_bad_node_raises_the_per_pair_error():
     assert _sep_error(gap, table_for(gap, [0.1, 0.2])) == "y must be non-empty"
     # more pairs than nodes: the checked node samples are built, and a bad one falls back per pair
     diamonds = stacked_diamond(2)
-    assert len(adjacent_pairs(diamonds)) > len(diamonds.nodes)
+    assert len(adjacent_pairs(enumerate_walks(diamonds))) > len(diamonds.nodes)
     assert _sep_error(diamonds, table_for(diamonds, [nan, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0])) == "x contains non-finite values"
     assert _sep_error(diamonds, table_for(diamonds, [0.9, 0.5, 0.4, 0.3, inf, 0.1, 0.0])) == "y contains non-finite values"
     # a bad node in no pair (unreachable from the head) raises nothing, as in the per-pair loop
@@ -535,7 +535,7 @@ def _assert_all_tables_equal_the_per_metric_loop(segs, monkeypatch, seed):
             first = min(tables, key=lambda t: t.metric_name)  # its cells come first
             assert [r.rank for r in results[: len(segs)]] == [reference_rank(s, first, tie_mode) for s in collection]
             assert [r.sep for r in results[: len(segs)]] == [reference_sep(s, first, pair_mode) for s in collection]
-            pairs = sum(len(adjacent_pairs(seg, pair_mode)) for seg in collection)
+            pairs = sum(len(adjacent_pairs(enumerate_walks(seg), pair_mode)) for seg in collection)
             cells = len(tables) * len(segs)
             assert calls == {
                 "evaluate_seg": cells,

@@ -9,9 +9,11 @@ import json
 import pytest
 
 from segeval.errors import CoverageError, ValidationError
+from segeval import metametrics
 from segeval.metametrics import (
     ScoreTable,
     SegMetricResult,
+    _SegPlan,
     aggregate,
     evaluate_collection,
 )
@@ -25,10 +27,10 @@ from segeval.reporting import (
     walk_line_data,
 )
 from segeval.seg import SegCollection
-from segeval.synth import SynthConfig, generate_segs, oracle_scores
+from segeval.synth import ORACLE_KINDS, SynthConfig, generate_segs, oracle_scores
 from segeval.walks import enumerate_walks
 
-from conftest import chain_seg, make_seg, stacked_diamond, table_for
+from conftest import chain_seg, collection_of, make_seg, stacked_diamond, table_for
 
 
 def result(metric, seg_id, rank, sep=0.5, delta=0.0):
@@ -324,7 +326,7 @@ def test_line_rows_match_the_point_by_point_rendering(seed):
     for collection in (synth, SegCollection(tuple(diamonds))):
         for kind in ("perfect", "noisy", "constant"):
             table = oracle_scores(collection, kind, seed=seed)
-            rows = list(_line_rows(collection, table))
+            rows = [row for seg in collection for row in _line_rows(_SegPlan(seg), table)]
             assert rows == list(reference_line_rows(collection, table)), kind
 
 
@@ -333,4 +335,30 @@ def test_line_rows_skip_a_walk_without_images():
         nodes=[("0", 0, []), ("1", 1, []), ("2", 1, ["b"])], edges=[("0", "1"), ("0", "2")], seg_id="s"
     )
     table = ScoreTable(metric_name="m", entries={("s", "b"): 0.5})
-    assert "".join(_line_rows(SegCollection((seg,)), table)) == "s,1,1,0.5\n"
+    assert "".join(_line_rows(_SegPlan(seg), table)) == "s,1,1,0.5\n"
+
+
+def test_emission_builds_one_plan_per_seg_for_every_lines_file(tmp_path, monkeypatch):
+    diamonds = (stacked_diamond(k, seg_id=f"d{k}") for k in range(1, 7))
+    collection = collection_of(*generate_segs(SynthConfig(seed=31, seg_count=30)), *diamonds)
+    tables = {kind: oracle_scores(collection, kind, seed=31) for kind in ORACLE_KINDS}
+    calls = []
+
+    def counting_enumerate_walks(seg):
+        calls.append(seg.id)
+        return enumerate_walks(seg)
+
+    for tie_mode in ("midrank", "countbelow"):
+        results = evaluate_collection(collection, tables.values(), tie_mode)
+        report = aggregate(results, collection)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(metametrics, "enumerate_walks", counting_enumerate_walks)
+            emit_report(report, results, tmp_path / tie_mode, collection, tables, tie_mode)
+        assert calls == [seg.id for seg in collection], tie_mode
+        for name, table in tables.items():
+            alone = [r for r in results if r.metric_name == name]
+            out = tmp_path / f"{tie_mode}_{name}"
+            emit_report(aggregate(alone, collection), alone, out, collection, {name: table}, tie_mode)
+            lines = f"lines_{name}.csv"
+            assert (tmp_path / tie_mode / lines).read_bytes() == (out / lines).read_bytes(), (tie_mode, name)
