@@ -132,16 +132,7 @@ def _print_table(report, raw: bool) -> None:
             if subset in agg.by_subset:
                 scopes.append((subset.capitalize(), agg.by_subset[subset]))
         for scope, ms in scopes:
-            rows.append(
-                (
-                    name,
-                    scope,
-                    f"{ms.rank * scale:.2f}",
-                    f"{ms.sep * scale:.2f}",
-                    f"{ms.delta * scale:.2f}",
-                    str(ms.seg_count),
-                )
-            )
+            rows.append((name, scope, *(f"{v * scale:.2f}" for v in (ms.rank, ms.sep, ms.delta)), str(ms.seg_count)))
     widths = [max(len(row[i]) for row in rows) for i in range(6)]
     for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())

@@ -17,11 +17,10 @@ A top-level array of those objects covers several metrics in one file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from operator import add, attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ParseError, ValidationError
 from .fileio import NUMBER, fields, read_json
@@ -29,8 +28,7 @@ from .fileio import NUMBER, fields, read_json
 FLOPS_PER_PARAM_PASS = 2.0
 
 
-@dataclass(frozen=True)
-class CostStage:
+class CostStage(NamedTuple):
     calls: int
     tokens_per_call: int
     model_params: float
@@ -44,8 +42,7 @@ class CostStage:
             raise ValueError(f"model_params must be positive and finite, got {self.model_params}")
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(NamedTuple):
     metric_name: str
     stages: tuple[CostStage, ...]
 
@@ -56,8 +53,7 @@ class CostModel:
             stage.validate()
 
 
-@dataclass(frozen=True)
-class QualityCostPoint:
+class QualityCostPoint(NamedTuple):
     metric_name: str
     quality: float
     cost_flops: float
@@ -134,11 +130,6 @@ def pareto_frontier(points: Iterable[QualityCostPoint]) -> list[QualityCostPoint
         group = by_cost[cost]
         group_max = max(p.quality for p in group)
         if group_max > best_quality:
-            frontier.extend(
-                sorted(
-                    (p for p in group if p.quality == group_max),
-                    key=lambda p: p.metric_name,
-                )
-            )
+            frontier.extend(sorted((p for p in group if p.quality == group_max), key=attrgetter("metric_name")))
             best_quality = group_max
     return frontier

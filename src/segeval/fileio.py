@@ -25,6 +25,13 @@ def not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"not valid UTF-8: {exc.reason} (byte {exc.object[exc.start]:#04x})", source=str(path))
 
 
+def nonempty_path(path: str | Path) -> Path:
+    """``path`` as a Path; an empty one is missing, not the working directory ``Path("")`` names."""
+    if path == "":
+        raise FileNotFoundError("'': path does not exist")
+    return Path(path)
+
+
 def read_json(path: str | Path):
     """The decoded contents of a UTF-8 JSON file; a leading byte-order mark is skipped."""
     with open(path, "rb", buffering=0) as fh:  # one read, and no buffer or text layer per file

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from collections import Counter
 from functools import reduce
 from operator import add, attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import CoverageError, ParseError, ValidationError
 from .fileio import read_csv
@@ -44,16 +44,14 @@ from .walks import PairMode, adjacent_pairs, enumerate_walks
 SCORE_CSV_HEADER = ["seg_id", "image_id", "metric", "score"]
 
 
-@dataclass(frozen=True)
-class ScoreTable:
+class ScoreTable(NamedTuple):
     """One metric's scores keyed by (seg_id, image_id)."""
 
     metric_name: str
     entries: Mapping[tuple[str, str], float]
 
 
-@dataclass(frozen=True)
-class SegMetricResult:
+class SegMetricResult(NamedTuple):
     seg_id: str
     metric_name: str
     rank: float
@@ -63,27 +61,33 @@ class SegMetricResult:
     pair_count: int
 
 
-@dataclass(frozen=True)
-class MeanScores:
+class MeanScores(NamedTuple):
     rank: float
     sep: float
     delta: float
     seg_count: int
 
 
-@dataclass(frozen=True)
-class MetricAggregate:
+class MetricAggregate(NamedTuple):
     metric_name: str
     overall: MeanScores
     by_subset: dict[str, MeanScores]
     missing_segs: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class AggregateReport:
+class _AggregateFields(NamedTuple):
     metrics: dict[str, MetricAggregate]
     seg_count: int
-    subset_counts: dict[str, int] = field(default_factory=dict)
+    subset_counts: dict[str, int]
+
+
+class AggregateReport(_AggregateFields):
+    """The aggregates of every metric; each report gets its own default ``subset_counts``."""
+
+    __slots__ = ()
+
+    def __new__(cls, metrics: dict[str, MetricAggregate], seg_count: int, subset_counts: dict[str, int] | None = None):
+        return super().__new__(cls, metrics, seg_count, {} if subset_counts is None else subset_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +158,7 @@ def missing_scores(
     collection: SegCollection | Iterable[SemanticErrorGraph], table: ScoreTable
 ) -> list[tuple[str, str]]:
     """(seg_id, image_id) pairs the table fails to cover, in collection order."""
-    missing = []
-    for seg in collection:
-        for img in seg.image_ids():
-            if (seg.id, img) not in table.entries:
-                missing.append((seg.id, img))
-    return missing
+    return [(seg.id, img) for seg in collection for img in seg.image_ids() if (seg.id, img) not in table.entries]
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +278,7 @@ def global_std(
         except KeyError:
             gaps.extend(missing_scores([seg], scores))
     if gaps:
-        by_seg: dict[str, int] = {}
-        for seg_id, _ in gaps:
-            by_seg[seg_id] = by_seg.get(seg_id, 0) + 1
+        by_seg = Counter(seg_id for seg_id, _ in gaps)
         detail = ", ".join(f"{sid} ({n} missing)" for sid, n in sorted(by_seg.items()))
         raise CoverageError(f"metric {scores.metric_name!r} does not cover: {detail}", missing=gaps)
     _, std = population_moments(values)
@@ -367,12 +364,5 @@ def aggregate(
             sub = [r for r in rs if subset_of[r.seg_id] == subset]
             if sub:
                 by_subset[subset] = _mean_scores(sub)
-        metrics[name] = MetricAggregate(
-            metric_name=name,
-            overall=_mean_scores(rs),
-            by_subset=by_subset,
-            missing_segs=missing,
-        )
-    return AggregateReport(
-        metrics=metrics, seg_count=len(collection), subset_counts=subset_counts
-    )
+        metrics[name] = MetricAggregate(name, _mean_scores(rs), by_subset, missing)
+    return AggregateReport(metrics, len(collection), subset_counts)

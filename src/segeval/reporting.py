@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import re
 from contextlib import ExitStack
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Literal, Mapping
+from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple
 
 from .errors import ValidationError
-from .fileio import csv_row, write_csv
+from .fileio import csv_row, nonempty_path, write_csv
 from .metametrics import AggregateReport, MeanScores, ScoreTable, SegMetricResult, _SegPlan
 from .seg import SegCollection, SemanticErrorGraph
 from .stats import TieMode, spearman_rho
@@ -30,8 +29,7 @@ BASIS_RANGES: dict[str, tuple[float, float]] = {"rank": (-1.0, 1.0), "sep": (0.0
 PER_SEG_CSV_HEADER = ["metric", "seg_id", "subset", "rank", "sep", "delta", "walks", "pairs"]
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(NamedTuple):
     metric_names: tuple[str, ...]
     values: tuple[tuple[float, ...], ...]
     basis: str
@@ -78,11 +76,7 @@ def metric_correlation_matrix(
         mat[i][i] = 0.0 if constant else 1.0
         for j in range(i + 1, k):
             mat[i][j] = mat[j][i] = spearman_rho(xi, vectors[names[j]], tie_mode)
-    return CorrelationMatrix(
-        metric_names=names,
-        values=tuple(tuple(row) for row in mat),
-        basis=basis,
-    )
+    return CorrelationMatrix(names, tuple(map(tuple, mat)), basis)
 
 
 def histogram_data(
@@ -215,8 +209,9 @@ def emit_report(
     Histograms are emitted per metric and basis; walk-line CSVs only when
     the collection and score tables are provided, all of them in one pass
     over the SEGs from one plan per SEG.  Returns written paths.
-    Raises ValidationError, before writing anything, when two metric names
-    map to the same plot-file name.
+    Raises, before writing anything, ValidationError when two metric names
+    map to the same plot-file name or a score table is keyed by another
+    name than its metric's, and FileNotFoundError on an empty ``out_path``.
     """
     results = sorted(per_seg_results, key=lambda r: (r.metric_name, r.seg_id))
     metric_names = sorted({r.metric_name for r in results})
@@ -225,7 +220,10 @@ def emit_report(
         other = metric_of_file.setdefault(_safe_name(name), name)
         if other != name:
             raise ValidationError(f"metrics {other!r} and {name!r} both map to plot-file name {_safe_name(name)!r}")
-    out = Path(out_path)
+    for key, table in (score_tables or {}).items():
+        if key != table.metric_name:
+            raise ValidationError(f"score table {key!r} holds metric {table.metric_name!r}")
+    out = nonempty_path(out_path)
     out.mkdir(parents=True, exist_ok=True)
     subset_of = {seg.id: seg.subset for seg in collection} if collection else {}
     written: list[Path] = []

@@ -22,7 +22,6 @@ embeddings are text files with one ``id v1 v2 ...`` record per line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add, mul
 from pathlib import Path
@@ -40,24 +39,33 @@ ACCUMULATION_MODES = ("tifa", "dsg")
 ANSWER_CSV_HEADER = ["seg_id", "image_id", "question_id", "answer"]
 
 
-@dataclass(frozen=True)
-class Question:
+class Question(NamedTuple):
     id: str
     parent_ids: tuple[str, ...]
     expected_answer: str
 
 
-@dataclass(frozen=True)
-class QuestionGraph:
+class QuestionGraph(NamedTuple):
     prompt_id: str
     questions: tuple[Question, ...]
 
 
-@dataclass(frozen=True)
 class AnswerTable:
-    """Answers keyed by (seg_id, image_id, question_id)."""
+    """Answers keyed by (seg_id, image_id, question_id), grouped per image on first use."""
 
-    entries: Mapping[tuple[str, str, str], str]
+    def __init__(self, entries: Mapping[tuple[str, str, str], str]) -> None:
+        self.__dict__["entries"] = entries
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"AnswerTable(entries={self.entries!r})"
+
+    def __eq__(self, other: object) -> bool:
+        return self.entries == other.entries if other.__class__ is self.__class__ else NotImplemented
 
     @cached_property
     def _by_image(self) -> dict[tuple[str, str], dict[str, str]]:
@@ -180,10 +188,7 @@ def _accumulate(qg: QuestionGraph, plan: _Plan, answers: Mapping[str, str]) -> f
             "missing answer(s) for question id(s): " + ", ".join(missing), missing=missing
         )
     if not plan.gated:
-        correct = 0
-        for qid, expected in plan.expected.items():
-            if _normalize_answer(answers[qid]) == expected:
-                correct += 1
+        correct = sum(_normalize_answer(answers[qid]) == expected for qid, expected in plan.expected.items())
         return correct / len(plan.expected)
     if plan.steps is None:
         raise _cycle_error(qg, "<data>")
@@ -266,8 +271,7 @@ def accumulate_scores(
 # embedding correlation
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
+class EmbeddingVector(NamedTuple):
     values: tuple[float, ...]
 
     def norm(self) -> float:

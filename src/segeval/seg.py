@@ -22,11 +22,11 @@ import json
 import os
 import warnings
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
-from .fileio import fields, read_json, str_list
+from .fileio import fields, nonempty_path, read_json, str_list
 
 SUBSETS = ("synth", "nat", "real")
 
@@ -41,8 +41,7 @@ IMAGE_COUNT_RANGE = (4, 76)
 _MAX_WALKS = 2**16
 
 
-@dataclass(frozen=True)
-class ErrorNode:
+class ErrorNode(NamedTuple):
     """A set of images sharing the same accumulated error count."""
 
     id: str
@@ -50,8 +49,7 @@ class ErrorNode:
     images: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ErrorEdge:
+class ErrorEdge(NamedTuple):
     """A parent->child step adding ``weight`` errors (one per label, min 1)."""
 
     src: str
@@ -64,8 +62,7 @@ class ErrorEdge:
         return max(1, len(error_labels))
 
 
-@dataclass(frozen=True)
-class SemanticErrorGraph:
+class SemanticErrorGraph(NamedTuple):
     id: str
     prompt: str
     subset: str
@@ -90,11 +87,25 @@ class SemanticErrorGraph:
         return [img for n in self.nodes for img in n.images]
 
 
-@dataclass(frozen=True)
 class SegCollection:
-    """An id-sorted set of validated SEGs."""
+    """An id-sorted set of validated SEGs; iterating it walks the SEGs."""
 
-    segs: tuple[SemanticErrorGraph, ...]
+    def __init__(self, segs: tuple[SemanticErrorGraph, ...]) -> None:
+        self.__dict__["segs"] = segs
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"SegCollection(segs={self.segs!r})"
+
+    def __eq__(self, other: object) -> bool:
+        return self.segs == other.segs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.segs,))
 
     def __iter__(self):
         return iter(self.segs)
@@ -110,11 +121,21 @@ class SegCollection:
         return SegCollection(tuple(s for s in self.segs if s.subset == subset))
 
 
-@dataclass
 class ValidationReport:
-    seg_id: str
-    violations: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    """A SEG's violations and lint warnings, collected into lists."""
+
+    def __init__(self, seg_id: str, violations: list[str] | None = None, warnings: list[str] | None = None) -> None:
+        self.seg_id = seg_id
+        self.violations = [] if violations is None else violations
+        self.warnings = [] if warnings is None else warnings
+
+    def __repr__(self) -> str:
+        return f"ValidationReport(seg_id={self.seg_id!r}, violations={self.violations!r}, warnings={self.warnings!r})"
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    __hash__ = None  # its lists are filled in place
 
     @property
     def ok(self) -> bool:
@@ -346,9 +367,7 @@ def write_seg_file(seg: SemanticErrorGraph, path: str | Path) -> None:
 
 def seg_paths(path: str | Path) -> list[Path]:
     """SEG files under ``path``: the file itself, or dir/*.json sorted."""
-    if path == "":  # Path("") would be the working directory
-        raise FileNotFoundError("'': path does not exist")
-    path = Path(path)
+    path = nonempty_path(path)
     if path.is_file():
         return [path]
     if path.is_dir():

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ValidationError
+from .fileio import nonempty_path
 from .metametrics import ScoreTable
 from .seg import (
     ERROR_LABELS,
@@ -34,8 +35,7 @@ NODE_RANGE_LIMIT = (2, 12)
 IMAGE_RANGE_LIMIT = (1, 8)
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(NamedTuple):
     seed: int
     seg_count: int = 10
     nodes_per_seg: tuple[int, int] = (3, 7)
@@ -154,7 +154,7 @@ def generate_segs(config: SynthConfig) -> SegCollection:
 
 
 def write_collection(collection: SegCollection, out_dir: str | Path) -> list[Path]:
-    out_dir = Path(out_dir)
+    out_dir = nonempty_path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for seg in collection:

@@ -362,3 +362,26 @@ def test_emission_builds_one_plan_per_seg_for_every_lines_file(tmp_path, monkeyp
             emit_report(aggregate(alone, collection), alone, out, collection, {name: table}, tie_mode)
             lines = f"lines_{name}.csv"
             assert (tmp_path / tie_mode / lines).read_bytes() == (out / lines).read_bytes(), (tie_mode, name)
+
+
+def test_a_score_table_keyed_by_another_name_is_rejected_before_writing(tmp_path):
+    collection = generate_segs(SynthConfig(seed=5, seg_count=3))
+    perfect = oracle_scores(collection, "perfect")
+    results = evaluate_collection(collection, perfect)
+    report = aggregate(results, collection)
+    out = tmp_path / "report"
+    with pytest.raises(ValidationError, match="score table 'p' holds metric 'perfect'"):
+        emit_report(report, results, out, collection=collection, score_tables={"p": perfect})
+    assert not out.exists()
+    written = emit_report(report, results, out, collection=collection, score_tables={"perfect": perfect})
+    assert out / "lines_perfect.csv" in written
+
+
+def test_an_empty_output_path_writes_nothing_in_the_working_directory(tmp_path, monkeypatch):
+    collection = generate_segs(SynthConfig(seed=5, seg_count=3))
+    tables = {"perfect": oracle_scores(collection, "perfect")}
+    results = evaluate_collection(collection, tables.values())
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError, match="'': path does not exist"):
+        emit_report(aggregate(results, collection), results, "", collection=collection, score_tables=tables)
+    assert list(tmp_path.iterdir()) == []

@@ -129,3 +129,10 @@ def test_noise_degrades_rank_monotonically():
     r0, r_small, r_large = mean_rank(0.0), mean_rank(0.05), mean_rank(0.5)
     assert r0 == 1.0
     assert r0 >= r_small > r_large
+
+
+def test_write_collection_to_an_empty_path_writes_nothing_in_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError, match="'': path does not exist"):
+        write_collection(generate_segs(SynthConfig(seed=2, seg_count=3)), "")
+    assert list(tmp_path.iterdir()) == []
