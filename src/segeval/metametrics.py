@@ -75,19 +75,10 @@ class MetricAggregate(NamedTuple):
     missing_segs: tuple[str, ...] = ()
 
 
-class _AggregateFields(NamedTuple):
+class AggregateReport(NamedTuple):
     metrics: dict[str, MetricAggregate]
     seg_count: int
     subset_counts: dict[str, int]
-
-
-class AggregateReport(_AggregateFields):
-    """The aggregates of every metric; each report gets its own default ``subset_counts``."""
-
-    __slots__ = ()
-
-    def __new__(cls, metrics: dict[str, MetricAggregate], seg_count: int, subset_counts: dict[str, int] | None = None):
-        return super().__new__(cls, metrics, seg_count, {} if subset_counts is None else subset_counts)
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,8 @@ def walk_line_data(
     """Per-walk (normalized_rank, score) series, one point per image.
 
     normalized_rank = error_count / max error count in the walk, so 0 is the
-    head and 1 the walk's deepest node regardless of depth.
+    head and 1 the walk's deepest node regardless of depth; on a walk whose
+    max is 0 (only an unvalidated SEG has one) every point gets 0.0.
     """
     plan = _SegPlan(seg)
     return list(_walk_points(plan, plan.populations(scores), lambda xr, values: [(xr, v) for v in values]))
@@ -129,11 +130,11 @@ def _walk_points(
     counts = plan.counts
     by_top: dict[int, dict[str, list]] = {}
     for walk in plan.walks:
-        top = max(map(counts.__getitem__, walk))  # > 0: counts strictly increase
+        top = max(map(counts.__getitem__, walk))  # > 0 on a valid SEG: counts strictly increase
         points = by_top.setdefault(top, {})
         for node in walk:
             if node not in points:
-                points[node] = node_points(counts[node] / top, pops[node])
+                points[node] = node_points(counts[node] / top if top else 0.0, pops[node])
         yield [p for node in walk for p in points[node]]
 
 

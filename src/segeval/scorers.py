@@ -164,40 +164,36 @@ class _Plan(NamedTuple):
     """What scoring one image against a question graph needs, derived once per graph."""
 
     expected: dict[str, str]  # question id -> normalized expected answer
-    gated: bool
-    # dsg only: (id, normalized expected answer, parent ids), each parent
-    # before its children; None in tifa mode or when the graph has a cycle
+    # (id, normalized expected answer, parent ids) in gating order; tifa is
+    # every distinct id with no parents; None when a dsg graph has a cycle
     steps: tuple[tuple[str, str, tuple[str, ...]], ...] | None
+    total: int  # tifa: distinct ids; dsg: every question (differs only if an API-built graph repeats an id)
 
 
 def _plan(qg: QuestionGraph, gated: bool) -> _Plan:
     expected = {q.id: _normalize_answer(q.expected_answer) for q in qg.questions}
     if not gated:
-        return _Plan(expected, False, None)
+        return _Plan(expected, tuple((qid, exp, ()) for qid, exp in expected.items()), len(expected))
     parents = {q.id: q.parent_ids for q in qg.questions}
     order = _gating_order(qg)
     steps = None if order is None else tuple((qid, expected[qid], parents[qid]) for qid in order)
-    return _Plan(expected, True, steps)
+    return _Plan(expected, steps, len(qg.questions))
 
 
 def _accumulate(qg: QuestionGraph, plan: _Plan, answers: Mapping[str, str]) -> float:
-    """The share of questions answered correctly (and, gated, with every parent satisfied)."""
+    """The share of questions answered correctly with every parent satisfied (tifa: no parents)."""
     if not answers.keys() >= plan.expected.keys():
         missing = sorted(q.id for q in qg.questions if q.id not in answers)
         raise CoverageError(
             "missing answer(s) for question id(s): " + ", ".join(missing), missing=missing
         )
-    if not plan.gated:
-        correct = sum(_normalize_answer(answers[qid]) == expected for qid, expected in plan.expected.items())
-        return correct / len(plan.expected)
     if plan.steps is None:
         raise _cycle_error(qg, "<data>")
     satisfied: set[str] = set()
     for qid, expected, parents in plan.steps:
         if _normalize_answer(answers[qid]) == expected and satisfied.issuperset(parents):
             satisfied.add(qid)
-    # not len(plan.expected): the two differ only on an API-built graph that repeats an id
-    return len(satisfied) / len(qg.questions)
+    return len(satisfied) / plan.total
 
 
 def tifa_accumulate(qg: QuestionGraph, answers: Mapping[str, str]) -> float:

@@ -75,6 +75,15 @@ def test_validate_malformed_json(tmp_path, capsys):
     assert main(["validate", str(tmp_path)]) == EXIT_PARSE
 
 
+def test_a_seg_file_holding_an_array_exits_3(tmp_path, capsys):
+    (tmp_path / "x.json").write_text('[{"id": "s"}]')
+    assert main(["validate", str(tmp_path)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"PARSE ERROR {tmp_path / 'x.json'}: top-level value must be an object\n"
+    code = main(["score", "--segs", str(tmp_path), "--scores", "scores.csv", "--out", str(tmp_path / "r")])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {tmp_path / 'x.json'}: top-level value must be an object\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["validate", ""], ["validate", "0000.json", ""], ["score", "--segs", "", "--scores", "scores.csv", "--out", "out"]],
@@ -250,6 +259,25 @@ def test_score_subset_filter(workspace, capsys):
     assert report["seg_count"] == n_synth
 
 
+def test_score_subset_without_segs_exits_4(tmp_path, capsys):
+    seg = chain_seg([2, 2], seg_id="s", subset="synth")
+    write_seg_file(seg, tmp_path / "s.json")
+    write_score_tables([table_for(seg, [1.0, 0.9, 0.1, 0.0])], tmp_path / "scores.csv")
+    argv = ["score", "--segs", str(tmp_path / "s.json"), "--scores", str(tmp_path / "scores.csv")]
+    assert main([*argv, "--subset", "nat", "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: no SEGs in subset 'nat'\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_score_header_only_score_csv_exits_3(workspace, capsys):
+    tmp_path, seg_dir, scores, _ = workspace
+    scores.write_text("seg_id,image_id,metric,score\n")
+    code = main(["score", "--segs", str(seg_dir), "--scores", str(scores), "--out", str(tmp_path / "r")])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {scores}: no score rows\n"
+    assert not (tmp_path / "r").exists()
+
+
 def test_score_coverage_gap_lists_missing(workspace, capsys):
     tmp_path, seg_dir, scores, collection = workspace
     # drop one image's scores
@@ -260,6 +288,20 @@ def test_score_coverage_gap_lists_missing(workspace, capsys):
     code = main(["score", "--segs", str(seg_dir), "--scores", str(scores), "--out", str(out_dir)])
     assert code == EXIT_COVERAGE
     assert "missing" in capsys.readouterr().err
+
+
+def test_score_coverage_gap_of_more_than_20_images_lists_20_and_counts_the_rest(workspace, capsys):
+    tmp_path, seg_dir, scores, collection = workspace
+    lines = scores.read_text().splitlines()
+    kept = [lines[0], next(line for line in lines if line.split(",")[2] == "perfect")]
+    scores.write_text("\n".join(kept) + "\n")  # one image of the whole collection is scored
+    code = main(["score", "--segs", str(seg_dir), "--scores", str(scores), "--out", str(tmp_path / "r")])
+    assert code == EXIT_COVERAGE
+    err = capsys.readouterr().err.splitlines()
+    gaps = sum(len(seg.image_ids()) for seg in collection) - 1
+    assert gaps > 20
+    assert [line.startswith("  missing: ") for line in err[1:]] == [True] * 20 + [False]
+    assert err[-1] == f"  ... and {gaps - 20} more"
 
 
 def test_score_unknown_metric_flag(workspace, capsys):
@@ -344,6 +386,17 @@ def test_accumulate_missing_answers(qa_files, tmp_path, capsys):
     answers.write_text("seg_id,image_id,question_id,answer\n0001,i1,q1,yes\n")
     code = main(["accumulate", "--mode", "dsg", "--questions", str(questions), "--answers", str(answers), "--out", str(tmp_path / "o.csv")])
     assert code == EXIT_COVERAGE
+
+
+def test_accumulate_seg_matching_no_graph_exits_5(qa_files, tmp_path, capsys):
+    questions, answers = qa_files
+    graph = json.loads(questions.read_text())
+    questions.write_text(json.dumps([{**graph, "prompt_id": "0002"}, {**graph, "prompt_id": "0003"}]))
+    out = tmp_path / "o.csv"
+    code = main(["accumulate", "--mode", "tifa", "--questions", str(questions), "--answers", str(answers), "--out", str(out)])
+    assert code == EXIT_COVERAGE
+    assert capsys.readouterr().err == "error: no question graph with prompt_id '0001' for seg '0001'\n"
+    assert not out.exists()
 
 
 def test_accumulate_cyclic_questions(tmp_path):
@@ -436,6 +489,16 @@ def test_pareto_missing_cost_model_names_metric(pareto_files, tmp_path, capsys):
     assert code == EXIT_COVERAGE
     err = capsys.readouterr().err
     assert "vqa-flat" in err and "vqa-gated" in err
+
+
+def test_pareto_basis_missing_from_the_report_exits_3(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"metrics": {"solo": {"overall": {"rank": 0.5, "delta": 0.5}}}}))
+    out = tmp_path / "f.csv"
+    code = main(["pareto", "--report", str(report), "--costs", str(report), "--basis", "sep", "--out", str(out)])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {report}: metric 'solo' has no overall 'sep' value\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

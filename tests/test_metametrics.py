@@ -665,6 +665,13 @@ def test_aggregate_rejects_duplicate_cell():
         aggregate([r, r], col)
 
 
+def test_aggregate_rejects_a_result_for_an_unknown_seg():
+    seg, other = chain_seg([1, 1]), chain_seg([1, 1], seg_id="other")
+    r = evaluate_seg(other, table_for(other, [1.0, 0.0]), 0.5)
+    with pytest.raises(ValidationError, match="^result references unknown seg 'other'$"):
+        aggregate([r], collection_of(seg))
+
+
 def test_aggregate_means_are_a_left_fold():
     # 0.1 added ten times from the left is 0.9999999999999999; the builtin
     # sum() compensates rounding from Python 3.12 on and would give 1.0

@@ -79,7 +79,7 @@ RECORDS = [
         MetricAggregate("m", MEANS, {"synth": MEANS}, ("t",)), "by_subset", id="MetricAggregate",
     ),
     pytest.param(
-        AggregateReport({}, 0), "AggregateReport(metrics={}, seg_count=0, subset_counts={})",
+        AggregateReport({}, 0, {}), "AggregateReport(metrics={}, seg_count=0, subset_counts={})",
         AggregateReport({}, 0, {"nat": 0}), "subset_counts", id="AggregateReport",
     ),
     pytest.param(
@@ -182,12 +182,13 @@ def test_keyword_construction_and_defaults():
     assert (report.violations, report.warnings, report.ok) == ([], [], True)
 
 
-def test_default_containers_are_not_shared():
-    first, second = AggregateReport(metrics={}, seg_count=0), AggregateReport(metrics={}, seg_count=0)
-    assert first.subset_counts == {} and first.subset_counts is not second.subset_counts
-    first.subset_counts["synth"] = 1
-    assert second.subset_counts == {} and AggregateReport({}, 0).subset_counts == {}
+def test_an_aggregate_report_requires_its_subset_counts():
+    with pytest.raises(TypeError):
+        AggregateReport({}, 0)
+    assert AggregateReport(metrics={}, seg_count=0, subset_counts={"nat": 1}).subset_counts == {"nat": 1}
 
+
+def test_default_containers_are_not_shared():
     one, two = ValidationReport("a"), ValidationReport("b")
     one.violations.append("bad")
     one.warnings.append("odd")

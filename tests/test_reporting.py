@@ -338,6 +338,16 @@ def test_line_rows_skip_a_walk_without_images():
     assert "".join(_line_rows(_SegPlan(seg), table)) == "s,1,1,0.5\n"
 
 
+def test_a_walk_whose_largest_error_count_is_zero_is_drawn_at_rank_zero(tmp_path):
+    # an unvalidated SEG: both nodes of the walk 0 -> 1 have error count 0
+    seg = make_seg(nodes=[("0", 0, ["a"]), ("1", 0, ["b", "c"])], edges=[("0", "1")], seg_id="s")
+    table = ScoreTable(metric_name="m", entries={("s", "a"): 0.9, ("s", "b"): 0.4, ("s", "c"): 0.1})
+    assert walk_line_data(seg, table) == [[(0.0, 0.9), (0.0, 0.4), (0.0, 0.1)]]
+    assert_lines_match_walk_line_data(tmp_path, SegCollection((seg,)), {"m": table})
+    rows = (tmp_path / "lines_m.csv").read_text(encoding="utf-8")
+    assert rows == "seg_id,walk_index,normalized_rank,score\ns,0,0,0.9\ns,0,0,0.4\ns,0,0,0.1\n"
+
+
 def test_emission_builds_one_plan_per_seg_for_every_lines_file(tmp_path, monkeypatch):
     diamonds = (stacked_diamond(k, seg_id=f"d{k}") for k in range(1, 7))
     collection = collection_of(*generate_segs(SynthConfig(seed=31, seg_count=30)), *diamonds)

@@ -475,6 +475,25 @@ def test_multi_graph_plans_match_the_per_image_reference(mode):
         assert accumulate_scores(graphs, answers, mode).entries == reference_scores(graphs, answers, mode)
 
 
+def test_tifa_equals_the_flat_oracle_on_random_graphs():
+    rng = random.Random(43)
+    for _ in range(100):
+        qg = random_question_graph(rng, "p")
+        answers = {q.id: rng.choice(ANSWER_VARIANTS) for q in qg.questions}
+        assert tifa_accumulate(qg, answers) == oracle_tifa(qg, answers)
+
+
+def test_api_built_graph_repeating_an_id_divides_tifa_by_distinct_ids_and_dsg_by_every_question():
+    # the last of a repeated id's expected answers is the one checked
+    qg = qgraph(("q1", [], "yes"), ("q2", ["q1"], "yes"), ("q1", [], "no"))
+    answers = {"q1": "no", "q2": "yes"}
+    assert tifa_accumulate(qg, answers) == 1.0  # 2 of the 2 distinct ids
+    assert dsg_accumulate(qg, answers) == 2 / 3  # 2 of the 3 questions
+    table = AnswerTable(entries={("s", "i", qid): ans for qid, ans in answers.items()})
+    assert accumulate_scores([qg], table, "tifa").entries == {("s", "i"): 1.0}
+    assert accumulate_scores([qg], table, "dsg").entries == {("s", "i"): 2 / 3}
+
+
 def test_answers_differing_only_in_whitespace_or_case_score_alike():
     qg = qgraph(("q1", [], " Yes"), ("q2", ["q1"], "BLUE "), ("q3", ["q2"], "no"))
     entries = {}
