@@ -141,12 +141,10 @@ def _print_table(report, raw: bool) -> None:
 def cmd_score(args: argparse.Namespace) -> int:
     collection = load_segs(args.segs).filter_subset(args.subset)
     if not len(collection):
-        print(f"error: no SEGs{f' in subset {args.subset!r}' if args.subset else ''}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValidationError(f"no SEGs{f' in subset {args.subset!r}' if args.subset else ''}")
     tables = load_score_tables(args.scores)
     if not tables:
-        print(f"error: {args.scores}: no score rows", file=sys.stderr)
-        return EXIT_PARSE
+        raise ParseError("no score rows", source=args.scores)
     if args.metric:
         unknown = sorted(set(args.metric) - set(tables))
         if unknown:

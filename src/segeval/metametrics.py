@@ -123,25 +123,24 @@ def load_score_tables(path: str | Path) -> dict[str, ScoreTable]:
 
 
 def write_score_tables(tables: Iterable[ScoreTable], path: str | Path) -> None:
-    """Write tables as the standard CSV, rows sorted by (metric, key, score).
+    """Write one table per metric name as the standard CSV, in name order, rows sorted by key.
 
-    One metric is sorted at a time; tables sharing a metric name are merged,
-    ties on a key broken by score (keys are unique within one table).
-    Lines end in CRLF (the csv default, unlike the LF report bundle), so
-    score files keep the bytes earlier versions wrote.
+    Raises ValidationError, before opening ``path``, if two tables share a
+    name.  Lines end in CRLF (the csv default, unlike the LF report bundle),
+    so score files keep the bytes earlier versions wrote.
     """
-    by_metric: dict[str, list[ScoreTable]] = {}
+    by_name: dict[str, ScoreTable] = {}
     for table in tables:
-        by_metric.setdefault(table.metric_name, []).append(table)
+        if table.metric_name in by_name:
+            raise ValidationError(f"two score tables for metric {table.metric_name!r}")
+        by_name[table.metric_name] = table
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORE_CSV_HEADER)
-        for metric in sorted(by_metric):
-            rows = [item for table in by_metric[metric] for item in table.entries.items()]
-            rows.sort()
+        for metric in sorted(by_name):
             writer.writerows(
                 [seg_id, image_id, metric, format(score, ".17g")]
-                for (seg_id, image_id), score in rows
+                for (seg_id, image_id), score in sorted(by_name[metric].entries.items())
             )
 
 
@@ -328,7 +327,7 @@ def aggregate(
 ) -> AggregateReport:
     """Unweighted per-subset and overall means, one block per metric."""
     subset_of = {seg.id: seg.subset for seg in collection}
-    by_metric: dict[str, list[SegMetricResult]] = {}
+    results_of: dict[str, list[SegMetricResult]] = {}
     seen: set[tuple[str, str]] = set()
     for r in results:
         key = (r.seg_id, r.metric_name)
@@ -339,15 +338,15 @@ def aggregate(
         seen.add(key)
         if r.seg_id not in subset_of:
             raise ValidationError(f"result references unknown seg {r.seg_id!r}")
-        by_metric.setdefault(r.metric_name, []).append(r)
+        results_of.setdefault(r.metric_name, []).append(r)
 
     subset_counts = {s: 0 for s in SUBSETS}
     for seg in collection:
         subset_counts[seg.subset] += 1
 
     metrics: dict[str, MetricAggregate] = {}
-    for name in sorted(by_metric):
-        rs = by_metric[name]
+    for name in sorted(results_of):
+        rs = results_of[name]
         covered = {r.seg_id for r in rs}
         missing = tuple(sorted(set(subset_of) - covered))
         by_subset = {}

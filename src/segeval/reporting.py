@@ -35,7 +35,7 @@ class CorrelationMatrix(NamedTuple):
     basis: str
 
 
-def _series_by_metric(results: Iterable[SegMetricResult], basis: str) -> dict[str, dict[str, float]]:
+def _metric_series(results: Iterable[SegMetricResult], basis: str) -> dict[str, dict[str, float]]:
     if basis not in ("rank", "sep", "delta"):
         raise ValueError(f"unknown basis: {basis!r}")
     series: dict[str, dict[str, float]] = {}
@@ -54,7 +54,7 @@ def metric_correlation_matrix(
     Every metric must cover the same SEG set.  Constant series correlate as
     0 with everything, themselves included.
     """
-    series = _series_by_metric(results, basis)
+    series = _metric_series(results, basis)
     if not series:
         raise ValidationError("no results to correlate")
     names = tuple(sorted(series))
@@ -94,7 +94,7 @@ def histogram_data(
         raise ValueError("bin_count must be >= 1")
     if basis not in BASIS_RANGES:
         raise ValueError(f"basis must be one of {sorted(BASIS_RANGES)}, got {basis!r}")
-    series = _series_by_metric(results, basis)
+    series = _metric_series(results, basis)
     if metric not in series or not series[metric]:
         raise ValidationError(f"no results for metric {metric!r}")
     lo, hi = BASIS_RANGES[basis]
@@ -201,15 +201,15 @@ def emit_report(
     aggregates: AggregateReport,
     per_seg_results: Iterable[SegMetricResult],
     out_path: str | Path,
-    collection: SegCollection | None = None,
-    score_tables: Mapping[str, ScoreTable] | None = None,
+    collection: SegCollection,
+    score_tables: Mapping[str, ScoreTable],
     tie_mode: TieMode = "midrank",
 ) -> list[Path]:
     """Write report.json, per_seg.csv, and plot-data CSVs under ``out_path``.
 
-    Histograms are emitted per metric and basis; walk-line CSVs only when
-    the collection and score tables are provided, all of them in one pass
-    over the SEGs from one plan per SEG.  Returns written paths.
+    Histograms are emitted per metric and basis; walk-line CSVs for each
+    result metric that ``score_tables`` holds, all of them in one pass over
+    the SEGs of ``collection`` from one plan per SEG.  Returns written paths.
     Raises, before writing anything, ValidationError when two metric names
     map to the same plot-file name or a score table is keyed by another
     name than its metric's, and FileNotFoundError on an empty ``out_path``.
@@ -221,12 +221,12 @@ def emit_report(
         other = metric_of_file.setdefault(_safe_name(name), name)
         if other != name:
             raise ValidationError(f"metrics {other!r} and {name!r} both map to plot-file name {_safe_name(name)!r}")
-    for key, table in (score_tables or {}).items():
+    for key, table in score_tables.items():
         if key != table.metric_name:
             raise ValidationError(f"score table {key!r} holds metric {table.metric_name!r}")
     out = nonempty_path(out_path)
     out.mkdir(parents=True, exist_ok=True)
-    subset_of = {seg.id: seg.subset for seg in collection} if collection else {}
+    subset_of = {seg.id: seg.subset for seg in collection}
     written: list[Path] = []
 
     def write(file_name: str, header: list[str], rows: Iterable) -> None:
@@ -273,8 +273,8 @@ def emit_report(
                 ((_fmt(lo), _fmt(hi), n) for lo, hi, n in rows),
             )
 
-    tables = {name: score_tables[name] for name in metric_names if name in (score_tables or {})}
-    if collection is not None and tables:
+    tables = {name: score_tables[name] for name in metric_names if name in score_tables}
+    if tables:
         with ExitStack() as stack:
             files = []  # (open lines_*.csv, its table), in metric order
             for name, table in tables.items():

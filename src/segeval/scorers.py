@@ -167,17 +167,16 @@ class _Plan(NamedTuple):
     # (id, normalized expected answer, parent ids) in gating order; tifa is
     # every distinct id with no parents; None when a dsg graph has a cycle
     steps: tuple[tuple[str, str, tuple[str, ...]], ...] | None
-    total: int  # tifa: distinct ids; dsg: every question (differs only if an API-built graph repeats an id)
 
 
 def _plan(qg: QuestionGraph, gated: bool) -> _Plan:
     expected = {q.id: _normalize_answer(q.expected_answer) for q in qg.questions}
     if not gated:
-        return _Plan(expected, tuple((qid, exp, ()) for qid, exp in expected.items()), len(expected))
+        return _Plan(expected, tuple((qid, exp, ()) for qid, exp in expected.items()))
     parents = {q.id: q.parent_ids for q in qg.questions}
     order = _gating_order(qg)
     steps = None if order is None else tuple((qid, expected[qid], parents[qid]) for qid in order)
-    return _Plan(expected, steps, len(qg.questions))
+    return _Plan(expected, steps)
 
 
 def _accumulate(qg: QuestionGraph, plan: _Plan, answers: Mapping[str, str]) -> float:
@@ -193,7 +192,7 @@ def _accumulate(qg: QuestionGraph, plan: _Plan, answers: Mapping[str, str]) -> f
     for qid, expected, parents in plan.steps:
         if _normalize_answer(answers[qid]) == expected and satisfied.issuperset(parents):
             satisfied.add(qid)
-    return len(satisfied) / plan.total
+    return len(satisfied) / len(plan.expected)
 
 
 def tifa_accumulate(qg: QuestionGraph, answers: Mapping[str, str]) -> float:

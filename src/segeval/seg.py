@@ -36,9 +36,9 @@ ERROR_LABELS = ("verbal", "composition", "missing_object", "wrong_attribute")
 # Expected total images per graph; outside this range is a lint warning only.
 IMAGE_COUNT_RANGE = (4, 76)
 
-# Most head-to-leaf walks a valid graph may have.  Scoring enumerates every
-# walk, and k stacked diamonds already make 2^k of them.
-_MAX_WALKS = 2**16
+# Most head-to-leaf walks, and walk-images (each walk's images, summed over walks), a valid graph may have.
+# Scoring enumerates every walk and reads each walk-image, and k stacked diamonds already make 2^k walks.
+_MAX_WALKS, _MAX_WALK_IMAGES = 2**16, 2**22
 
 
 class ErrorNode(NamedTuple):
@@ -261,13 +261,17 @@ def validate_seg(seg: SemanticErrorGraph) -> ValidationReport:
     if order is None:
         v("graph contains a directed cycle")
     elif head is not None:
-        # walks from n to a leaf = sum over its children (0 for a non-node), capped so ints stay small
-        walks: dict[str, int] = {}
+        # per node, capped so ints stay small: walks to a leaf and walk-images (work starts as its image count)
+        walks, work = {}, {n.id: len(n.images) for n in seg.nodes}
         for n in reversed(order):
-            kids = succs[n]
-            walks[n] = min(sum([walks.get(k, 0) for k, _ in kids]), _MAX_WALKS + 1) if kids else 1
+            w, x = (0, 0) if succs[n] else (1, 0)  # a leaf is one walk
+            for k, _ in succs[n]:  # a non-node child adds nothing; a plain loop beats two list sums here
+                w, x = w + walks.get(k, 0), x + work.get(k, 0)
+            walks[n], work[n] = min(w, _MAX_WALKS + 1), min(work[n] * w + x, _MAX_WALK_IMAGES + 1)
         if walks[head.id] > _MAX_WALKS:
             v(f"graph has at least {walks[head.id]} head-to-leaf walks (limit {_MAX_WALKS})")
+        elif work[head.id] > _MAX_WALK_IMAGES:
+            v(f"graph has at least {work[head.id]} walk-images (limit {_MAX_WALK_IMAGES})")
 
     if head is not None and (dist := _shortest_counts(succs, order, head.id)) is None:
         v("graph has a negative-weight cycle")  # distances are undefined, so no per-node check

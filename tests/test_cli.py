@@ -17,7 +17,7 @@ from segeval.cli import (
     _build_parser,
     main,
 )
-from segeval.metametrics import write_score_tables
+from segeval.metametrics import ScoreTable, write_score_tables
 from segeval.seg import write_seg_file
 from segeval.synth import SynthConfig, generate_segs, oracle_scores, write_collection
 
@@ -214,7 +214,8 @@ def test_score_constant_seg_beside_a_varied_one_has_zero_delta(tmp_path):
     write_seg_file(flat, seg_dir / "flat.json")
     write_seg_file(other, seg_dir / "other.json")
     scores = tmp_path / "scores.csv"
-    write_score_tables([table_for(flat, [0.1] * 6), table_for(other, [0.9, 0.2])], scores)
+    both = {**table_for(flat, [0.1] * 6).entries, **table_for(other, [0.9, 0.2]).entries}
+    write_score_tables([ScoreTable("m", both)], scores)
     out = tmp_path / "rep"
     with pytest.warns(UserWarning, match="total image count"):
         assert main(["score", "--segs", str(seg_dir), "--scores", str(scores), "--out", str(out)]) == EXIT_OK

@@ -16,6 +16,7 @@ from segeval.cost import load_cost_models
 from segeval.metametrics import load_score_tables, write_score_tables
 from segeval.scorers import load_answer_table, load_embeddings, load_question_graphs
 from segeval.seg import load_seg_file, seg_paths, write_seg_file
+from segeval.synth import ORACLE_KINDS, SynthConfig, generate_segs, oracle_scores
 
 from conftest import chain_seg, table_for
 
@@ -271,6 +272,17 @@ def test_json_field_errors_exit_3_naming_file_object_and_field(tmp_path, capsys,
 
 # ---------------------------------------------------------------------------
 # a leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write
+
+
+def test_score_tables_round_trip_through_the_writer_and_the_loader(tmp_path):
+    collection = generate_segs(SynthConfig(seed=6, seg_count=12))
+    tables = [oracle_scores(collection, kind, seed=6) for kind in ORACLE_KINDS]
+    tables.append(table_for(chain_seg([1, 2, 1], seg_id=ODD_SEG), [1.0, 1 / 3, -0.0, 1e-300], metric=ODD_METRIC))
+    write_score_tables(tables, tmp_path / "scores.csv")
+    loaded = load_score_tables(tmp_path / "scores.csv")
+    assert loaded == {t.metric_name: t for t in tables}
+    write_score_tables(loaded.values(), tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "scores.csv").read_bytes()
 
 
 BOM = "\ufeff".encode()

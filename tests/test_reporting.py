@@ -387,6 +387,18 @@ def test_a_score_table_keyed_by_another_name_is_rejected_before_writing(tmp_path
     assert out / "lines_perfect.csv" in written
 
 
+@pytest.mark.parametrize("left_out", ["collection", "score_tables"])
+def test_emit_report_requires_the_collection_and_the_score_tables(tmp_path, left_out):
+    collection = generate_segs(SynthConfig(seed=5, seg_count=3))
+    tables = {"perfect": oracle_scores(collection, "perfect")}
+    results = evaluate_collection(collection, tables.values())
+    inputs = {"collection": collection, "score_tables": tables}
+    del inputs[left_out]
+    with pytest.raises(TypeError, match=left_out):
+        emit_report(aggregate(results, collection), results, tmp_path / "report", **inputs)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_an_empty_output_path_writes_nothing_in_the_working_directory(tmp_path, monkeypatch):
     collection = generate_segs(SynthConfig(seed=5, seg_count=3))
     tables = {"perfect": oracle_scores(collection, "perfect")}

@@ -483,15 +483,25 @@ def test_tifa_equals_the_flat_oracle_on_random_graphs():
         assert tifa_accumulate(qg, answers) == oracle_tifa(qg, answers)
 
 
-def test_api_built_graph_repeating_an_id_divides_tifa_by_distinct_ids_and_dsg_by_every_question():
+def test_api_built_graph_repeating_an_id_divides_both_modes_by_distinct_ids():
     # the last of a repeated id's expected answers is the one checked
     qg = qgraph(("q1", [], "yes"), ("q2", ["q1"], "yes"), ("q1", [], "no"))
     answers = {"q1": "no", "q2": "yes"}
     assert tifa_accumulate(qg, answers) == 1.0  # 2 of the 2 distinct ids
-    assert dsg_accumulate(qg, answers) == 2 / 3  # 2 of the 3 questions
+    assert dsg_accumulate(qg, answers) == 1.0  # 2 of the 2 distinct ids
     table = AnswerTable(entries={("s", "i", qid): ans for qid, ans in answers.items()})
     assert accumulate_scores([qg], table, "tifa").entries == {("s", "i"): 1.0}
-    assert accumulate_scores([qg], table, "dsg").entries == {("s", "i"): 2 / 3}
+    assert accumulate_scores([qg], table, "dsg").entries == {("s", "i"): 1.0}
+
+
+def test_every_answer_right_scores_one_in_both_modes_on_graphs_repeating_an_id():
+    rng = random.Random(47)
+    for _ in range(50):
+        qg = random_dag(rng, rng.randint(1, 8))
+        repeats = [rng.choice(qg.questions)._replace(expected_answer="no") for _ in range(rng.randint(1, 3))]
+        qg = qg._replace(questions=qg.questions + tuple(repeats))
+        answers = {q.id: q.expected_answer for q in qg.questions}  # a repeated id's last listed answer
+        assert tifa_accumulate(qg, answers) == dsg_accumulate(qg, answers) == 1.0, qg
 
 
 def test_answers_differing_only_in_whitespace_or_case_score_alike():

@@ -171,6 +171,34 @@ def test_walk_count_agrees_with_enumeration(monkeypatch):
         ], seg.id
 
 
+def _with_images(seg, per_node):
+    nodes = tuple(n._replace(images=tuple(f"{n.id}-{i}.jpg" for i in range(per_node))) for n in seg.nodes)
+    return seg._replace(nodes=nodes)
+
+
+def test_walk_images_above_the_limit_are_a_violation():
+    assert validate_seg(_with_images(stacked_diamond(12), 8)).ok  # 4,096 walks x 25 nodes x 8 images
+    # 2^16 walks, exactly the walk limit, of 33 nodes with 8 images each: 17,301,504 walk-images
+    report = validate_seg(_with_images(stacked_diamond(16), 8))
+    assert report.violations == ["graph has at least 4194305 walk-images (limit 4194304)"]
+
+
+def test_walk_images_agree_with_enumeration(monkeypatch):
+    rng = random.Random(23)
+    graphs = list(generate_segs(SynthConfig(seed=9, seg_count=40))) + [
+        _with_images(stacked_diamond(k), rng.randint(1, 4)) for k in range(1, 6)
+    ]
+    for seg in graphs:
+        sizes = {n.id: len(n.images) for n in seg.nodes}
+        walk_images = sum(sizes[n] for walk in enumerate_walks(seg) for n in walk)
+        monkeypatch.setattr(segeval.seg, "_MAX_WALK_IMAGES", walk_images)
+        assert validate_seg(seg).ok, seg.id
+        monkeypatch.setattr(segeval.seg, "_MAX_WALK_IMAGES", walk_images - 1)
+        assert validate_seg(seg).violations == [
+            f"graph has at least {walk_images} walk-images (limit {walk_images - 1})"
+        ], seg.id
+
+
 def test_image_count_out_of_range_is_warning_not_violation():
     seg = chain_seg([1, 1])  # 2 images, below the expected minimum of 4
     report = validate_seg(seg)
@@ -402,12 +430,17 @@ def _reference_validate(seg, distances=True):
         v("graph contains a directed cycle")
     elif head is not None:
         children = seg.children()
-        walks = {}
+        sizes = {n.id: len(n.images) for n in seg.nodes}
+        walks, walk_images = {}, {}
         for n in reversed(order):
             kids = children[n]
             walks[n] = min(sum(walks.get(k, 0) for k in kids), segeval.seg._MAX_WALKS + 1) if kids else 1
+            below = sum(walk_images.get(k, 0) for k in kids)
+            walk_images[n] = min(sizes[n] * walks[n] + below, segeval.seg._MAX_WALK_IMAGES + 1)
         if walks[head.id] > segeval.seg._MAX_WALKS:
             v(f"graph has at least {walks[head.id]} head-to-leaf walks (limit {segeval.seg._MAX_WALKS})")
+        elif walk_images[head.id] > segeval.seg._MAX_WALK_IMAGES:
+            v(f"graph has at least {walk_images[head.id]} walk-images (limit {segeval.seg._MAX_WALK_IMAGES})")
     if head is not None and distances:
         dist = _reference_shortest_counts(seg, head.id)
         for n in seg.nodes:
