@@ -139,7 +139,10 @@ def _print_table(report, raw: bool) -> None:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    collection = load_segs(args.segs).filter_subset(args.subset)
+    collection, warnings = load_segs(args.segs)
+    for w in warnings:  # the lines validate prints for these files
+        print(f"WARN {w}", file=sys.stderr)
+    collection = collection.filter_subset(args.subset)
     if not len(collection):
         raise ValidationError(f"no SEGs{f' in subset {args.subset!r}' if args.subset else ''}")
     tables = load_score_tables(args.scores)

@@ -322,23 +322,27 @@ def _mean_scores(results: list[SegMetricResult]) -> MeanScores:
     )
 
 
-def aggregate(
-    results: Iterable[SegMetricResult], collection: SegCollection
-) -> AggregateReport:
-    """Unweighted per-subset and overall means, one block per metric."""
-    subset_of = {seg.id: seg.subset for seg in collection}
+def _results_by_metric(results: Iterable[SegMetricResult], seg_ids: Mapping) -> dict[str, list[SegMetricResult]]:
+    """``results`` grouped by metric; a repeated (seg, metric) or a seg not in ``seg_ids`` is a ValidationError."""
     results_of: dict[str, list[SegMetricResult]] = {}
     seen: set[tuple[str, str]] = set()
     for r in results:
         key = (r.seg_id, r.metric_name)
         if key in seen:
-            raise ValidationError(
-                f"duplicate result for seg {r.seg_id!r}, metric {r.metric_name!r}"
-            )
+            raise ValidationError(f"duplicate result for seg {r.seg_id!r}, metric {r.metric_name!r}")
         seen.add(key)
-        if r.seg_id not in subset_of:
+        if r.seg_id not in seg_ids:
             raise ValidationError(f"result references unknown seg {r.seg_id!r}")
         results_of.setdefault(r.metric_name, []).append(r)
+    return results_of
+
+
+def aggregate(
+    results: Iterable[SegMetricResult], collection: SegCollection
+) -> AggregateReport:
+    """Unweighted per-subset and overall means, one block per metric."""
+    subset_of = {seg.id: seg.subset for seg in collection}
+    results_of = _results_by_metric(results, subset_of)
 
     subset_counts = {s: 0 for s in SUBSETS}
     for seg in collection:

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple
 
 from .errors import ValidationError
 from .fileio import csv_row, nonempty_path, write_csv
-from .metametrics import AggregateReport, MeanScores, ScoreTable, SegMetricResult, _SegPlan
+from .metametrics import AggregateReport, MeanScores, ScoreTable, SegMetricResult, _results_by_metric, _SegPlan
 from .seg import SegCollection, SemanticErrorGraph
 from .stats import TieMode, spearman_rho
 from .walks import enumerate_walks  # noqa: F401  the plan calls it; bench/tracing.py patches this name too
@@ -211,11 +211,13 @@ def emit_report(
     result metric that ``score_tables`` holds, all of them in one pass over
     the SEGs of ``collection`` from one plan per SEG.  Returns written paths.
     Raises, before writing anything, ValidationError when two metric names
-    map to the same plot-file name or a score table is keyed by another
-    name than its metric's, and FileNotFoundError on an empty ``out_path``.
+    map to the same plot-file name, a score table is keyed by another name
+    than its metric's, or a result is one :func:`aggregate` rejects, and
+    FileNotFoundError on an empty ``out_path``.
     """
     results = sorted(per_seg_results, key=lambda r: (r.metric_name, r.seg_id))
-    metric_names = sorted({r.metric_name for r in results})
+    subset_of = {seg.id: seg.subset for seg in collection}
+    metric_names = sorted(_results_by_metric(results, subset_of))  # raises on a repeated or unknown-SEG result
     metric_of_file: dict[str, str] = {}
     for name in metric_names:
         other = metric_of_file.setdefault(_safe_name(name), name)
@@ -226,7 +228,6 @@ def emit_report(
             raise ValidationError(f"score table {key!r} holds metric {table.metric_name!r}")
     out = nonempty_path(out_path)
     out.mkdir(parents=True, exist_ok=True)
-    subset_of = {seg.id: seg.subset for seg in collection}
     written: list[Path] = []
 
     def write(file_name: str, header: list[str], rows: Iterable) -> None:
@@ -258,7 +259,7 @@ def emit_report(
         "per_seg.csv",
         PER_SEG_CSV_HEADER,
         (
-            (r.metric_name, r.seg_id, subset_of.get(r.seg_id, ""), _fmt(r.rank), _fmt(r.sep), _fmt(r.delta),
+            (r.metric_name, r.seg_id, subset_of[r.seg_id], _fmt(r.rank), _fmt(r.sep), _fmt(r.delta),
              r.walk_count, r.pair_count)
             for r in results
         ),

@@ -11,16 +11,15 @@ One graph per JSON file:
      "edges": [{"from": str, "to": str, "error_labels": [str, ...],
                 "weight": int (optional)}, ...]}
 
-Field names are exact and case-sensitive; unknown fields are ignored with a
-warning.  Validation never raises on bad graph structure: violations are
-data, collected into a :class:`ValidationReport`.
+Field names are exact and case-sensitive; an unknown field is ignored and
+noted.  Validation never raises on bad graph structure: violations, lint and
+those notes are data, collected into a :class:`ValidationReport`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import warnings
 from collections.abc import Iterator, Sequence
 from pathlib import Path
 from typing import NamedTuple
@@ -304,35 +303,30 @@ _EDGE_KNOWN = {*_EDGE_FIELDS, "weight"}
 _WEIGHT_FIELD = {"weight": int}
 
 
-def _warn_unknown(obj, known, where: str, source: str) -> None:
-    """Warn, in key order, about each key of ``obj`` not in ``known``; a non-object is left to :func:`fields`."""
-    if isinstance(obj, dict):
-        for key in obj:
-            if key not in known:
-                warnings.warn(f"{source}: {where}: ignoring unknown field {key!r}", stacklevel=3)
+def parse_seg(data: dict, source: str = "<data>") -> tuple[SemanticErrorGraph, list[str]]:
+    """``(seg, notes)`` from a decoded JSON object; strict about schema, not structure.
 
-
-def parse_seg(data: dict, source: str = "<data>") -> SemanticErrorGraph:
-    """Build a SEG from a decoded JSON object; strict about schema, not structure."""
+    One note per unknown key, in key order (seg, nodes[i], edges[i]): ``<where>: ignoring unknown field 'k'``.
+    """
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object", source=source)
-    _warn_unknown(data, _SEG_FIELDS, "seg", source)
     seg_id, prompt, subset, raw_nodes, raw_edges = fields(data, _SEG_FIELDS, "seg", source)
+    notes = [f"seg: ignoring unknown field {k!r}" for k in data if k not in _SEG_FIELDS]
     if subset not in SUBSETS:
         raise ParseError(f"seg: field 'subset' must be one of {'/'.join(SUBSETS)}, got {subset!r}", source=source)
 
     nodes = []
     for i, nd in enumerate(raw_nodes):
         where = f"nodes[{i}]"
-        _warn_unknown(nd, _NODE_FIELDS, where, source)
         node_id, count, images = fields(nd, _NODE_FIELDS, where, source)
+        notes += [f"{where}: ignoring unknown field {k!r}" for k in nd if k not in _NODE_FIELDS]
         nodes.append(ErrorNode(node_id, count, str_list(images, "images", where, source)))
 
     edges = []
     for i, ed in enumerate(raw_edges):
         where = f"edges[{i}]"
-        _warn_unknown(ed, _EDGE_KNOWN, where, source)
         labels, src, dst = fields(ed, _EDGE_FIELDS, where, source)
+        notes += [f"{where}: ignoring unknown field {k!r}" for k in ed if k not in _EDGE_KNOWN]
         labels = str_list(labels, "error_labels", where, source)
         if "weight" in ed:
             (weight,) = fields(ed, _WEIGHT_FIELD, where, source)
@@ -340,7 +334,7 @@ def parse_seg(data: dict, source: str = "<data>") -> SemanticErrorGraph:
             weight = ErrorEdge.default_weight(labels)
         edges.append(ErrorEdge(src, dst, labels, weight))
 
-    return SemanticErrorGraph(seg_id, prompt, subset, tuple(nodes), tuple(edges))
+    return SemanticErrorGraph(seg_id, prompt, subset, tuple(nodes), tuple(edges)), notes
 
 
 def seg_to_dict(seg: SemanticErrorGraph) -> dict:
@@ -359,7 +353,8 @@ def seg_to_dict(seg: SemanticErrorGraph) -> dict:
     }
 
 
-def load_seg_file(path: str | Path) -> SemanticErrorGraph:
+def load_seg_file(path: str | Path) -> tuple[SemanticErrorGraph, list[str]]:
+    """``(seg, notes)`` of one SEG file, as :func:`parse_seg` gives them."""
     source = str(path if isinstance(path, Path) else Path(path))  # a Path from seg_paths is not parsed again
     return parse_seg(read_json(source), source=source)
 
@@ -386,7 +381,8 @@ def check_seg_files(
 
     Every path is expanded first: a missing one raises OSError, one without
     SEG files ParseError.  Yields ``(file, seg, report)``, or ``(file, error,
-    None)`` for a file that does not parse.  A seg id that an earlier file
+    None)`` for a file that does not parse.  A report's warnings are the
+    file's unknown-field notes, then its lint.  A seg id that an earlier file
     defined is the first violation of the later file's report.
     """
     files: list[Path] = []
@@ -398,33 +394,33 @@ def check_seg_files(
     first_file: dict[str, Path] = {}  # seg id -> the first file defining it
     for f in dict.fromkeys(files) if len(paths) > 1 else files:  # one directory lists a file once
         try:
-            seg = load_seg_file(f)
+            seg, notes = load_seg_file(f)
         except ParseError as exc:
             yield f, exc, None
             continue
         report = validate_seg(seg)
+        report.warnings[:0] = notes
         if (prev := first_file.setdefault(seg.id, f)) is not f:
             report.violations.insert(0, f"duplicate seg id {seg.id!r} (already defined in {prev})")
         yield f, seg, report
 
 
-def load_segs(path: str | Path) -> SegCollection:
-    """Load and validate every SEG under ``path``; sorted by id.
+def load_segs(path: str | Path) -> tuple[SegCollection, list[str]]:
+    """Load and validate every SEG under ``path``: ``(collection sorted by id, ["<file>: <report warning>", ...])``.
 
     Raises the first ParseError of :func:`check_seg_files`, and one
     ValidationError listing every violation, a repeated seg id included.
-    Lint warnings from validation are emitted via :mod:`warnings`.
     """
     segs: list[SemanticErrorGraph] = []
     violations: list[str] = []
+    warnings: list[str] = []
     for f, seg, rep in check_seg_files([path]):
         if rep is None:
             raise seg
-        for w in rep.warnings:
-            warnings.warn(f"{f}: seg {seg.id}: {w}", stacklevel=2)
+        warnings += (f"{f}: {w}" for w in rep.warnings)
         violations.extend(f"{f}: seg {seg.id}: {msg}" for msg in rep.violations)
         segs.append(seg)
     if violations:
         raise ValidationError(f"{len(violations)} validation violation(s)", violations=violations)
     segs.sort(key=lambda s: s.id)
-    return SegCollection(tuple(segs))
+    return SegCollection(tuple(segs)), warnings

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+
+import segeval
 
 from segeval.cli import (
     EXIT_COVERAGE,
@@ -18,7 +24,7 @@ from segeval.cli import (
     main,
 )
 from segeval.metametrics import ScoreTable, write_score_tables
-from segeval.seg import write_seg_file
+from segeval.seg import load_segs, seg_to_dict, write_seg_file
 from segeval.synth import SynthConfig, generate_segs, oracle_scores, write_collection
 
 from conftest import chain_seg, make_seg, stacked_diamond, table_for
@@ -141,11 +147,68 @@ def test_validate_and_score_reject_a_seg_id_repeated_across_files(tmp_path, caps
     assert "1 violation(s) across 2 file(s)" in out
     assert main(["validate", str(seg_dir / "a.json"), str(seg_dir / "a.json")]) == EXIT_OK  # one file, named twice
     assert "all 1 file(s) valid" in capsys.readouterr().out
-    with pytest.warns(UserWarning, match="total image count"):
-        assert main(["score", "--segs", str(seg_dir), "--scores", str(scores), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert main(["score", "--segs", str(seg_dir), "--scores", str(scores), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     err = capsys.readouterr().err
+    assert "WARN " not in err  # a failing load prints only its error
     assert "error: 1 validation violation(s)\n" in err
     assert f"  {seg_dir / 'b.json'}: seg 0000: duplicate seg id '0000' (already defined in {seg_dir / 'a.json'})\n" in err
+
+
+def _seg_dir_with_notes(tmp_path):
+    """Two valid SEG files; a.json holds unknown fields at every level and too few images.
+
+    Returns the directory, a score CSV covering it, and a.json's expected `WARN` lines in order.
+    """
+    seg_dir = tmp_path / "segs"
+    seg_dir.mkdir()
+    a, b = chain_seg([1, 1], seg_id="a"), chain_seg([2, 2], seg_id="b")
+    data = {"zeta": 1, **seg_to_dict(a), "alpha": 2}
+    data["nodes"][1]["extra"] = 3
+    data["edges"][0]["note"] = "x"
+    (seg_dir / "a.json").write_text(json.dumps(data), encoding="utf-8")
+    write_seg_file(b, seg_dir / "b.json")
+    scores = tmp_path / "scores.csv"
+    write_score_tables([ScoreTable("m", {**table_for(a, [1.0, 0.0]).entries, **table_for(b, [1.0, 0.9, 0.1, 0.0]).entries})], scores)
+    expected = [
+        f"WARN {seg_dir / 'a.json'}: {w}"
+        for w in (
+            "seg: ignoring unknown field 'zeta'",
+            "seg: ignoring unknown field 'alpha'",
+            "nodes[1]: ignoring unknown field 'extra'",
+            "edges[0]: ignoring unknown field 'note'",
+            "total image count 2 outside expected range [4, 76]",
+        )
+    ]
+    return seg_dir, scores, expected
+
+
+def _warn_lines(err: str) -> list[str]:
+    return [line for line in err.splitlines() if line.startswith("WARN ")]
+
+
+def test_validate_score_and_load_segs_give_the_same_warnings_unknown_fields_first(tmp_path, capsys):
+    seg_dir, scores, expected = _seg_dir_with_notes(tmp_path)
+    assert main(["validate", str(seg_dir)]) == EXIT_OK
+    validate_err = capsys.readouterr().err
+    assert main(["score", "--segs", str(seg_dir), "--scores", str(scores), "--out", str(tmp_path / "rep")]) == EXIT_OK
+    score = capsys.readouterr()
+    assert _warn_lines(validate_err) == _warn_lines(score.err) == expected
+    assert "WARN" not in score.out
+    collection, warnings = load_segs(seg_dir)
+    assert [s.id for s in collection] == ["a", "b"]
+    assert ["WARN " + w for w in warnings] == expected
+
+
+def test_python_warning_filters_leave_validate_and_score_alone(tmp_path):
+    seg_dir, scores, expected = _seg_dir_with_notes(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(segeval.__file__).resolve().parents[1]))
+    for argv in (["validate", str(seg_dir)], ["score", "--segs", str(seg_dir), "--scores", str(scores), "--out", str(tmp_path / "rep")]):
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "segeval.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert "Traceback" not in result.stderr
+        assert _warn_lines(result.stderr) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +269,7 @@ def test_score_constant_scorer_has_zero_delta(tmp_path, capsys):
     assert (out / "per_seg.csv").read_text().splitlines()[1] == "flat,flat,synth,0,0,0,1,2"
 
 
-def test_score_constant_seg_beside_a_varied_one_has_zero_delta(tmp_path):
+def test_score_constant_seg_beside_a_varied_one_has_zero_delta(tmp_path, capsys):
     flat = chain_seg([3, 1, 2], seg_id="flat")
     other = chain_seg([1, 1], seg_id="other")
     seg_dir = tmp_path / "segs"
@@ -217,8 +280,8 @@ def test_score_constant_seg_beside_a_varied_one_has_zero_delta(tmp_path):
     both = {**table_for(flat, [0.1] * 6).entries, **table_for(other, [0.9, 0.2]).entries}
     write_score_tables([ScoreTable("m", both)], scores)
     out = tmp_path / "rep"
-    with pytest.warns(UserWarning, match="total image count"):
-        assert main(["score", "--segs", str(seg_dir), "--scores", str(scores), "--out", str(out)]) == EXIT_OK
+    assert main(["score", "--segs", str(seg_dir), "--scores", str(scores), "--out", str(out)]) == EXIT_OK
+    assert f"WARN {seg_dir / 'other.json'}: total image count 2 outside expected range [4, 76]\n" in capsys.readouterr().err
     rows = (out / "per_seg.csv").read_text().splitlines()
     assert "m,flat,synth,0,0,0,1,2" in rows
 
@@ -605,14 +668,14 @@ def test_validate_deep_chain(tmp_path):
     assert main(["validate", str(path)]) == EXIT_OK
 
 
-def test_score_deep_chain_ranks_strictly_decreasing_scores_at_one(tmp_path):
+def test_score_deep_chain_ranks_strictly_decreasing_scores_at_one(tmp_path, capsys):
     seg = chain_seg([1] * 1500)
     write_seg_file(seg, tmp_path / "deep.json")
     scores = tmp_path / "scores.csv"
     write_score_tables([table_for(seg, [1.0 - i / 1500 for i in range(1500)])], scores)
     out = tmp_path / "rep"
-    with pytest.warns(UserWarning, match="total image count"):
-        assert main(["score", "--segs", str(tmp_path / "deep.json"), "--scores", str(scores), "--out", str(out)]) == EXIT_OK
+    assert main(["score", "--segs", str(tmp_path / "deep.json"), "--scores", str(scores), "--out", str(out)]) == EXIT_OK
+    assert "total image count 1500 outside expected range [4, 76]\n" in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
     assert report["metrics"]["m"]["overall"]["rank"] == 1.0
 

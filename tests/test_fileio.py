@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 from collections import defaultdict
@@ -24,9 +23,10 @@ ODD_METRIC = 'a,b "q"'
 ODD_SEG = "s,1"
 
 
-def _lint(argv):
-    """Expect the lint warning that `score` gives on a two-image SEG; other commands read no SEG."""
-    return pytest.warns(UserWarning, match="total image count") if argv[0] == "score" else contextlib.nullcontext()
+def _lint(argv, err: str) -> None:
+    """Check the `WARN` line that `score` prints on a two-image SEG; other commands read no SEG."""
+    lint = [line.split(": ", 1)[1] for line in err.splitlines() if line.startswith("WARN ")]
+    assert lint == (["total image count 2 outside expected range [4, 76]"] if argv[0] == "score" else [])
 
 
 def _rows(path):
@@ -117,11 +117,11 @@ def test_colliding_plot_file_names_exit_4_before_writing(tmp_path, capsys):
         ["pareto", "--report", "{missing}", "--costs", "{missing}", "--out", "{out}"],
     ],
 )
-def test_missing_input_path_exits_6(tmp_path, argv):
+def test_missing_input_path_exits_6(tmp_path, capsys, argv):
     write_seg_file(chain_seg([1, 1]), tmp_path / "seg.json")
     paths = {"missing": tmp_path / "missing", "seg": tmp_path / "seg.json", "out": tmp_path / "out"}
-    with _lint(argv):
-        assert main([arg.format(**paths) for arg in argv]) == EXIT_IO
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_IO
+    _lint(argv, capsys.readouterr().err)
 
 
 def _non_utf8_inputs(tmp_path) -> dict[str, object]:
@@ -152,9 +152,10 @@ def _non_utf8_inputs(tmp_path) -> dict[str, object]:
 )
 def test_non_utf8_input_exits_3_naming_the_file(tmp_path, capsys, argv, bad):
     paths = _non_utf8_inputs(tmp_path)
-    with _lint(argv):
-        assert main([arg.format(**paths) for arg in argv]) == EXIT_PARSE
-    assert f"{bad}: not valid UTF-8: invalid start byte (byte 0xff)" in capsys.readouterr().err
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    _lint(argv, err)
+    assert f"{bad}: not valid UTF-8: invalid start byte (byte 0xff)" in err
 
 
 @pytest.mark.parametrize(
@@ -171,9 +172,9 @@ def test_field_over_the_csv_size_limit_exits_3_naming_the_line(tmp_path, capsys,
     paths = _non_utf8_inputs(tmp_path)
     header = {"scores": "seg_id,image_id,metric,score", "answers": "seg_id,image_id,question_id,answer"}[bad]
     paths[bad].write_text(f"{header}\nchain,0-0.jpg,q,1\nchain,1-0.jpg,q,{field}\n")
-    with _lint(argv):
-        assert main([arg.format(**paths) for arg in argv]) == EXIT_PARSE
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_PARSE
     err = capsys.readouterr().err
+    _lint(argv, err)
     assert f"{paths[bad]}: line 3: field larger than field limit (131072)" in err
     assert "Traceback" not in err
 

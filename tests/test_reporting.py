@@ -387,6 +387,25 @@ def test_a_score_table_keyed_by_another_name_is_rejected_before_writing(tmp_path
     assert out / "lines_perfect.csv" in written
 
 
+@pytest.mark.parametrize("case", ["unknown seg", "duplicate"])
+def test_emit_report_rejects_what_aggregate_rejects_before_writing(tmp_path, case):
+    collection = generate_segs(SynthConfig(seed=5, seg_count=3))
+    tables = {"perfect": oracle_scores(collection, "perfect")}
+    results = evaluate_collection(collection, tables.values())
+    report = aggregate(results, collection)
+    if case == "unknown seg":  # three SEGs' results against a one-SEG collection
+        collection, message = SegCollection(collection.segs[:1]), f"result references unknown seg {results[1].seg_id!r}"
+    else:
+        results, message = results + results[:1], f"duplicate result for seg {results[0].seg_id!r}, metric 'perfect'"
+    with pytest.raises(ValidationError) as from_aggregate:
+        aggregate(results, collection)
+    out = tmp_path / "report"
+    with pytest.raises(ValidationError) as exc:
+        emit_report(report, results, out, collection=collection, score_tables=tables)
+    assert str(exc.value) == str(from_aggregate.value) == message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("left_out", ["collection", "score_tables"])
 def test_emit_report_requires_the_collection_and_the_score_tables(tmp_path, left_out):
     collection = generate_segs(SynthConfig(seed=5, seg_count=3))

@@ -229,8 +229,9 @@ def seg_json(tmp_path, name="0001.json", **overrides):
 
 def test_load_single_valid_file(tmp_path):
     seg_json(tmp_path)
-    collection = load_segs(tmp_path)
+    collection, warnings = load_segs(tmp_path)
     assert len(collection) == 1
+    assert warnings == []
     seg = {s.id: s for s in collection}["0001"]
     assert seg.prompt == "a boy with fruit"
     # optional weight defaults to the label count
@@ -255,17 +256,16 @@ def test_duplicate_seg_id_across_files(tmp_path):
 
 
 def test_unknown_fields_warn_but_load(tmp_path):
-    seg_json(tmp_path, extra_field=42)
-    with pytest.warns(UserWarning, match="unknown field 'extra_field'"):
-        collection = load_segs(tmp_path)
+    path = seg_json(tmp_path, extra_field=42)
+    collection, warnings = load_segs(tmp_path)
     assert len(collection) == 1
+    assert warnings == [f"{path}: seg: ignoring unknown field 'extra_field'"]
 
 
 def test_unknown_fields_warn_in_key_order(tmp_path):
     seg_json(tmp_path, zeta=1, alpha=2)
-    with pytest.warns(UserWarning) as record:
-        load_segs(tmp_path)
-    unknown = [str(w.message).rsplit(" ", 1)[1] for w in record if "unknown field" in str(w.message)]
+    _, warnings = load_segs(tmp_path)
+    unknown = [w.rsplit(" ", 1)[1] for w in warnings if "unknown field" in w]
     assert unknown == ["'zeta'", "'alpha'"]
 
 
@@ -287,7 +287,6 @@ def test_empty_directory_is_an_error(tmp_path):
         load_segs(tmp_path)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")  # image-count lint fires too
 def test_validation_failure_aggregates_violations(tmp_path):
     seg_json(
         tmp_path,
@@ -305,21 +304,24 @@ def test_roundtrip_write_then_load(tmp_path, diamond):
     path = tmp_path / "d.json"
     # diamond has 4 images, inside the lint range? 4 >= 4: yes
     write_seg_file(diamond, path)
-    again = load_seg_file(path)
+    again, notes = load_seg_file(path)
     assert seg_to_dict(again) == seg_to_dict(diamond)
+    assert notes == []
 
 
 def test_collection_sorted_by_id(tmp_path):
     seg_json(tmp_path, name="z.json", id="0002")
     seg_json(tmp_path, name="a.json", id="0001")
-    collection = load_segs(tmp_path)
+    collection, _ = load_segs(tmp_path)
     assert [s.id for s in collection] == ["0001", "0002"]
 
 
 def test_parse_seg_requires_exact_case(tmp_path):
-    with pytest.warns(UserWarning, match="'Prompt'"):  # wrong case is an unknown field
-        with pytest.raises(ParseError, match="missing field 'prompt'"):
-            parse_seg({"id": "x", "Prompt": "p", "subset": "synth", "nodes": [], "edges": []})
+    with pytest.raises(ParseError, match="missing field 'prompt'"):
+        parse_seg({"id": "x", "Prompt": "p", "subset": "synth", "nodes": [], "edges": []})
+    # beside the exact name, the wrong case is an unknown field
+    seg, notes = parse_seg({"id": "x", "prompt": "p", "Prompt": "q", "subset": "synth", "nodes": [], "edges": []})
+    assert (seg.prompt, notes) == ("p", ["seg: ignoring unknown field 'Prompt'"])
 
 
 # ---------------------------------------------------------------------------
