@@ -31,6 +31,7 @@ import csv
 import math
 from collections import Counter
 from functools import reduce
+from itertools import chain
 from operator import add, attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
@@ -38,7 +39,9 @@ from typing import Iterable, Mapping, NamedTuple
 from .errors import CoverageError, ParseError, ValidationError
 from .fileio import read_csv
 from .seg import SUBSETS, SegCollection, SemanticErrorGraph
-from .stats import TieMode, _Sorted, _check_sample, _ranked_runs, ks_statistic, population_moments, spearman_rho
+from .stats import (
+    TieMode, _Checked, _Sorted, _check_sample, _ranked_runs, ks_statistic, population_moments, spearman_rho,
+)
 from .walks import PairMode, adjacent_pairs, enumerate_walks
 
 SCORE_CSV_HEADER = ["seg_id", "image_id", "metric", "score"]
@@ -157,8 +160,9 @@ def missing_scores(
 
 class _SegPlan:
     """What every metric's cells read of one SEG: its walks and error counts,
-    and, derived on first use, the walks' error ranks per tie mode and the
-    adjacent pairs per pair mode.  Nothing else holds a SEG's walks.
+    and, derived on first use, the walks' error ranks per tie mode, their
+    deepest error counts and the adjacent pairs per pair mode.  Nothing else
+    holds a SEG's walks.
 
     The last table's node populations are kept, so one (SEG, metric) cell
     builds them once for rank, sep and delta; any gap raises CoverageError.
@@ -166,7 +170,7 @@ class _SegPlan:
 
     def __init__(self, seg: SemanticErrorGraph) -> None:
         self.seg, self.counts, self.walks = seg, {n.id: n.error_count for n in seg.nodes}, enumerate_walks(seg)
-        self._errors, self._pairs, self._cell = {}, {}, (None, {})
+        self._errors, self._pairs, self._cell, self._tops = {}, {}, (None, {}), None
 
     def populations(self, scores: ScoreTable) -> dict[str, list[float]]:
         if self._cell[0] is not scores:
@@ -197,9 +201,19 @@ class _SegPlan:
             self._errors[tie_mode] = errors
         return errors
 
+    def tops(self) -> list[int]:
+        """Each walk's deepest error count: its last node's on a valid SEG, where counts rise."""
+        if self._tops is None:
+            self._tops = [max(map(self.counts.__getitem__, walk)) for walk in self.walks]
+        return self._tops
+
     def pairs(self, mode: PairMode) -> list[tuple[str, str]]:
-        known = self._pairs.get(mode)
-        return self._pairs.setdefault(mode, adjacent_pairs(self.walks, mode)) if known is None else known
+        pairs = self._pairs.get(mode)
+        if pairs is None:
+            pairs = self._pairs[mode] = adjacent_pairs(self.walks, mode)
+        if not pairs:  # a one-node SEG: sep and delta would divide by 0
+            raise ValidationError(f"seg {self.seg.id}: no adjacent node pairs")
+        return pairs
 
 
 def rank_score(
@@ -212,16 +226,29 @@ def rank_score(
     """
     plan = plan or _SegPlan(seg)
     pops = plan.populations(scores)
+    # with more walks than nodes, check the cell's scores once, as sep_score does; when they are not all
+    # finite floats, each walk's list is checked by spearman_rho, which names the fault as a direct call does
+    checked = False
+    if len(plan.walks) > len(pops):
+        vals = [*chain.from_iterable(pops.values())]
+        checked = {*map(type, vals)} == {float} and all(map(math.isfinite, vals))
     total = 0.0
     for walk, errors in zip(plan.walks, plan.errors(tie_mode)):
-        total += -spearman_rho([v for node in walk for v in pops[node]], errors, tie_mode)
+        if checked:
+            x = _Checked(chain.from_iterable(map(pops.__getitem__, walk)))
+        else:
+            x = [v for node in walk for v in pops[node]]
+        total += -spearman_rho(x, errors, tie_mode)
     return total / len(plan.walks)
 
 
 def sep_score(
     seg: SemanticErrorGraph, scores: ScoreTable, pair_mode: PairMode = "per-walk", plan: _SegPlan | None = None
 ) -> float:
-    """Mean KS statistic over adjacent node pairs, in [0, 1]."""
+    """Mean KS statistic over adjacent node pairs, in [0, 1].
+
+    Raises ValidationError on a SEG without adjacent pairs (one node).
+    """
     plan = plan or _SegPlan(seg)
     pops = plan.populations(scores)
     pairs = plan.pairs(pair_mode)
@@ -241,7 +268,8 @@ def delta_score(
 
     ``global_std`` must be the population standard deviation of this
     metric's scores over all images of the whole collection under
-    evaluation; a 0 spread yields 0 by convention.
+    evaluation; a 0 spread yields 0 by convention.  Otherwise a SEG without
+    adjacent pairs (one node) raises ValidationError.
     """
     if global_std < 0:
         raise ValueError("global_std must be non-negative")

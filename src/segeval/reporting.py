@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from contextlib import ExitStack
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple
 
@@ -116,26 +117,30 @@ def walk_line_data(
     max is 0 (only an unvalidated SEG has one) every point gets 0.0.
     """
     plan = _SegPlan(seg)
-    return list(_walk_points(plan, plan.populations(scores), lambda xr, values: [(xr, v) for v in values]))
+    points = _walk_points(plan, plan.populations(scores), lambda xr, values: [(xr, v) for v in values])
+    return list(map(list, points))
 
 
 def _walk_points(
     plan: _SegPlan, pops: Mapping[str, list], node_points: Callable[[float, list], list]
-) -> Iterator[list]:
-    """Each walk's points in walk order: ``node_points(normalized_rank, pops[node])`` per node.
+) -> Iterator[Iterator]:
+    """Each walk's points, in walk order, as one iterator per walk.
 
-    A node's points depend on its walk only through the walk's deepest
-    error count, so they are built once per (walk depth, node).
+    A walk's points are ``node_points(normalized_rank, pops[node])`` for
+    each node in turn, where normalized_rank is the node's error count over
+    the walk's deepest one (``plan.tops()``, built once per plan), or 0.0
+    where that is 0.  A node's points depend on its walk only through that
+    deepest count, so they are built once per (walk depth, node) and each
+    iterator chains the stored lists.
     """
     counts = plan.counts
     by_top: dict[int, dict[str, list]] = {}
-    for walk in plan.walks:
-        top = max(map(counts.__getitem__, walk))  # > 0 on a valid SEG: counts strictly increase
+    for walk, top in zip(plan.walks, plan.tops()):
         points = by_top.setdefault(top, {})
         for node in walk:
             if node not in points:
                 points[node] = node_points(counts[node] / top if top else 0.0, pops[node])
-        yield [p for node in walk for p in points[node]]
+        yield chain.from_iterable(map(points.__getitem__, walk))
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +167,9 @@ def _line_rows(plan: _SegPlan, scores: ScoreTable) -> Iterator[str]:
     texts = {node: list(map(_fmt, vals)) for node, vals in plan.populations(scores).items()}
     sid = csv_row((plan.seg.id, ""))[:-1]  # id and comma; a lone empty field would render as ""
     for w_idx, points in enumerate(_walk_points(plan, texts, _point_texts)):
-        if points:  # an unvalidated SEG can have a walk without images
-            head = f"{sid}{w_idx},"
-            yield head + head.join(points)
+        head = f"{sid}{w_idx},"
+        if rows := head.join(points):  # "" on a walk without images, which only an unvalidated SEG has
+            yield head + rows
 
 
 def _point_texts(xr: float, score_texts: list[str]) -> list[str]:

@@ -16,9 +16,15 @@ rank vector is constant the correlation is defined to be exactly 0.0 rather
 than NaN: a constant series carries no ordering information.  Because both
 rank conventions produce half-integer ranks, the correlation is evaluated
 in exact integer arithmetic on doubled ranks; perfectly (anti)monotone
-inputs therefore return exactly +/-1.0, ties included.  ``rank_score`` derives
-a walk's error-count ranks from its node image counts (the same integers that
-bisection gives); direct ``spearman_rho`` calls check and rank both inputs.
+inputs therefore return exactly +/-1.0, ties included.  A constant x returns
+0.0 unranked; an x without ties is ranked by one argsort (its k-th smallest
+value has doubled rank 2k + 2, or 2k counting below, so its rank sums are
+closed forms in n); any other x, and any y but a ``_Ranked`` one (a walk's
+error-count ranks, which ``rank_score`` derives from node image counts), is
+ranked by bisection.  All three give the same integers.  ``spearman_rho``
+checks both inputs, except a non-empty ``_Checked`` x: ``rank_score`` passes
+one per walk when a SEG has more walks than nodes and the cell's scores are
+all finite floats, checked once.
 
 The two-sample Kolmogorov-Smirnov statistic uses the right-continuous
 empirical CDF, F(x) = fraction of sample values <= x, and takes the
@@ -48,6 +54,11 @@ class _Sorted(tuple):
     __slots__ = ()
 
 
+class _Checked(list):
+    """Finite floats, checked by the caller; ``spearman_rho`` checks a non-empty one no further."""
+    __slots__ = ()
+
+
 class _Ranked(tuple):
     """``(ry, sum(ry), n * sum(r * r for r in ry) - sum(ry) ** 2, n)`` for an n-value sample's doubled ranks."""
     __slots__ = ()
@@ -66,12 +77,16 @@ def _check_sample(values: Sequence[float], name: str = "sample", sort: bool = Fa
     return vals
 
 
+def _check_tie_mode(tie_mode: TieMode) -> None:
+    if tie_mode not in TIE_MODES:
+        raise ValueError(f"unknown tie_mode: {tie_mode!r}")
+
+
 def _doubled_ranks(vals: list[float], tie_mode: TieMode) -> list[int]:
     # twice the rank, so both conventions stay in exact integers: a value's
     # tie group holds sorted positions lo .. hi - 1, so its midrank is
     # (lo + hi + 1) / 2 and exactly lo values are strictly smaller
-    if tie_mode not in TIE_MODES:
-        raise ValueError(f"unknown tie_mode: {tie_mode!r}")
+    _check_tie_mode(tie_mode)
     s = sorted(vals)
     if tie_mode == "midrank":
         return [bisect_left(s, v) + bisect_right(s, v) + 1 for v in vals]
@@ -105,18 +120,27 @@ def spearman_rho(
     Returns exactly 0.0 when either rank vector is constant, and exactly
     +/-1.0 when the rank vectors are affinely dependent.
     """
-    xs = _check_sample(x, "x")
+    xs = x if type(x) is _Checked and x else _check_sample(x, "x")
     ranked = type(y) is _Ranked  # y's ranks and sums for this tie_mode, built once by the caller
     ys = y if ranked else _check_sample(y, "y")
     if len(xs) != (n := y[3] if ranked else len(ys)):
         raise ValueError(f"length mismatch: {len(xs)} vs {n}")
-    rx = _doubled_ranks(xs, tie_mode)
+    _check_tie_mode(tie_mode)
+    if (distinct := len(set(xs))) == 1:  # a constant x: its rank vector is constant
+        return 0.0
     ry, sy, vy, _ = y if ranked else _Ranked(_doubled_ranks(ys, tie_mode))
-    sx = sum(rx)
     # population moments scaled by n^2; exact in integer arithmetic
-    num = n * sum(map(mul, rx, ry)) - sx * sy
-    vx = n * sum(map(mul, rx, rx)) - sx * sx
-    if vx == 0 or vy == 0:
+    if distinct == n:  # no ties: the k-th smallest has doubled rank 2k + c (c = 2 midrank, 0 count-below),
+        # and c cancels out of both moments, which leaves sum(k * ry) in argsort order and closed forms in n
+        order = sorted(range(n), key=xs.__getitem__)
+        num = n * (2 * sum(map(mul, range(n), map(ry.__getitem__, order))) - (n - 1) * sy)
+        vx = n * n * (n * n - 1) // 3
+    else:
+        rx = _doubled_ranks(xs, tie_mode)
+        sx = sum(rx)
+        num = n * sum(map(mul, rx, ry)) - sx * sy
+        vx = n * sum(map(mul, rx, rx)) - sx * sx
+    if vy == 0:
         return 0.0
     if num * num == vx * vy:
         return 1.0 if num > 0 else -1.0

@@ -269,6 +269,75 @@ def test_rank_of_a_nan_score_names_x_on_both_paths():
     assert rank_score(valid, clean, "countbelow") == reference_rank(valid, clean, "countbelow") < 1.0
 
 
+def _rank_and_sample_types(seg, table, tie_mode, monkeypatch):
+    """rank_score's outcome and the type of every sample it hands spearman_rho."""
+    types = []
+
+    def recording_spearman(x, y, tie_mode="midrank"):
+        types.append(type(x))
+        return spearman_rho(x, y, tie_mode)
+
+    with monkeypatch.context() as m:
+        m.setattr(metametrics, "spearman_rho", recording_spearman)
+        return _outcome(rank_score, seg, table, tie_mode), set(types)
+
+
+def test_rank_checks_a_cell_once_only_when_every_score_is_a_finite_float(monkeypatch):
+    diamonds = stacked_diamond(4)  # 16 walks over 13 nodes
+    # an unvalidated SEG: nodes "u" and "v" only point at each other, so no walk reaches them
+    nodes = [(n.id, n.error_count, list(n.images)) for n in diamonds.nodes] + [("u", 9, ["u.jpg"]), ("v", 10, [])]
+    edges = [(e.src, e.dst) for e in diamonds.edges] + [("u", "v"), ("v", "u")]
+    unreachable = make_seg(nodes, edges, seg_id="diamonds")
+    rng = random.Random(12)
+    floats = [rng.random() for _ in diamonds.image_ids()]
+    base = table_for(diamonds, floats).entries
+
+    def table(**changes):
+        return ScoreTable("m", {**base, **{("diamonds", img): v for img, v in changes.items()}})
+
+    cases = {  # (seg, table, whether spearman_rho gets _Checked samples)
+        "floats": (diamonds, table(), True),
+        "an int score": (diamonds, table(**{"2.jpg": 1}), False),
+        "a bool score": (diamonds, table(**{"2.jpg": True}), False),
+        "a NaN": (diamonds, table(**{"5a.jpg": float("nan")}), False),
+        "an infinity": (diamonds, table(**{"0.jpg": -math.inf}), False),
+        "unreachable float": (unreachable, table(**{"u.jpg": 0.5}), True),
+        "unreachable int": (unreachable, table(**{"u.jpg": 2}), False),
+        "unreachable NaN": (unreachable, table(**{"u.jpg": float("nan")}), False),
+    }
+    for name, (seg, tbl, checked) in cases.items():
+        for tie_mode in ("midrank", "countbelow"):
+            outcome, types = _rank_and_sample_types(seg, tbl, tie_mode, monkeypatch)
+            assert outcome == _outcome(reference_rank, seg, tbl, tie_mode), (name, tie_mode)
+            assert types == ({metametrics._Checked} if checked else {list}), (name, tie_mode)
+    assert _outcome(rank_score, diamonds, cases["a NaN"][1], "midrank") == (ValueError, "x contains non-finite values")
+    assert _outcome(rank_score, unreachable, cases["unreachable NaN"][1], "midrank") == _outcome(
+        rank_score, diamonds, cases["floats"][1], "midrank"
+    )
+    # no more walks than nodes: each walk's sample is checked by spearman_rho, as before
+    chain = chain_seg([2, 1, 3])
+    assert _rank_and_sample_types(chain, table_for(chain, floats[:6]), "midrank", monkeypatch)[1] == {list}
+
+
+def test_a_seg_without_adjacent_pairs_raises_a_validation_error_naming_it():
+    seg = make_seg([("0", 0, ["a", "b"])], [], seg_id="lone")
+    table = table_for(seg, [0.9, 0.1])
+    message = r"^seg lone: no adjacent node pairs$"
+    for pair_mode in ("per-walk", "unique-edge"):
+        with pytest.raises(ValidationError, match=message):
+            sep_score(seg, table, pair_mode)
+        with pytest.raises(ValidationError, match=message):
+            delta_score(seg, table, 0.5, pair_mode)
+        with pytest.raises(ValidationError, match=message):
+            evaluate_seg(seg, table, 0.5, pair_mode=pair_mode)
+        assert delta_score(seg, table, 0.0, pair_mode) == 0.0  # a zero spread still gives 0
+    assert rank_score(seg, table) == 0.0  # one walk over one node: a constant error count
+    with pytest.raises(ValidationError, match=message):
+        evaluate_collection(collection_of(seg), [table])
+    with pytest.raises(CoverageError):  # coverage is checked before the pairs
+        sep_score(seg, ScoreTable("m", {("lone", "a"): 0.5}))
+
+
 # ---------------------------------------------------------------------------
 # sep_score
 

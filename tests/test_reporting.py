@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
 
 import pytest
 
@@ -303,18 +304,24 @@ def test_lines_csv_quotes_odd_seg_ids_as_the_csv_module_does(tmp_path):
 
 
 def reference_line_rows(collection, scores):
-    """lines_*.csv data rows rendered point by point, straight from each walk's nodes."""
+    """lines_*.csv data rows rendered point by point, straight from each walk's nodes.
+
+    A walk whose largest error count is 0 is drawn at rank 0.0, and a walk
+    without images writes no row; only an unvalidated SEG has either.
+    """
     for seg in collection:
         nodes = {n.id: n for n in seg.nodes}
         sid = csv_row((seg.id, ""))[:-1]
         for w_idx, walk in enumerate(enumerate_walks(seg)):
             path = [nodes[node_id] for node_id in walk]
             top = max(node.error_count for node in path)
-            yield "".join(
-                f"{sid}{w_idx},{_fmt(node.error_count / top)},{_fmt(scores.entries[(seg.id, img)])}\n"
+            rows = "".join(
+                f"{sid}{w_idx},{_fmt(node.error_count / top if top else 0.0)},{_fmt(scores.entries[(seg.id, img)])}\n"
                 for node in path
                 for img in node.images
             )
+            if rows:
+                yield rows
 
 
 @pytest.mark.parametrize("seed", [3, 17, 29])
@@ -328,6 +335,49 @@ def test_line_rows_match_the_point_by_point_rendering(seed):
             table = oracle_scores(collection, kind, seed=seed)
             rows = [row for seg in collection for row in _line_rows(_SegPlan(seg), table)]
             assert rows == list(reference_line_rows(collection, table)), kind
+
+
+def _unvalidated_seg(rng, seg_id):
+    """A random DAG from one head whose error counts need not rise and whose nodes may have no images."""
+    n = rng.randint(1, 9)
+    nodes = [
+        (str(i), rng.choice([0, 0, 1, 2, 5]), [f"{i}-{j}" for j in range(rng.choice([0, 1, 1, 3]))])
+        for i in range(n)
+    ]
+    edges = {(str(rng.randrange(i)), str(i)) for i in range(1, n)}  # every node hangs off an earlier one
+    edges |= {(str(a), str(b)) for a, b in (sorted(rng.sample(range(n), 2)) for _ in range(n // 2)) if n > 1}
+    return make_seg(nodes, sorted(edges), seg_id=seg_id)
+
+
+def test_line_rows_equal_the_brute_force_rows_on_unvalidated_segs(tmp_path):
+    rng = random.Random(41)
+    segs = [_unvalidated_seg(rng, f"u{i:03d}") for i in range(150)]
+    collection = SegCollection(tuple(segs))
+    entries = {(seg.id, img): rng.choice([rng.random(), -0.0, 1 / 3]) for seg in segs for img in seg.image_ids()}
+    table = ScoreTable("m", entries)
+    seen = set()
+    for seg in segs:
+        plan = _SegPlan(seg)
+        assert plan.tops() == [max(plan.counts[node] for node in walk) for walk in plan.walks]
+        seen |= {"top 0" for top in plan.tops() if top == 0}
+        seen |= {"no images" for walk in plan.walks if not any(plan.populations(table)[node] for node in walk)}
+        assert list(_line_rows(plan, table)) == list(reference_line_rows([seg], table)), seg.id
+        lines = walk_line_data(seg, table)
+        assert type(lines) is list and all(type(line) is list for line in lines)
+        assert len(lines) == len(plan.walks)
+    assert seen == {"top 0", "no images"}
+    results = [SegMetricResult(seg.id, "m", 0.0, 0.0, 0.0, 1, 1) for seg in segs]
+    emit_report(aggregate(results, collection), results, tmp_path, collection, {"m": table})
+    expected = "seg_id,walk_index,normalized_rank,score\n" + "".join(reference_line_rows(collection, table))
+    assert (tmp_path / "lines_m.csv").read_text(encoding="utf-8") == expected
+
+
+def test_walk_line_data_is_a_list_of_lists():
+    seg = stacked_diamond(2)
+    lines = walk_line_data(seg, table_for(seg, [0.9, 0.7, 0.6, 0.5, 0.3, 0.2, 0.1]))
+    assert type(lines) is list and len(lines) == 4
+    assert all(type(line) is list and len(line) == 5 for line in lines)
+    assert lines[0] == [(0.0, 0.9), (0.25, 0.7), (0.5, 0.5), (0.75, 0.3), (1.0, 0.1)]
 
 
 def test_line_rows_skip_a_walk_without_images():

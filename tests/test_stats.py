@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from itertools import groupby
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segeval.stats import (
+    _Checked,
     _Ranked,
     _Sorted,
     _check_sample,
@@ -114,6 +116,32 @@ def tie_group_doubled_ranks(vals, tie_mode):
             ranks[order[k]] = rank
         i = j + 1
     return ranks
+
+
+def reference_rho(x, y, tie_mode="midrank"):
+    """spearman_rho before its constant and tie-free paths: check both, rank both by bisection."""
+    xs, ys = _check_sample(x, "x"), _check_sample(y, "y")
+    if len(xs) != len(ys):
+        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    rx, ry = _doubled_ranks(xs, tie_mode), _doubled_ranks(ys, tie_mode)
+    n, sx, sy = len(rx), sum(rx), sum(ry)
+    num = n * sum(a * b for a, b in zip(rx, ry)) - sx * sy
+    vx = n * sum(a * a for a in rx) - sx * sx
+    vy = n * sum(b * b for b in ry) - sy * sy
+    if vx == 0 or vy == 0:
+        return 0.0
+    if num * num == vx * vy:
+        return 1.0 if num > 0 else -1.0
+    return max(-1.0, min(1.0, num / math.sqrt(vx * vy)))
+
+
+def _same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _rho_path(x):
+    distinct = len(set(map(float, x)))
+    return "constant" if distinct == 1 else "tie-free" if distinct == len(x) else "tied"
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +270,27 @@ def test_spearman_against_oracle_500_samples():
 
 def test_spearman_against_scipy():
     scipy_stats = pytest.importorskip("scipy.stats")
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randint(2, 10)
-        x = [rng.choice([0.0, 0.5, 1.0, 2.0]) for _ in range(n)]
-        y = [rng.random() for _ in range(n)]
+    rng = random.Random(13)
+    seen = set()
+    for k in range(600):
+        n = rng.randint(2, 25)
+        if k % 3 == 0:
+            x = [rng.random() for _ in range(n)]
+        elif k % 3 == 1:
+            x = [rng.choice([0.0, -0.0, 0.5, 1.0, 2]) for _ in range(n)]
+        else:
+            x = rng.sample(range(-50, 50), n)
+        y = [rng.choice([0, 1, 2, 3, 0.5]) if k % 2 else rng.random() for _ in range(n)]
         if len(set(x)) < 2 or len(set(y)) < 2:
             continue
+        seen.add(_rho_path(x))
         expected = scipy_stats.spearmanr(x, y).statistic
-        assert spearman_rho(x, y, "midrank") == pytest.approx(expected, abs=1e-12)
+        assert spearman_rho(x, y, "midrank") == pytest.approx(expected, abs=1e-12), (x, y)
+        # a count-below rank is the "min" rank less 1, and a shift leaves Pearson's r as it is
+        min_ranks = [scipy_stats.rankdata(v, method="min") for v in (x, y)]
+        expected = scipy_stats.pearsonr(*min_ranks).statistic
+        assert spearman_rho(x, y, "countbelow") == pytest.approx(expected, abs=1e-12), (x, y)
+    assert seen == {"tie-free", "tied"}
 
 
 @given(samples, samples)
@@ -331,6 +371,81 @@ def test_spearman_of_ranked_y_edge_cases():
     assert spearman_rho([9, 9, 4, -1, -1, -1], _ranked_runs([2, 1, 3], "midrank")) == -1.0
     with pytest.raises(ValueError, match=r"^unknown tie_mode: 'dense'$"):
         spearman_rho([1, 2, 3, 4, 5, 6], _ranked_runs([2, 1, 3], "midrank"), "dense")
+
+
+rho_x = st.one_of(
+    st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=30, unique=True),
+    st.builds(lambda v, n: [v] * n, st.sampled_from([0.5, 0.0, -0.0, 3]), st.integers(1, 20)),
+    st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 2, -1]), min_size=1, max_size=30),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=30),
+)
+
+
+@settings(max_examples=300)
+@given(rho_x, st.data())
+def test_every_rank_path_equals_the_bisection_reference(x, data):
+    n = len(x)
+    y = data.draw(st.lists(st.sampled_from([0, 1, 1, 2, 3, 0.5, -0.0]), min_size=n, max_size=n))
+    for tie_mode in ("midrank", "countbelow"):
+        expected = reference_rho(x, y, tie_mode)
+        assert _same_float(spearman_rho(x, y, tie_mode), expected), (x, y, tie_mode)
+        if all(type(v) is float for v in x):
+            assert _same_float(spearman_rho(_Checked(x), y, tie_mode), expected)
+        # a _Ranked y: sort the (x, y) pairs by y, which keeps rho, and rank y's runs
+        xs, ys = zip(*sorted(zip(x, y), key=lambda p: p[1]))
+        ranked = _ranked_by_runs(list(map(float, ys)), tie_mode)
+        assert _same_float(spearman_rho(list(xs), ranked, tie_mode), expected), (x, y, tie_mode)
+
+
+def test_each_rank_path_is_taken_and_exact():
+    cases = {
+        "constant": ([0.5, 0.5, 0.5], [0, 1, 2]),
+        "signed zeros are one value": ([0.0, -0.0, 0.0], [0, 1, 2]),
+        "tie-free": ([0.9, 0.1, 0.5, 0.3], [0, 3, 1, 2]),
+        "tie-free ints": ([9, 1, 5, 3], [0, 3, 1, 2]),
+        "tied": ([0.9, 0.5, 0.5, 0.1], [0, 1, 1, 2]),
+        "tied by a signed zero": ([1.0, 0.0, -0.0, -1.0], [0, 1, 1, 2]),
+        "ints equal as floats": ([2**53, 2**53 + 1, 0], [0, 1, 2]),
+    }
+    paths = {name: _rho_path(x) for name, (x, _) in cases.items()}
+    assert set(paths.values()) == {"constant", "tie-free", "tied"}
+    assert paths["signed zeros are one value"] == "constant"
+    assert paths["tied by a signed zero"] == paths["ints equal as floats"] == "tied"
+    for name, (x, y) in cases.items():
+        for tie_mode in ("midrank", "countbelow"):
+            got = spearman_rho(x, y, tie_mode)
+            assert _same_float(got, reference_rho(x, y, tie_mode)), (name, tie_mode)
+    for tie_mode in ("midrank", "countbelow"):
+        assert spearman_rho([0.5, 0.5, 0.5], [0, 1, 2], tie_mode) == 0.0
+        assert spearman_rho([0.9, 0.1, 0.5, 0.3], [0, 3, 1, 2], tie_mode) == -1.0
+        assert spearman_rho([9, 1, 5, 3], [9.5, 1.5, 5.5, 3.5], tie_mode) == 1.0
+        assert spearman_rho([1.0, 0.0, -0.0, -1.0], [0, 1, 1, 2], "midrank") == -1.0
+
+
+def test_spearman_errors_keep_their_text_and_order_on_every_path():
+    ranked = _ranked_runs([1, 1, 1], "midrank")
+    checks = [
+        (([], [1.0], "dense"), "x must be non-empty"),
+        ((_Checked(), [1.0], "dense"), "x must be non-empty"),
+        (([float("nan"), 1.0], [1.0], "dense"), "x contains non-finite values"),
+        (([1.0, float("inf")], ranked, "dense"), "x contains non-finite values"),
+        (([1.0], [], "dense"), "y must be non-empty"),
+        (([1.0, 2.0], [0.0, float("nan"), 1.0], "dense"), "y contains non-finite values"),
+        (([1.0, 2.0], [1.0, 2.0, 3.0], "dense"), "length mismatch: 2 vs 3"),
+        (([1.0, 2.0], ranked, "dense"), "length mismatch: 2 vs 3"),
+        ((_Checked([1.0, 2.0]), ranked, "dense"), "length mismatch: 2 vs 3"),
+        (([0.5, 0.5, 0.5], [0, 1, 2], "dense"), "unknown tie_mode: 'dense'"),  # constant
+        (([0.5, 0.5, 0.5], ranked, "dense"), "unknown tie_mode: 'dense'"),
+        (([0.1, 0.2, 0.3], [0, 1, 2], "dense"), "unknown tie_mode: 'dense'"),  # tie-free
+        ((_Checked([0.1, 0.2, 0.3]), ranked, "dense"), "unknown tie_mode: 'dense'"),
+        (([0.1, 0.1, 0.3], [0, 1, 2], "dense"), "unknown tie_mode: 'dense'"),  # tied
+        (([5.0], [3.0], "dense"), "unknown tie_mode: 'dense'"),
+    ]
+    for args, message in checks:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spearman_rho(*args)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reference_rho(*(list(a) if type(a) is _Checked else a[0] if type(a) is _Ranked else a for a in args))
 
 
 # ---------------------------------------------------------------------------
