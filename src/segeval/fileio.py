@@ -15,7 +15,7 @@ import io
 import json
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError
 
@@ -116,6 +116,28 @@ def read_csv(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[st
             raise not_utf8(path, exc) from exc
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise ParseError(f"line {lineno + 1}: {exc}", source=str(path)) from exc
+
+
+def load_csv(path: Path, header: list[str], load: Callable, first_fault: Callable):
+    """``load(rows)`` over the non-blank data rows of a CSV file, read once with no line numbers.
+
+    ``load`` returns None for a file it does not vouch for (one holding a
+    duplicate, say).  On None, a wrong header, a ValueError (a row of the
+    wrong length, a bad number, bytes that are not UTF-8) or a csv.Error,
+    the file is read again by :func:`read_csv`, and ``first_fault(numbered
+    rows, source)`` raises the ParseError naming the line of the first fault.
+    """
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) == header:
+                table = load(filter(None, reader))
+                if table is not None:
+                    return table
+    except (ValueError, csv.Error):  # a UnicodeDecodeError is a ValueError
+        pass
+    first_fault(read_csv(path, header), str(path))
+    raise ParseError("rejected in one pass but not line by line; did it change while read?", source=str(path))
 
 
 def _lf_writer(write):

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import CoverageError, ParseError, ValidationError
-from .fileio import read_csv
+from .fileio import load_csv
 from .seg import SUBSETS, SegCollection, SemanticErrorGraph
 from .stats import (
     TieMode, _Checked, _Sorted, _check_sample, _ranked_runs, ks_statistic, population_moments, spearman_rho,
@@ -88,41 +88,50 @@ class AggregateReport(NamedTuple):
 # score table I/O
 
 
-def load_score_tables(path: str | Path) -> dict[str, ScoreTable]:
-    """Parse a score CSV into one table per metric, keyed by metric name."""
-    path = Path(path)
+def _score_tables(rows) -> dict[str, ScoreTable] | None:
     tables: dict[str, dict[tuple[str, str], float]] = {}
     # every table shares one key tuple per image and one string per seg id;
     # segs maps a seg id to (that string, {image id: key}) and is read once
-    # per run of rows with the same seg id
+    # per run of rows with the same seg id, as tables is per run of metrics
     segs: dict[str, tuple[str, dict[str, tuple[str, str]]]] = {}
-    seg_key = images = None
-    for lineno, (seg_id, image_id, metric, raw) in read_csv(path, SCORE_CSV_HEADER):
-        try:
-            score = float(raw)
-        except ValueError:
-            raise ParseError(
-                f"line {lineno}: score {raw!r} is not a number", source=str(path)
-            ) from None
-        if not math.isfinite(score):
-            raise ParseError(f"line {lineno}: non-finite score {raw!r}", source=str(path))
-        bucket = tables.setdefault(metric, {})
+    seg_key = images = metric_key = bucket = None
+    n = 0
+    for n, (seg_id, image_id, metric, raw) in enumerate(rows, 1):
+        if metric != metric_key:
+            metric_key, bucket = metric, tables.setdefault(metric, {})
         if seg_id != seg_key:
             seg_key, images = segs.setdefault(seg_id, (seg_id, {}))
         key = images.get(image_id)
         if key is None:
             key = images[image_id] = (seg_key, image_id)
-        if key in bucket:
+        bucket[key] = float(raw)
+    if sum(map(len, tables.values())) != n or not all(all(map(math.isfinite, t.values())) for t in tables.values()):
+        return None  # a score given twice (fewer entries than rows), or a non-finite one
+    return {name: ScoreTable(metric_name=name, entries=entries) for name, entries in sorted(tables.items())}
+
+
+def _first_bad_score(rows, source: str) -> None:
+    """The ParseError of the first faulty ``(lineno, row)``, as the loader raised it row by row."""
+    seen = set()
+    for lineno, (seg_id, image_id, metric, raw) in rows:
+        try:
+            score = float(raw)
+        except ValueError:
+            raise ParseError(f"line {lineno}: score {raw!r} is not a number", source=source) from None
+        if not math.isfinite(score):
+            raise ParseError(f"line {lineno}: non-finite score {raw!r}", source=source)
+        key = (seg_id, image_id, metric)
+        if key in seen:
             raise ParseError(
-                f"line {lineno}: duplicate score for seg {seg_id!r} image {image_id!r} "
-                f"metric {metric!r}",
-                source=str(path),
+                f"line {lineno}: duplicate score for seg {seg_id!r} image {image_id!r} metric {metric!r}",
+                source=source,
             )
-        bucket[key] = score
-    return {
-        name: ScoreTable(metric_name=name, entries=entries)
-        for name, entries in sorted(tables.items())
-    }
+        seen.add(key)
+
+
+def load_score_tables(path: str | Path) -> dict[str, ScoreTable]:
+    """Parse a score CSV into one table per metric, keyed by metric name."""
+    return load_csv(Path(path), SCORE_CSV_HEADER, _score_tables, _first_bad_score)
 
 
 def write_score_tables(tables: Iterable[ScoreTable], path: str | Path) -> None:

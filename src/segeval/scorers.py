@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Literal, Mapping, NamedTuple
 
 from .errors import CoverageError, ParseError, ValidationError
-from .fileio import fields, not_utf8, read_csv, read_json, str_list
+from .fileio import fields, load_csv, not_utf8, read_json, str_list
 from .metametrics import ScoreTable
 from .seg import SegCollection, _topological_order
 
@@ -70,8 +70,12 @@ class AnswerTable:
     @cached_property
     def _by_image(self) -> dict[tuple[str, str], dict[str, str]]:
         grouped: dict[tuple[str, str], dict[str, str]] = {}
+        get = grouped.get
         for (seg_id, image_id, qid), ans in self.entries.items():
-            grouped.setdefault((seg_id, image_id), {})[qid] = ans
+            per_image = get((seg_id, image_id))
+            if per_image is None:
+                per_image = grouped[seg_id, image_id] = {}
+            per_image[qid] = ans
         return grouped
 
     def images(self) -> list[tuple[str, str]]:
@@ -85,11 +89,21 @@ def _normalize_answer(text: str) -> str:
     return text.strip().casefold()
 
 
-def _gating_order(qg: QuestionGraph) -> list[str] | None:
+class _Normalized(dict):
+    """Each answer text's normalized form, computed on its first lookup."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = norm = _normalize_answer(text)
+        return norm
+
+
+def _gating_order(qg: QuestionGraph, source: str) -> list[str] | None:
     """Question ids with every parent before its children; None on a cycle."""
     succs: dict[str, list[tuple[str, int]]] = {q.id: [] for q in qg.questions}
     for q in qg.questions:
         for p in q.parent_ids:
+            if p not in succs:
+                raise ValidationError(f"{source}: question {q.id!r} references unknown parent {p!r}")
             succs[p].append((q.id, 1))  # the weight goes unread
     return _topological_order(succs)
 
@@ -117,12 +131,8 @@ def _parse_question_graph(data: dict, source: str) -> QuestionGraph:
             raise ValidationError(f"{source}: duplicate question id {qid!r}")
         ids.add(qid)
         questions.append(Question(qid, str_list(parent_ids, "parent_ids", where, source), expected))
-    for q in questions:
-        for pid in q.parent_ids:
-            if pid not in ids:
-                raise ValidationError(f"{source}: question {q.id!r} references unknown parent {pid!r}")
     qg = QuestionGraph(prompt_id=prompt_id, questions=tuple(questions))
-    if _gating_order(qg) is None:
+    if _gating_order(qg, source) is None:
         raise _cycle_error(qg, source)
     return qg
 
@@ -143,17 +153,29 @@ def load_question_graphs(path: str | Path) -> list[QuestionGraph]:
     return graphs
 
 
-def load_answer_table(path: str | Path) -> AnswerTable:
-    """Answers from a CSV file, holding one string per distinct id and answer text."""
-    path = Path(path)
+def _answer_table(rows) -> AnswerTable | None:
     entries: dict[tuple[str, str, str], str] = {}
     share = {}.setdefault  # each field's first equal string; local, as answers are free text
-    for lineno, (seg_id, image_id, question_id, answer) in read_csv(path, ANSWER_CSV_HEADER):
+    n = 0
+    for n, (seg_id, image_id, question_id, answer) in enumerate(rows, 1):
         key = (share(seg_id, seg_id), share(image_id, image_id), share(question_id, question_id))
-        if key in entries:
-            raise ParseError(f"line {lineno}: duplicate answer for {key}", source=str(path))
         entries[key] = share(answer, answer)
-    return AnswerTable(entries=entries)
+    return AnswerTable(entries=entries) if len(entries) == n else None  # fewer: a key answered twice
+
+
+def _first_bad_answer(rows, source: str) -> None:
+    """The ParseError of the first duplicate ``(lineno, row)``, as the loader raised it row by row."""
+    seen = set()
+    for lineno, (seg_id, image_id, question_id, _) in rows:
+        key = (seg_id, image_id, question_id)
+        if key in seen:
+            raise ParseError(f"line {lineno}: duplicate answer for {key}", source=source)
+        seen.add(key)
+
+
+def load_answer_table(path: str | Path) -> AnswerTable:
+    """Answers from a CSV file, holding one string per distinct id and answer text."""
+    return load_csv(Path(path), ANSWER_CSV_HEADER, _answer_table, _first_bad_answer)
 
 
 # ---------------------------------------------------------------------------
@@ -174,30 +196,40 @@ def _plan(qg: QuestionGraph, gated: bool) -> _Plan:
     if not gated:
         return _Plan(expected, tuple((qid, exp, ()) for qid, exp in expected.items()))
     parents = {q.id: q.parent_ids for q in qg.questions}
-    order = _gating_order(qg)
+    order = _gating_order(qg, "<data>")
     steps = None if order is None else tuple((qid, expected[qid], parents[qid]) for qid in order)
     return _Plan(expected, steps)
 
 
-def _accumulate(qg: QuestionGraph, plan: _Plan, answers: Mapping[str, str]) -> float:
-    """The share of questions answered correctly with every parent satisfied (tifa: no parents)."""
-    if not answers.keys() >= plan.expected.keys():
-        missing = sorted(q.id for q in qg.questions if q.id not in answers)
-        raise CoverageError(
-            "missing answer(s) for question id(s): " + ", ".join(missing), missing=missing
-        )
+def _missing_error(qg: QuestionGraph, answers: Mapping[str, str], where: str = "") -> CoverageError:
+    missing = sorted(q.id for q in qg.questions if q.id not in answers)
+    return CoverageError(where + "missing answer(s) for question id(s): " + ", ".join(missing), missing=missing)
+
+
+def _accumulate(qg: QuestionGraph, plan: _Plan, answers: Mapping[str, str], normalized: _Normalized) -> float:
+    """The share of questions answered correctly with every parent satisfied (tifa: no parents).
+
+    ``answers`` holds an answer for every question id of the plan.
+    """
     if plan.steps is None:
         raise _cycle_error(qg, "<data>")
     satisfied: set[str] = set()
     for qid, expected, parents in plan.steps:
-        if _normalize_answer(answers[qid]) == expected and satisfied.issuperset(parents):
+        if normalized[answers[qid]] == expected and satisfied.issuperset(parents):
             satisfied.add(qid)
     return len(satisfied) / len(plan.expected)
 
 
+def _accumulate_one(qg: QuestionGraph, answers: Mapping[str, str], gated: bool) -> float:
+    plan = _plan(qg, gated)
+    if not answers.keys() >= plan.expected.keys():
+        raise _missing_error(qg, answers)
+    return _accumulate(qg, plan, answers, _Normalized())
+
+
 def tifa_accumulate(qg: QuestionGraph, answers: Mapping[str, str]) -> float:
     """Flat correct-answer rate over all questions, in [0, 1]."""
-    return _accumulate(qg, _plan(qg, gated=False), answers)
+    return _accumulate_one(qg, answers, gated=False)
 
 
 def dsg_accumulate(qg: QuestionGraph, answers: Mapping[str, str]) -> float:
@@ -207,7 +239,7 @@ def dsg_accumulate(qg: QuestionGraph, answers: Mapping[str, str]) -> float:
     question is satisfied (so a wrong answer anywhere upstream removes
     credit for the whole subtree).
     """
-    return _accumulate(qg, _plan(qg, gated=True), answers)
+    return _accumulate_one(qg, answers, gated=True)
 
 
 def accumulate_scores(
@@ -222,43 +254,39 @@ def accumulate_scores(
     each seg uses the graph whose prompt_id equals the seg id.  The metric
     name defaults to the prompt id (or "questions") suffixed ``-{mode}-acc``.
     Each graph's expected answers and gating order are derived once, on
-    first use, and held while that graph's images are scored.
+    first use, and held while that graph's images are scored; each distinct
+    answer text is normalized once per call.
     """
     if mode not in ACCUMULATION_MODES:
         raise ValueError(f"unknown accumulation mode: {mode!r}")
     if not graphs:
         raise ValueError("no question graphs given")
     by_prompt = {g.prompt_id: g for g in graphs}
+    single = graphs[0] if len(graphs) == 1 else None
     planned: QuestionGraph | None = None
-    base = metric_name or (graphs[0].prompt_id if len(graphs) == 1 else "questions")
+    base = metric_name or (single.prompt_id if single else "questions")
     name = f"{base}-{mode}-acc"
 
+    normalized = _Normalized()
+    by_image = answers._by_image  # read, not copied as answers_for copies it
     entries: dict[tuple[str, str], float] = {}
     for key in answers.images():  # the index's own key tuples, shared with the output
         seg_id, image_id = key
-        if len(graphs) == 1:
-            qg = graphs[0]
-        elif seg_id in by_prompt:
-            qg = by_prompt[seg_id]
-        else:
+        qg = single or by_prompt.get(seg_id)
+        if qg is None:
             raise CoverageError(
                 f"no question graph with prompt_id {seg_id!r} for seg {seg_id!r}"
             )
         if qg is not planned:  # images come sorted by seg id, so a graph's are contiguous
             plan, planned = _plan(qg, gated=mode == "dsg"), qg
-        per_image = answers._by_image[key]  # read, not copied as answers_for copies it
-        unknown = sorted(per_image.keys() - plan.expected.keys())
-        if unknown:
-            raise ValidationError(
-                f"answers for seg {seg_id!r} image {image_id!r} reference unknown "
-                "question id(s): " + ", ".join(unknown)
-            )
-        try:
-            entries[key] = _accumulate(qg, plan, per_image)
-        except CoverageError as exc:
-            raise CoverageError(
-                f"seg {seg_id!r} image {image_id!r}: {exc}", missing=exc.missing
-            ) from exc
+        per_image = by_image[key]
+        if per_image.keys() != plan.expected.keys():
+            where = f"seg {seg_id!r} image {image_id!r}"
+            unknown = sorted(per_image.keys() - plan.expected.keys())
+            if unknown:
+                raise ValidationError(f"answers for {where} reference unknown question id(s): " + ", ".join(unknown))
+            raise _missing_error(qg, per_image, f"{where}: ")
+        entries[key] = _accumulate(qg, plan, per_image, normalized)
     return ScoreTable(metric_name=name, entries=entries)
 
 

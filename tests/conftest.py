@@ -1,9 +1,13 @@
-"""Shared SEG builders for the test suite."""
+"""Shared SEG builders and seeded CSV files for the test suite."""
 
 from __future__ import annotations
 
+import csv
+import random
+
 import pytest
 
+from segeval.fileio import csv_row
 from segeval.seg import ErrorEdge, ErrorNode, SegCollection, SemanticErrorGraph
 from segeval.metametrics import ScoreTable
 
@@ -84,3 +88,58 @@ def diamond() -> SemanticErrorGraph:
 
 def collection_of(*segs: SemanticErrorGraph) -> SegCollection:
     return SegCollection(tuple(sorted(segs, key=lambda s: s.id)))
+
+
+CSV_FAULTS = ("none", "duplicate", "short", "long", "oversized", "not-utf8", "bad-header", "empty")
+
+
+def seeded_csv(rng: random.Random, header: list[str], rows: list[list[str]], bad_values=()) -> tuple[bytes, str]:
+    """``rows`` under ``header`` as CSV bytes with at most one kind of fault, and that kind's name.
+
+    The faults are those of :data:`CSV_FAULTS` and a last field taken from
+    ``bad_values``.  A duplicate repeats the first three fields of the first
+    row or a later one, once or twice.  A non-UTF-8 byte comes past the first
+    8 KiB.  Blank lines, a byte-order mark, CRLF line ends and quoted
+    newlines inside fields, after which record and physical line numbers
+    differ, come and go at random.
+    """
+    rows = [list(row) for row in rows]
+    values = {f"value {v!r}": v for v in bad_values}
+    fault = rng.choice(CSV_FAULTS + tuple(values))
+    for row in rng.sample(rows, min(len(rows), rng.choice([0, 0, 1, 2]))):
+        row[1] += "\nwrapped"
+    where = rng.randint(0, len(rows))
+    if fault == "duplicate":
+        for _ in range(rng.randint(1, 2)):
+            source = rows[0] if rng.random() < 0.5 else rng.choice(rows)
+            rows.insert(rng.randint(1, len(rows)), source[:3] + [rng.choice(rows)[3]])
+    elif fault == "short":
+        rows.insert(where, ["s0", "a.jpg", "q0", "x"][: rng.randint(1, 3)])
+    elif fault == "long":
+        rows.insert(where, ["s0", "long.jpg", "q0", "x", "extra"])
+    elif fault == "oversized":
+        rows.insert(where, ["s0", "x" * (csv.field_size_limit() + 1), "q0", "1"])
+    elif fault in values:
+        rows.insert(where, ["s0", "bad.jpg", "q0", values[fault]])
+    lines = [csv_row(row) for row in rows]
+    for _ in range(rng.choice([0, 0, 1, 3])):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["\n", "\r\n"]))
+    head = "" if fault == "empty" else csv_row(header[:3] + ["x"] if fault == "bad-header" else header)
+    if fault == "empty" and rng.random() < 0.5:
+        lines = []
+    text = head + "".join(lines)
+    if rng.random() < 0.3:
+        text = text.replace("\n", "\r\n")
+    data = text.encode()
+    if fault == "not-utf8":
+        padding = "".join(csv_row(["pad", f"pad-{k}.jpg", "q0", "0.5"]) for k in range(8192 // 20))
+        data += padding.encode() + b"s0,\xff.jpg,q0,1\n"
+    if rng.random() < 0.3:
+        data = "\ufeff".encode() + data
+    return data, fault
+
+
+def identity_pattern(objects) -> list[int]:
+    """Each object's index among the distinct objects by identity, in order of first appearance."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(obj), len(first)) for obj in objects]

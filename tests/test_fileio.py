@@ -10,7 +10,7 @@ import pytest
 
 from segeval.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from segeval.errors import ParseError
-from segeval.fileio import NUMBER, csv_row, fields, not_utf8, read_csv, read_json, write_csv
+from segeval.fileio import NUMBER, csv_row, fields, load_csv, not_utf8, read_csv, read_json, write_csv
 from segeval.cost import load_cost_models
 from segeval.metametrics import load_score_tables, write_score_tables
 from segeval.scorers import load_answer_table, load_embeddings, load_question_graphs
@@ -70,6 +70,21 @@ def test_read_csv_rejects_empty_file_and_wrong_width(tmp_path):
     path.write_text("a,b\n1,2\n\n1,2,3\n")
     with pytest.raises(ParseError, match="line 4: expected 2 fields, got 3"):
         list(read_csv(path, ["a", "b"]))
+
+
+def test_load_csv_reads_a_good_file_once_and_never_returns_a_rejected_one(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n\n3,4\n")
+    numbered = []
+    assert load_csv(path, ["a", "b"], list, lambda rows, source: numbered.extend(rows)) == [["1", "2"], ["3", "4"]]
+    assert numbered == []  # the line-by-line pass never ran
+    # a load that rejects a file the line-by-line check passes (one changed between the reads)
+    with pytest.raises(ParseError) as exc:
+        load_csv(path, ["a", "b"], lambda rows: None, lambda rows, source: numbered.extend(rows))
+    assert numbered == [(2, ["1", "2"]), (4, ["3", "4"])]
+    assert str(exc.value) == f"{path}: rejected in one pass but not line by line; did it change while read?"
+    with pytest.raises(FileNotFoundError):
+        load_csv(tmp_path / "missing.csv", ["a", "b"], list, lambda rows, source: None)
 
 
 def test_read_json_names_the_file_and_leaves_missing_files_to_oserror(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+from pathlib import Path
 from functools import reduce
 from operator import add
 
@@ -34,7 +35,7 @@ from segeval.stats import ks_statistic, spearman_rho
 from segeval.synth import SynthConfig, generate_segs, oracle_scores, write_collection
 from segeval.walks import adjacent_pairs, enumerate_walks
 
-from conftest import chain_seg, collection_of, make_seg, stacked_diamond, table_for
+from conftest import CSV_FAULTS, chain_seg, collection_of, identity_pattern, make_seg, seeded_csv, stacked_diamond, table_for
 
 
 def oracle_rank(seg, table, tie_mode="midrank"):
@@ -788,8 +789,11 @@ def test_score_csv_rejects_bad_and_duplicate_rows(tmp_path):
 
 
 def reference_load(path):
-    """The loader as it was before tables shared keys: a fresh key per row."""
+    """The loader as it was, checking each row as read_csv numbers it; tables share one key per image."""
+    path = Path(path)
     tables = {}
+    segs = {}
+    seg_key = images = None
     for lineno, (seg_id, image_id, metric, raw) in read_csv(path, SCORE_CSV_HEADER):
         try:
             score = float(raw)
@@ -798,13 +802,18 @@ def reference_load(path):
         if not math.isfinite(score):
             raise ParseError(f"line {lineno}: non-finite score {raw!r}", source=str(path))
         bucket = tables.setdefault(metric, {})
-        if (seg_id, image_id) in bucket:
+        if seg_id != seg_key:
+            seg_key, images = segs.setdefault(seg_id, (seg_id, {}))
+        key = images.get(image_id)
+        if key is None:
+            key = images[image_id] = (seg_key, image_id)
+        if key in bucket:
             raise ParseError(
                 f"line {lineno}: duplicate score for seg {seg_id!r} image {image_id!r} metric {metric!r}",
                 source=str(path),
             )
-        bucket[(seg_id, image_id)] = score
-    return {name: entries for name, entries in sorted(tables.items())}
+        bucket[key] = score
+    return {name: ScoreTable(metric_name=name, entries=entries) for name, entries in sorted(tables.items())}
 
 
 def reference_write(tables, path):
@@ -827,9 +836,7 @@ def test_loaded_tables_share_one_key_per_image_and_one_seg_id_string(tmp_path):
     args = ["synth", "--seed", "3", "--segs", "40", "--out", str(tmp_path / "segs"), "--scores-out", str(path)]
     assert main(args) == 0
     loaded = load_score_tables(path)
-    expected = reference_load(path)
-    assert list(loaded) == list(expected) and len(loaded) == 4
-    assert all(loaded[name].entries == expected[name] for name in expected)
+    assert loaded == reference_load(path) and len(loaded) == 4
 
     first = {key: key for key in next(iter(loaded.values())).entries}
     assert all(first[key] is key for table in loaded.values() for key in table.entries)
@@ -841,7 +848,7 @@ def test_same_image_under_two_metrics_is_accepted_with_one_key(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("seg_id,image_id,metric,score\ns,i,a,1\ns,i,b,0.5\n")
     loaded = load_score_tables(path)
-    assert {name: table.entries for name, table in loaded.items()} == reference_load(path)
+    assert loaded == reference_load(path)
     (key_a,), (key_b,) = loaded["a"].entries, loaded["b"].entries
     assert key_a is key_b
 
@@ -867,6 +874,47 @@ def test_loader_non_utf8_past_8_kib_keeps_its_message(tmp_path):
     assert path.stat().st_size > 8192
     message = f"{path}: not valid UTF-8: invalid start byte (byte 0xff)"
     assert _load_error(load_score_tables, path) == _load_error(reference_load, path) == message
+
+
+def _load_outcome(loader, path):
+    try:
+        return loader(path)
+    except Exception as exc:  # the type and message must match, whatever they are
+        return type(exc), str(exc)
+
+
+def _score_objects(tables):
+    """Every key and id string of the tables, in table and row order."""
+    return [obj for table in tables.values() for key in table.entries for obj in (key, *key)]
+
+
+def test_one_pass_loader_matches_the_line_numbered_loop_on_seeded_files(tmp_path):
+    rng = random.Random(53)
+    outcomes = set()
+    scores = ["0.5", "1", "-0", " 2.5e-3 ", "1_0", "1e308"]
+    bad = ["abc", "nan", "-inf", "Infinity", "1e999", ""]
+    for n in range(300):
+        path = tmp_path / f"scores{n}.csv"
+        rows = [
+            [seg, image, metric, rng.choice(scores)]
+            for metric in rng.sample(["m", "a,b", "z"], rng.randint(1, 3))
+            for seg in ["s0", "s1", "a.jpg"][: rng.randint(1, 3)]
+            for image in ["a.jpg", "s0", "b c"][: rng.randint(1, 3)]
+        ]
+        rng.shuffle(rows)
+        data, fault = seeded_csv(rng, SCORE_CSV_HEADER, rows, bad_values=bad)
+        path.write_bytes(data)
+        got, want = _load_outcome(load_score_tables, path), _load_outcome(reference_load, path)
+        assert got == want, fault
+        if isinstance(want, tuple):
+            assert want[0] is ParseError, want
+            outcomes.add(fault)
+            continue
+        outcomes.add("loaded")
+        assert [list(t.entries) for t in got.values()] == [list(t.entries) for t in want.values()]
+        assert identity_pattern(_score_objects(got)) == identity_pattern(_score_objects(want))
+    faults = set(CSV_FAULTS) - {"none"} | {f"value {v!r}" for v in bad}
+    assert outcomes == faults | {"loaded"}  # every kind of fault came up, and failed
 
 
 def test_writer_bytes_equal_the_all_rows_sort(tmp_path):

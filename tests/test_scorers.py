@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import re
 from pathlib import Path
 
 import pytest
@@ -30,7 +29,7 @@ from segeval.scorers import (
 )
 from segeval.synth import SynthConfig, generate_segs
 
-from conftest import chain_seg, collection_of
+from conftest import CSV_FAULTS, chain_seg, collection_of, identity_pattern, seeded_csv
 
 
 def qgraph(*questions: tuple[str, list[str], str], prompt_id: str = "p1") -> QuestionGraph:
@@ -266,76 +265,64 @@ def test_answer_table_bad_header(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# shared answer strings against the loader that made a string per field
+# the one-pass answer loader against the line-numbered loop
 
 
 def reference_load_answer_table(path: Path) -> AnswerTable:
-    """The answer loader with a new string for every field of every row."""
+    """The answer loader as it was, checking each row as read_csv numbers it; one string per distinct text."""
     entries = {}
+    share = {}.setdefault
     for lineno, (seg_id, image_id, question_id, answer) in read_csv(path, ANSWER_CSV_HEADER):
-        key = (seg_id, image_id, question_id)
+        key = (share(seg_id, seg_id), share(image_id, image_id), share(question_id, question_id))
         if key in entries:
             raise ParseError(f"line {lineno}: duplicate answer for {key}", source=str(path))
-        entries[key] = answer
+        entries[key] = share(answer, answer)
     return AnswerTable(entries=entries)
 
 
-def random_answer_csv(rng: random.Random) -> str:
-    """Shuffled answer rows with repeated ids, maybe blank lines, a duplicate and a short row."""
+def random_answer_csv(rng: random.Random) -> tuple[bytes, str]:
+    """Shuffled answer rows with repeated ids and texts, and at most one kind of fault (see seeded_csv)."""
     seg_ids = [f"s{i}" for i in range(rng.randint(1, 4))]
     image_ids = ["0", "s0", "a.jpg", "b,c.jpg"][: rng.randint(1, 4)]  # an image id may equal a seg id
     qids = [f"q{i}" for i in range(rng.randint(1, 5))]
     rows = [
-        [s, i, q, rng.choice(ANSWER_VARIANTS + ["Yes", "YES", "", 'say "no"'])]
+        [s, i, q, rng.choice(ANSWER_VARIANTS + ["Yes", "YES", "", 'say "no"', "s0"])]
         for s in seg_ids
         for i in image_ids
         for q in qids
         if rng.random() < 0.9
     ]
     rng.shuffle(rows)
-    if rows and rng.random() < 0.5:  # an answer for a key already answered
-        rows.insert(rng.randint(0, len(rows)), rng.choice(rows)[:3] + [rng.choice(ANSWER_VARIANTS)])
-    if rng.random() < 0.2:
-        rows.insert(rng.randint(0, len(rows)), ["s0", "a.jpg", "q0"])
-    lines = [csv_row(row) for row in rows]
-    for _ in range(rng.choice([0, 0, 1, 3])):
-        lines.insert(rng.randint(0, len(lines)), "\n")
-    return csv_row(ANSWER_CSV_HEADER) + "".join(lines)
+    return seeded_csv(rng, ANSWER_CSV_HEADER, rows)
 
 
-def load_or_error(loader, path: Path) -> AnswerTable | str:
+def load_or_error(loader, path: Path) -> AnswerTable | tuple:
     try:
         return loader(path)
-    except ParseError as exc:
-        return f"ParseError: {exc}"
-
-
-def assert_one_object_per_value(strings) -> None:
-    first: dict[str, str] = {}
-    for s in strings:
-        assert first.setdefault(s, s) is s
+    except Exception as exc:  # the type and message must match, whatever they are
+        return type(exc), str(exc)
 
 
 def test_shared_answer_strings_match_the_reference_loader(tmp_path):
     rng = random.Random(43)
     outcomes = set()
-    for n in range(150):
+    for n in range(300):
         path = tmp_path / f"answers{n}.csv"
-        path.write_text(random_answer_csv(rng), encoding="utf-8", newline="")
+        data, fault = random_answer_csv(rng)
+        path.write_bytes(data)
         got, want = load_or_error(load_answer_table, path), load_or_error(reference_load_answer_table, path)
-        if isinstance(want, str):
-            assert got == want
-            outcomes.add(re.search(r": line \d+: (\w+)", want).group(1))
+        assert got == want, fault
+        if isinstance(want, tuple):
+            assert want[0] is ParseError, want
+            outcomes.add(fault)
             continue
         outcomes.add("loaded")
-        assert got.entries == want.entries
         assert list(got.entries) == list(want.entries)
-        keys = list(got.entries)
-        assert_one_object_per_value(s for s, _, _ in keys)
-        assert_one_object_per_value(i for _, i, _ in keys)
-        assert_one_object_per_value(q for _, _, q in keys)
-        assert_one_object_per_value(got.entries.values())
-    assert outcomes == {"loaded", "duplicate", "expected"}  # every kind of file came up
+        # the same string object wherever the reference has one, across fields as well as within them
+        strings = [[*key, answer] for key, answer in got.entries.items()]
+        reference = [[*key, answer] for key, answer in want.entries.items()]
+        assert identity_pattern(sum(strings, [])) == identity_pattern(sum(reference, []))
+    assert outcomes == set(CSV_FAULTS) - {"none"} | {"loaded"}  # every kind of fault came up, and failed
 
 
 def test_accumulated_scores_are_keyed_by_the_answer_index_keys(tmp_path):
@@ -444,12 +431,12 @@ def random_answer_table(rng: random.Random, graphs: list[QuestionGraph], seg_ids
     return AnswerTable(entries=entries)
 
 
-def random_question_graph(rng: random.Random, prompt_id: str) -> QuestionGraph:
+def random_question_graph(rng: random.Random, prompt_id: str, expected=("yes", "No ", " blue")) -> QuestionGraph:
     n = rng.randint(1, 9)
     questions = []
     for i in range(n):
         parents = rng.sample([f"q{j}" for j in range(i)], rng.randint(0, min(i, 3)))
-        questions.append((f"q{i}", parents, rng.choice(["yes", "No ", " blue"])))
+        questions.append((f"q{i}", parents, rng.choice(expected)))
     rng.shuffle(questions)  # listed in any order, not only parents first
     return qgraph(*questions, prompt_id=prompt_id)
 
@@ -473,6 +460,51 @@ def test_multi_graph_plans_match_the_per_image_reference(mode):
         used = rng.sample([g.prompt_id for g in graphs], rng.randint(1, len(graphs)))
         answers = random_answer_table(rng, graphs, used)
         assert accumulate_scores(graphs, answers, mode).entries == reference_scores(graphs, answers, mode)
+
+
+# texts that differ raw but normalize equal, and empty and whitespace-only ones
+SHARED_TEXTS = ["yes", "Yes", " YES\t", "no", "NO ", "", " ", "\n\t"]
+
+
+@pytest.mark.parametrize("mode", ["tifa", "dsg"])
+def test_one_normalization_per_answer_text_matches_the_per_image_reference(mode):
+    rng = random.Random(59)
+    for _ in range(60):
+        graphs = [random_question_graph(rng, f"s{i}", expected=("yes", " No", "", "  ")) for i in range(rng.randint(1, 4))]
+        by_prompt = {g.prompt_id: g for g in graphs}
+        # one object per text, so one text answers questions with different expected answers
+        entries = {
+            (seg_id, f"i{img}", q.id): rng.choice(SHARED_TEXTS)
+            for seg_id in rng.sample(sorted(by_prompt), rng.randint(1, len(graphs)))
+            for img in range(rng.randint(1, 5))
+            for q in by_prompt[seg_id].questions
+        }
+        answers = AnswerTable(entries=dict(rng.sample(sorted(entries.items()), len(entries))))
+        assert accumulate_scores(graphs, answers, mode).entries == reference_scores(graphs, answers, mode)
+
+
+def test_one_text_answering_questions_that_expect_different_answers():
+    qg = qgraph(("q1", [], "yes"), ("q2", ["q1"], "no"), ("q3", [], " "), ("q4", ["q3"], "Yes"))
+    text = "Yes "
+    answers = AnswerTable(entries={("s", "i", "q1"): text, ("s", "i", "q2"): text, ("s", "i", "q3"): "", ("s", "i", "q4"): text})
+    assert accumulate_scores([qg], answers, "tifa").entries == {("s", "i"): 0.75}
+    assert accumulate_scores([qg], answers, "dsg").entries == {("s", "i"): 0.75}
+
+
+def test_api_built_graph_naming_an_unknown_parent_fails_dsg_with_the_loader_wording():
+    qg = qgraph(("q0", [], "yes"), ("q1", ["q0", "qx"], "yes"))
+    answers = {"q0": "yes", "q1": "yes"}
+    table = AnswerTable(entries={("s", "i", qid): ans for qid, ans in answers.items()})
+    message = "<data>: question 'q1' references unknown parent 'qx'"
+    with pytest.raises(ValidationError) as exc:
+        accumulate_scores([qg], table, "dsg")
+    assert str(exc.value) == message
+    with pytest.raises(ValidationError) as exc:
+        dsg_accumulate(qg, answers)
+    assert str(exc.value) == message
+    # tifa reads no parents
+    assert accumulate_scores([qg], table, "tifa").entries == {("s", "i"): 1.0}
+    assert tifa_accumulate(qg, answers) == 1.0
 
 
 def test_tifa_equals_the_flat_oracle_on_random_graphs():
@@ -543,7 +575,7 @@ def test_missing_answers_listed_sorted_with_the_image(mode):
 
 @pytest.mark.parametrize("mode", ["tifa", "dsg"])
 def test_unknown_answer_ids_rejected_before_missing_ones(mode):
-    qg = qgraph(("q1", [], "yes"), ("q2", ["q1"], "yes"))
+    qg = qgraph(("q1", [], "yes"), ("q2", ["q1"], "yes"))  # the image answers q1 but not q2
     answers = AnswerTable(entries={("s", "i", "q1"): "yes", ("s", "i", "zz"): "yes", ("s", "i", "aa"): "no"})
     with pytest.raises(ValidationError) as exc:
         accumulate_scores([qg], answers, mode)
