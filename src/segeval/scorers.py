@@ -22,12 +22,13 @@ embeddings are text files with one ``id v1 v2 ...`` record per line.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from functools import cached_property, reduce
 from operator import add, mul
 from pathlib import Path
-from typing import Literal, Mapping, NamedTuple
+from typing import Literal, NamedTuple
 
-from .errors import CoverageError, ParseError, ValidationError
+from .errors import CoverageError, ParseError, SegEvalError, ValidationError
 from .fileio import fields, load_csv, not_utf8, read_json, str_list
 from .metametrics import ScoreTable
 from .seg import SegCollection, _topological_order
@@ -50,11 +51,52 @@ class QuestionGraph(NamedTuple):
     questions: tuple[Question, ...]
 
 
+class _IndexedAnswers(Mapping):
+    """A loaded table's entries: a read-only view of its per-image index, in file order.
+
+    An image's k-th row holds its dict's k-th question id, as a dict keeps insertion order.
+    """
+
+    __slots__ = ("_by_image", "_rows")
+
+    def __init__(self, by_image: dict[tuple[str, str], dict[str, str]], rows: list[dict[str, str]]) -> None:
+        self._by_image = by_image
+        self._rows = rows  # each row's image, as that image's answer dict
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, key: tuple[str, str, str]) -> str:
+        try:
+            seg_id, image_id, question_id = key
+            return self._by_image[seg_id, image_id][question_id]
+        except (KeyError, TypeError, ValueError):  # no such answer, or not a 3-item key
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        cursors = {id(answers): (key, iter(answers)) for key, answers in self._by_image.items()}
+        for answers in self._rows:
+            (seg_id, image_id), question_ids = cursors[id(answers)]
+            yield seg_id, image_id, next(question_ids)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 class AnswerTable:
-    """Answers keyed by (seg_id, image_id, question_id), grouped per image on first use."""
+    """Answers keyed by (seg_id, image_id, question_id), grouped per image on first use.
+
+    A loaded table holds the per-image index from the start; its ``entries`` is a view of it.
+    """
 
     def __init__(self, entries: Mapping[tuple[str, str, str], str]) -> None:
         self.__dict__["entries"] = entries
+
+    @classmethod
+    def _indexed(cls, by_image: dict[tuple[str, str], dict[str, str]], rows: list[dict[str, str]]) -> AnswerTable:
+        table = cls(_IndexedAnswers(by_image, rows))
+        table.__dict__["_by_image"] = by_image  # the cached property's value, built by the loader
+        return table
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -154,13 +196,19 @@ def load_question_graphs(path: str | Path) -> list[QuestionGraph]:
 
 
 def _answer_table(rows) -> AnswerTable | None:
-    entries: dict[tuple[str, str, str], str] = {}
+    by_image: dict[tuple[str, str], dict[str, str]] = {}
+    row_images: list[dict[str, str]] = []
+    get, append = by_image.get, row_images.append
     share = {}.setdefault  # each field's first equal string; local, as answers are free text
-    n = 0
-    for n, (seg_id, image_id, question_id, answer) in enumerate(rows, 1):
-        key = (share(seg_id, seg_id), share(image_id, image_id), share(question_id, question_id))
-        entries[key] = share(answer, answer)
-    return AnswerTable(entries=entries) if len(entries) == n else None  # fewer: a key answered twice
+    for seg_id, image_id, question_id, answer in rows:
+        per_image = get((seg_id, image_id))
+        if per_image is None:
+            per_image = by_image[share(seg_id, seg_id), share(image_id, image_id)] = {}
+        per_image[share(question_id, question_id)] = share(answer, answer)
+        append(per_image)
+    if sum(map(len, by_image.values())) != len(row_images):  # fewer: a key answered twice
+        return None
+    return AnswerTable._indexed(by_image, row_images)
 
 
 def _first_bad_answer(rows, source: str) -> None:
@@ -174,7 +222,7 @@ def _first_bad_answer(rows, source: str) -> None:
 
 
 def load_answer_table(path: str | Path) -> AnswerTable:
-    """Answers from a CSV file, holding one string per distinct id and answer text."""
+    """Answers from a CSV file, indexed per image, holding one string per distinct id and answer text."""
     return load_csv(Path(path), ANSWER_CSV_HEADER, _answer_table, _first_bad_answer)
 
 
@@ -201,15 +249,21 @@ def _plan(qg: QuestionGraph, gated: bool) -> _Plan:
     return _Plan(expected, steps)
 
 
-def _missing_error(qg: QuestionGraph, answers: Mapping[str, str], where: str = "") -> CoverageError:
-    missing = sorted(q.id for q in qg.questions if q.id not in answers)
+def _answers_error(plan: _Plan, answers: Mapping[str, str], image: str = "") -> SegEvalError:
+    """Why ``answers`` for ``image`` (if named) miss ``plan``'s question ids: unknown ids first, then missing ones."""
+    unknown = sorted(answers.keys() - plan.expected.keys())
+    if unknown:
+        whose = f"answers for {image}" if image else "answers"
+        return ValidationError(f"{whose} reference unknown question id(s): " + ", ".join(unknown))
+    missing = sorted(plan.expected.keys() - answers.keys())  # each distinct id once
+    where = f"{image}: " if image else ""
     return CoverageError(where + "missing answer(s) for question id(s): " + ", ".join(missing), missing=missing)
 
 
 def _accumulate(qg: QuestionGraph, plan: _Plan, answers: Mapping[str, str], normalized: _Normalized) -> float:
     """The share of questions answered correctly with every parent satisfied (tifa: no parents).
 
-    ``answers`` holds an answer for every question id of the plan.
+    ``answers`` holds an answer for exactly the question ids of the plan.
     """
     if plan.steps is None:
         raise _cycle_error(qg, "<data>")
@@ -222,8 +276,8 @@ def _accumulate(qg: QuestionGraph, plan: _Plan, answers: Mapping[str, str], norm
 
 def _accumulate_one(qg: QuestionGraph, answers: Mapping[str, str], gated: bool) -> float:
     plan = _plan(qg, gated)
-    if not answers.keys() >= plan.expected.keys():
-        raise _missing_error(qg, answers)
+    if answers.keys() != plan.expected.keys():
+        raise _answers_error(plan, answers)
     return _accumulate(qg, plan, answers, _Normalized())
 
 
@@ -281,11 +335,7 @@ def accumulate_scores(
             plan, planned = _plan(qg, gated=mode == "dsg"), qg
         per_image = by_image[key]
         if per_image.keys() != plan.expected.keys():
-            where = f"seg {seg_id!r} image {image_id!r}"
-            unknown = sorted(per_image.keys() - plan.expected.keys())
-            if unknown:
-                raise ValidationError(f"answers for {where} reference unknown question id(s): " + ", ".join(unknown))
-            raise _missing_error(qg, per_image, f"{where}: ")
+            raise _answers_error(plan, per_image, f"seg {seg_id!r} image {image_id!r}")
         entries[key] = _accumulate(qg, plan, per_image, normalized)
     return ScoreTable(metric_name=name, entries=entries)
 

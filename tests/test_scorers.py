@@ -322,7 +322,34 @@ def test_shared_answer_strings_match_the_reference_loader(tmp_path):
         strings = [[*key, answer] for key, answer in got.entries.items()]
         reference = [[*key, answer] for key, answer in want.entries.items()]
         assert identity_pattern(sum(strings, [])) == identity_pattern(sum(reference, []))
+        assert_loaded_index_reads_as_built(got, AnswerTable(entries=want.entries))
     assert outcomes == set(CSV_FAULTS) - {"none"} | {"loaded"}  # every kind of fault came up, and failed
+
+
+def assert_loaded_index_reads_as_built(loaded: AnswerTable, built: AnswerTable) -> None:
+    """A loaded table's per-image index and entries view read as the same answers grouped on first use."""
+    assert loaded.images() == built.images()
+    for seg_id, image_id in built.images():
+        assert loaded.answers_for(seg_id, image_id) == built.answers_for(seg_id, image_id)
+    assert loaded.answers_for("no-seg", "no-image") == built.answers_for("no-seg", "no-image") == {}
+    assert len(loaded.entries) == len(built.entries)
+    for key, answer in built.entries.items():
+        assert loaded.entries[key] == answer and key in loaded.entries
+    some_image = built.images()[:1]
+    for table in (loaded, built):
+        for key in [("no-seg", "no-image", "q0"), *((*image, "no-question") for image in some_image)]:
+            with pytest.raises(KeyError):
+                table.entries[key]
+            assert key not in table.entries and table.entries.get(key) is None
+    assert repr(loaded) == repr(built)
+    assert loaded == built and built == loaded
+    assert loaded.entries == built.entries and built.entries == loaded.entries
+    # one graph over every question id in the file; an image lacking one is the same error from both
+    question_ids = sorted({qid for _, _, qid in built.entries})
+    qg = qgraph(*((qid, question_ids[:i][-1:], "yes") for i, qid in enumerate(question_ids)))
+    for mode in ("tifa", "dsg"):
+        scores = [load_or_error(lambda t: accumulate_scores([qg], t, mode).entries, t) for t in (loaded, built)]
+        assert scores[0] == scores[1], mode
 
 
 def test_accumulated_scores_are_keyed_by_the_answer_index_keys(tmp_path):
@@ -575,11 +602,30 @@ def test_missing_answers_listed_sorted_with_the_image(mode):
 
 @pytest.mark.parametrize("mode", ["tifa", "dsg"])
 def test_unknown_answer_ids_rejected_before_missing_ones(mode):
-    qg = qgraph(("q1", [], "yes"), ("q2", ["q1"], "yes"))  # the image answers q1 but not q2
-    answers = AnswerTable(entries={("s", "i", "q1"): "yes", ("s", "i", "zz"): "yes", ("s", "i", "aa"): "no"})
-    with pytest.raises(ValidationError) as exc:
-        accumulate_scores([qg], answers, mode)
-    assert str(exc.value) == "answers for seg 's' image 'i' reference unknown question id(s): aa, zz"
+    qg = qgraph(("q1", [], "yes"), ("q2", ["q1"], "yes"))
+    for answers, unknown in [
+        ({"q1": "yes", "zz": "yes", "aa": "no"}, "aa, zz"),  # q2 is missing as well
+        ({"q1": "yes", "q2": "yes", "zz": "no"}, "zz"),  # beside an answer for every question
+    ]:
+        table = AnswerTable(entries={("s", "i", qid): ans for qid, ans in answers.items()})
+        with pytest.raises(ValidationError) as exc:
+            accumulate_scores([qg], table, mode)
+        assert str(exc.value) == f"answers for seg 's' image 'i' reference unknown question id(s): {unknown}"
+        with pytest.raises(ValidationError) as exc:
+            (tifa_accumulate if mode == "tifa" else dsg_accumulate)(qg, answers)
+        assert str(exc.value) == f"answers reference unknown question id(s): {unknown}"
+
+
+def test_missing_answers_name_a_repeated_id_once():
+    qg = qgraph(("q1", [], "yes"), ("q2", [], "yes"), ("q1", [], "no"))  # an API-built graph listing q1 twice
+    with pytest.raises(CoverageError) as exc:
+        dsg_accumulate(qg, {"q2": "yes"})
+    assert str(exc.value) == "missing answer(s) for question id(s): q1"
+    assert exc.value.missing == ["q1"]
+    with pytest.raises(CoverageError) as exc:
+        accumulate_scores([qg], AnswerTable(entries={("s", "i", "q2"): "yes"}), "tifa")
+    assert str(exc.value) == "seg 's' image 'i': missing answer(s) for question id(s): q1"
+    assert exc.value.missing == ["q1"]
 
 
 def test_api_built_cyclic_graph_fails_dsg_after_the_answer_checks_and_scores_tifa():
