@@ -167,6 +167,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_accumulate(args: argparse.Namespace) -> int:
     graphs = load_question_graphs(args.questions)
     answers = load_answer_table(args.answers)
+    if not answers.entries:
+        raise ParseError("no answer rows", source=args.answers)
     table = accumulate_scores(graphs, answers, args.mode, metric_name=args.name)
     write_score_tables([table], args.out)
     print(f"{len(table.entries)} score(s) for metric {table.metric_name!r} written to {args.out}")

@@ -138,13 +138,17 @@ def write_score_tables(tables: Iterable[ScoreTable], path: str | Path) -> None:
     """Write one table per metric name as the standard CSV, in name order, rows sorted by key.
 
     Raises ValidationError, before opening ``path``, if two tables share a
-    name.  Lines end in CRLF (the csv default, unlike the LF report bundle),
-    so score files keep the bytes earlier versions wrote.
+    name or a score is NaN or infinite, as the loader would reject the file.
+    Lines end in CRLF (the csv default, unlike the LF report bundle), so
+    score files keep the bytes earlier versions wrote.
     """
     by_name: dict[str, ScoreTable] = {}
     for table in tables:
         if table.metric_name in by_name:
             raise ValidationError(f"two score tables for metric {table.metric_name!r}")
+        if not all(map(math.isfinite, table.entries.values())):
+            key, score = next((key, score) for key, score in table.entries.items() if not math.isfinite(score))
+            raise ValidationError(f"metric {table.metric_name!r}: non-finite score {score!r} for {key}")
         by_name[table.metric_name] = table
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

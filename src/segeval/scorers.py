@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from functools import cached_property, reduce
+from functools import reduce
 from operator import add, mul
 from pathlib import Path
 from typing import Literal, NamedTuple
@@ -52,7 +52,7 @@ class QuestionGraph(NamedTuple):
 
 
 class _IndexedAnswers(Mapping):
-    """A loaded table's entries: a read-only view of its per-image index, in file order.
+    """An answer table's entries: a read-only view of its per-image index, in row order.
 
     An image's k-th row holds its dict's k-th question id, as a dict keeps insertion order.
     """
@@ -83,20 +83,31 @@ class _IndexedAnswers(Mapping):
         return repr(dict(self.items()))
 
 
-class AnswerTable:
-    """Answers keyed by (seg_id, image_id, question_id), grouped per image on first use.
+def _index(rows) -> _IndexedAnswers:
+    """The per-image index of ``(seg_id, image_id, question_id, answer)`` rows, one string per distinct text."""
+    by_image: dict[tuple[str, str], dict[str, str]] = {}
+    row_images: list[dict[str, str]] = []
+    get, append = by_image.get, row_images.append
+    share = {}.setdefault  # each field's first equal string; local, as answers are free text
+    for seg_id, image_id, question_id, answer in rows:
+        per_image = get((seg_id, image_id))
+        if per_image is None:
+            per_image = by_image[share(seg_id, seg_id), share(image_id, image_id)] = {}
+        per_image[share(question_id, question_id)] = share(answer, answer)
+        append(per_image)
+    return _IndexedAnswers(by_image, row_images)
 
-    A loaded table holds the per-image index from the start; its ``entries`` is a view of it.
+
+class AnswerTable:
+    """Answers keyed by (seg_id, image_id, question_id), indexed per image when the table is built.
+
+    ``entries`` is a read-only view of that index in row order; a mapping given is copied into it.
     """
 
     def __init__(self, entries: Mapping[tuple[str, str, str], str]) -> None:
+        if not isinstance(entries, _IndexedAnswers):
+            entries = _index((*key, answer) for key, answer in entries.items())
         self.__dict__["entries"] = entries
-
-    @classmethod
-    def _indexed(cls, by_image: dict[tuple[str, str], dict[str, str]], rows: list[dict[str, str]]) -> AnswerTable:
-        table = cls(_IndexedAnswers(by_image, rows))
-        table.__dict__["_by_image"] = by_image  # the cached property's value, built by the loader
-        return table
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -109,22 +120,11 @@ class AnswerTable:
     def __eq__(self, other: object) -> bool:
         return self.entries == other.entries if other.__class__ is self.__class__ else NotImplemented
 
-    @cached_property
-    def _by_image(self) -> dict[tuple[str, str], dict[str, str]]:
-        grouped: dict[tuple[str, str], dict[str, str]] = {}
-        get = grouped.get
-        for (seg_id, image_id, qid), ans in self.entries.items():
-            per_image = get((seg_id, image_id))
-            if per_image is None:
-                per_image = grouped[seg_id, image_id] = {}
-            per_image[qid] = ans
-        return grouped
-
     def images(self) -> list[tuple[str, str]]:
-        return sorted(self._by_image)
+        return sorted(self.entries._by_image)
 
     def answers_for(self, seg_id: str, image_id: str) -> dict[str, str]:
-        return dict(self._by_image.get((seg_id, image_id), {}))
+        return dict(self.entries._by_image.get((seg_id, image_id), {}))
 
 
 def _normalize_answer(text: str) -> str:
@@ -196,19 +196,8 @@ def load_question_graphs(path: str | Path) -> list[QuestionGraph]:
 
 
 def _answer_table(rows) -> AnswerTable | None:
-    by_image: dict[tuple[str, str], dict[str, str]] = {}
-    row_images: list[dict[str, str]] = []
-    get, append = by_image.get, row_images.append
-    share = {}.setdefault  # each field's first equal string; local, as answers are free text
-    for seg_id, image_id, question_id, answer in rows:
-        per_image = get((seg_id, image_id))
-        if per_image is None:
-            per_image = by_image[share(seg_id, seg_id), share(image_id, image_id)] = {}
-        per_image[share(question_id, question_id)] = share(answer, answer)
-        append(per_image)
-    if sum(map(len, by_image.values())) != len(row_images):  # fewer: a key answered twice
-        return None
-    return AnswerTable._indexed(by_image, row_images)
+    index = _index(rows)  # a key answered twice leaves fewer answers than rows
+    return AnswerTable(index) if sum(map(len, index._by_image.values())) == len(index) else None
 
 
 def _first_bad_answer(rows, source: str) -> None:
@@ -322,7 +311,7 @@ def accumulate_scores(
     name = f"{base}-{mode}-acc"
 
     normalized = _Normalized()
-    by_image = answers._by_image  # read, not copied as answers_for copies it
+    by_image = answers.entries._by_image  # read, not copied as answers_for copies it
     entries: dict[tuple[str, str], float] = {}
     for key in answers.images():  # the index's own key tuples, shared with the output
         seg_id, image_id = key

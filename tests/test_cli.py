@@ -452,6 +452,17 @@ def test_accumulate_missing_answers(qa_files, tmp_path, capsys):
     assert code == EXIT_COVERAGE
 
 
+@pytest.mark.parametrize("mode", ["tifa", "dsg"])
+def test_accumulate_header_only_answer_csv_exits_3(qa_files, tmp_path, capsys, mode):
+    questions, answers = qa_files
+    answers.write_text("seg_id,image_id,question_id,answer\n")
+    out = tmp_path / "o.csv"
+    code = main(["accumulate", "--mode", mode, "--questions", str(questions), "--answers", str(answers), "--out", str(out)])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {answers}: no answer rows\n"
+    assert not out.exists()
+
+
 def test_accumulate_seg_matching_no_graph_exits_5(qa_files, tmp_path, capsys):
     questions, answers = qa_files
     graph = json.loads(questions.read_text())

@@ -939,6 +939,15 @@ def test_writer_bytes_equal_the_all_rows_sort(tmp_path):
     assert not (tmp_path / "shared.csv").exists()
 
 
+@pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+def test_writer_rejects_a_non_finite_score_before_opening_the_file(tmp_path, score):
+    tables = [ScoreTable("a", {("s", "x"): 1.0}), ScoreTable("m", {("s", "b"): 0.5, ("s", "c"): score})]
+    path = tmp_path / "scores.csv"
+    with pytest.raises(ValidationError, match=rf"^metric 'm': non-finite score {score!r} for \('s', 'c'\)$"):
+        write_score_tables(tables, path)
+    assert not path.exists()
+
+
 def test_missing_scores_listed_in_collection_order():
     seg = chain_seg([1, 1, 1])
     table = ScoreTable(metric_name="m", entries={("chain", "1-0.jpg"): 1.0})

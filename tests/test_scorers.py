@@ -384,6 +384,28 @@ def test_mutating_an_answers_for_result_leaves_the_table_and_accumulate_unchange
     assert after == before == {"tifa": {("s1", "i1"): 1.0}, "dsg": {("s1", "i1"): 1.0}}
 
 
+def test_a_table_built_from_a_mapping_reads_the_answers_as_they_were_at_construction():
+    qg = qgraph(("q1", [], "yes"), ("q2", ["q1"], "yes"))
+    source = {("s", "i2", "q2"): "yes", ("s", "i1", "q1"): "yes", ("s", "i2", "q1"): "no", ("s", "i1", "q2"): "yes"}
+    table = AnswerTable(source)
+    assert list(table.entries.items()) == list(source.items())  # the mapping's order, not grouped per image
+    snapshot = dict(source)
+    before = {mode: accumulate_scores([qg], table, mode).entries for mode in ("tifa", "dsg")}
+    assert before == {"tifa": {("s", "i1"): 1.0, ("s", "i2"): 0.5}, "dsg": {("s", "i1"): 1.0, ("s", "i2"): 0.0}}
+    table.images()  # read once before the mapping changes
+    source[("s", "i3", "q1")] = "yes"
+    source[("s", "i1", "q1")] = "no"
+    del source[("s", "i2", "q2")]
+    assert len(table.entries) == 4 and list(table.entries.items()) == list(snapshot.items())
+    assert table.images() == [("s", "i1"), ("s", "i2")]
+    assert table.answers_for("s", "i1") == {"q1": "yes", "q2": "yes"}
+    assert table.answers_for("s", "i2") == {"q2": "yes", "q1": "no"}
+    assert table.answers_for("s", "i3") == {}
+    assert table == AnswerTable(snapshot) and table != AnswerTable(source)
+    after = {mode: accumulate_scores([qg], table, mode).entries for mode in ("tifa", "dsg")}
+    assert after == before
+
+
 def test_accumulate_scores_builds_table():
     qg = qgraph(("q1", [], "yes"), ("q2", ["q1"], "yes"))
     answers = AnswerTable(
