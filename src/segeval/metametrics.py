@@ -22,7 +22,10 @@ The per-SEG functions take it as an optional last argument and build their
 own when none is given, so each direct call enumerates the SEG's walks.
 
 Scores arrive as a CSV with header ``seg_id,image_id,metric,score`` (UTF-8,
-'.' decimal separator).  Missing scores are hard errors, never imputed.
+'.' decimal separator).  Missing scores are hard errors, never imputed.  A
+loaded table holds a per-SEG index ``{seg_id: {image_id: score}}``, and its
+``entries`` is a read-only view of it; every node population and
+``global_std`` read a SEG's scores from it by image id alone.
 """
 
 from __future__ import annotations
@@ -30,11 +33,12 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
+from collections.abc import Mapping
 from functools import reduce
-from itertools import chain
+from itertools import chain, repeat
 from operator import add, attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import CoverageError, ParseError, ValidationError
 from .fileio import load_csv
@@ -88,26 +92,58 @@ class AggregateReport(NamedTuple):
 # score table I/O
 
 
+class _IndexedScores(Mapping):
+    """A loaded score table's entries: a read-only view of its per-SEG index
+    ``{seg_id: {image_id: score}}``, keyed by ``(seg_id, image_id)``.
+
+    It iterates SEG by SEG, in the order the file first names each, then in
+    row order; for a file :func:`write_score_tables` wrote, that is file order.
+    """
+
+    __slots__ = ("_by_seg", "_len")
+
+    def __init__(self, by_seg: dict[str, dict[str, float]]) -> None:
+        self._by_seg = by_seg
+        self._len = sum(map(len, by_seg.values()))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, key: tuple[str, str]) -> float:
+        if isinstance(key, tuple) and len(key) == 2:
+            try:
+                return self._by_seg[key[0]][key[1]]
+            except (KeyError, TypeError):  # no such score, or an unhashable id
+                pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        for seg_id, scores in self._by_seg.items():
+            yield from zip(repeat(seg_id), scores)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 def _score_tables(rows) -> dict[str, ScoreTable] | None:
-    tables: dict[str, dict[tuple[str, str], float]] = {}
-    # every table shares one key tuple per image and one string per seg id;
-    # segs maps a seg id to (that string, {image id: key}) and is read once
-    # per run of rows with the same seg id, as tables is per run of metrics
-    segs: dict[str, tuple[str, dict[str, tuple[str, str]]]] = {}
-    seg_key = images = metric_key = bucket = None
+    tables: dict[str, dict[str, dict[str, float]]] = {}
+    # every table shares one string per seg id and one per (seg, image id); segs maps a seg id
+    # to (that string, {image id: its string}) and is read once per run of rows with the same
+    # seg id and metric, as tables is per run of metrics
+    segs: dict[str, tuple[str, dict[str, str]]] = {}
+    seg_key = metric_key = bucket = scores = share = None
     n = 0
     for n, (seg_id, image_id, metric, raw) in enumerate(rows, 1):
-        if metric != metric_key:
-            metric_key, bucket = metric, tables.setdefault(metric, {})
-        if seg_id != seg_key:
+        if seg_id != seg_key or metric != metric_key:
+            if metric != metric_key:
+                metric_key, bucket = metric, tables.setdefault(metric, {})
             seg_key, images = segs.setdefault(seg_id, (seg_id, {}))
-        key = images.get(image_id)
-        if key is None:
-            key = images[image_id] = (seg_key, image_id)
-        bucket[key] = float(raw)
-    if sum(map(len, tables.values())) != n or not all(all(map(math.isfinite, t.values())) for t in tables.values()):
+            scores, share = bucket.setdefault(seg_key, {}), images.setdefault
+        scores[share(image_id, image_id)] = float(raw)
+    per_seg = [scores for by_seg in tables.values() for scores in by_seg.values()]
+    if sum(map(len, per_seg)) != n or not all(map(math.isfinite, chain.from_iterable(map(dict.values, per_seg)))):
         return None  # a score given twice (fewer entries than rows), or a non-finite one
-    return {name: ScoreTable(metric_name=name, entries=entries) for name, entries in sorted(tables.items())}
+    return {name: ScoreTable(metric_name=name, entries=_IndexedScores(by_seg)) for name, by_seg in sorted(tables.items())}
 
 
 def _first_bad_score(rows, source: str) -> None:
@@ -138,7 +174,8 @@ def write_score_tables(tables: Iterable[ScoreTable], path: str | Path) -> None:
     """Write one table per metric name as the standard CSV, in name order, rows sorted by key.
 
     Raises ValidationError, before opening ``path``, if two tables share a
-    name or a score is NaN or infinite, as the loader would reject the file.
+    name, a score is NaN or infinite, or no table holds a score, as the
+    loader or ``segeval score`` would reject the file.
     Lines end in CRLF (the csv default, unlike the LF report bundle), so
     score files keep the bytes earlier versions wrote.
     """
@@ -150,6 +187,8 @@ def write_score_tables(tables: Iterable[ScoreTable], path: str | Path) -> None:
             key, score = next((key, score) for key, score in table.entries.items() if not math.isfinite(score))
             raise ValidationError(f"metric {table.metric_name!r}: non-finite score {score!r} for {key}")
         by_name[table.metric_name] = table
+    if not any(table.entries for table in by_name.values()):
+        raise ValidationError("no scores to write")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORE_CSV_HEADER)
@@ -171,6 +210,14 @@ def missing_scores(
 # per-SEG meta-metrics
 
 
+def _score_of(table: ScoreTable, seg_id: str) -> Callable[[str], float]:
+    """The score of each of one SEG's image ids, or KeyError: one string-keyed lookup for a loaded table."""
+    entries = table.entries
+    if isinstance(entries, _IndexedScores):
+        return entries._by_seg.get(seg_id, {}).__getitem__
+    return lambda image_id: entries[seg_id, image_id]
+
+
 class _SegPlan:
     """What every metric's cells read of one SEG: its walks and error counts,
     and, derived on first use, the walks' error ranks per tie mode, their
@@ -187,9 +234,10 @@ class _SegPlan:
 
     def populations(self, scores: ScoreTable) -> dict[str, list[float]]:
         if self._cell[0] is not scores:
-            entries, sid = scores.entries, self.seg.id
+            sid = self.seg.id
+            score_of = _score_of(scores, sid)
             try:
-                self._cell = (scores, {n.id: [entries[(sid, img)] for img in n.images] for n in self.seg.nodes})
+                self._cell = (scores, {n.id: list(map(score_of, n.images)) for n in self.seg.nodes})
             except KeyError:
                 gaps = missing_scores([self.seg], scores)
                 raise CoverageError(
@@ -305,7 +353,7 @@ def global_std(
     gaps: list[tuple[str, str]] = []
     for seg in collection:
         try:
-            values.extend([scores.entries[(seg.id, img)] for n in seg.nodes for img in n.images])
+            values.extend(map(_score_of(scores, seg.id), seg.image_ids()))
         except KeyError:
             gaps.extend(missing_scores([seg], scores))
     if gaps:

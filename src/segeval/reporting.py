@@ -159,12 +159,17 @@ def _round6(x: float) -> float:
 def _line_rows(plan: _SegPlan, scores: ScoreTable) -> Iterator[str]:
     """One SEG's lines_*.csv data rows as CSV text, one walk at a time.
 
-    Each score is formatted once per image and each "normalized_rank,score"
-    point text once per (walk depth, node); a walk's rows are its points
-    joined behind its "seg_id,walk_index," head.  Only the seg id can need
-    quoting, so the csv module renders it once.
+    Each score is formatted once per image, or once per node when all the
+    node's images share it (the rule ``delta_score`` uses; a node without
+    images, which only an unvalidated SEG has, formats nothing), and each
+    "normalized_rank,score" point text once per (walk depth, node); a walk's
+    rows are its points joined behind its "seg_id,walk_index," head.  Only
+    the seg id can need quoting, so the csv module renders it once.
     """
-    texts = {node: list(map(_fmt, vals)) for node, vals in plan.populations(scores).items()}
+    texts = {
+        node: [_fmt(v[0])] * len(v) if v and v.count(v[0]) == len(v) else list(map(_fmt, v))
+        for node, v in plan.populations(scores).items()
+    }
     sid = csv_row((plan.seg.id, ""))[:-1]  # id and comma; a lone empty field would render as ""
     for w_idx, points in enumerate(_walk_points(plan, texts, _point_texts)):
         head = f"{sid}{w_idx},"

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import math
 import random
+import sys
+import tracemalloc
 from pathlib import Path
 from functools import reduce
 from operator import add
@@ -831,26 +833,28 @@ def _load_error(loader, path) -> str:
     return str(info.value)
 
 
-def test_loaded_tables_share_one_key_per_image_and_one_seg_id_string(tmp_path):
+def test_loaded_tables_share_one_string_per_seg_id_and_per_image_id(tmp_path):
     path = tmp_path / "scores.csv"
     args = ["synth", "--seed", "3", "--segs", "40", "--out", str(tmp_path / "segs"), "--scores-out", str(path)]
     assert main(args) == 0
     loaded = load_score_tables(path)
     assert loaded == reference_load(path) and len(loaded) == 4
 
-    first = {key: key for key in next(iter(loaded.values())).entries}
-    assert all(first[key] is key for table in loaded.values() for key in table.entries)
-    seg_ids = {key[0] for key in first}
-    assert len({id(key[0]) for key in first}) == len(seg_ids) == 40
+    keys = [list(table.entries) for table in loaded.values()]
+    seg_ids = {seg_id: seg_id for seg_id, _ in keys[0]}
+    image_ids = {key: key[1] for key in keys[0]}
+    assert len(seg_ids) == 40 and all(len(k) == len(image_ids) for k in keys)
+    assert all(seg_ids[key[0]] is key[0] and image_ids[key] is key[1] for k in keys for key in k)
 
 
-def test_same_image_under_two_metrics_is_accepted_with_one_key(tmp_path):
+def test_same_image_under_two_metrics_is_accepted_with_one_string_per_id(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("seg_id,image_id,metric,score\ns,i,a,1\ns,i,b,0.5\n")
     loaded = load_score_tables(path)
     assert loaded == reference_load(path)
     (key_a,), (key_b,) = loaded["a"].entries, loaded["b"].entries
-    assert key_a is key_b
+    assert key_a == key_b == ("s", "i")
+    assert key_a[0] is key_b[0] and key_a[1] is key_b[1]
 
 
 @pytest.mark.parametrize(
@@ -883,9 +887,15 @@ def _load_outcome(loader, path):
         return type(exc), str(exc)
 
 
-def _score_objects(tables):
-    """Every key and id string of the tables, in table and row order."""
-    return [obj for table in tables.values() for key in table.entries for obj in (key, *key)]
+def _regrouped(keys):
+    """``keys`` grouped by seg id, in the order of each seg id's first key, then in their own order."""
+    first: dict[str, int] = {}
+    return sorted(keys, key=lambda key: first.setdefault(key[0], len(first)))
+
+
+def _id_strings(key_lists):
+    """Every id string of the keys, in list and key order."""
+    return [obj for keys in key_lists for key in keys for obj in key]
 
 
 def test_one_pass_loader_matches_the_line_numbered_loop_on_seeded_files(tmp_path):
@@ -911,10 +921,102 @@ def test_one_pass_loader_matches_the_line_numbered_loop_on_seeded_files(tmp_path
             outcomes.add(fault)
             continue
         outcomes.add("loaded")
-        assert [list(t.entries) for t in got.values()] == [list(t.entries) for t in want.values()]
-        assert identity_pattern(_score_objects(got)) == identity_pattern(_score_objects(want))
+        got_keys, want_keys = [list(t.entries) for t in got.values()], [_regrouped(t.entries) for t in want.values()]
+        assert got_keys == want_keys
+        assert identity_pattern(_id_strings(got_keys)) == identity_pattern(_id_strings(want_keys))
     faults = set(CSV_FAULTS) - {"none"} | {f"value {v!r}" for v in bad}
     assert outcomes == faults | {"loaded"}  # every kind of fault came up, and failed
+
+
+def assert_view_reads_as(view, want: dict) -> None:
+    """``view`` reads as the dict ``want``: items and their order, len, in, get, repr, and == and != both ways."""
+    assert dict(view) == want and list(view.items()) == list(want.items()) and len(view) == len(want)
+    assert repr(view) == repr(want)
+    assert view == want and want == view and not view != want and not want != view
+    other = {**want, ("s0", "zz"): 0.5}
+    assert view != other and other != view and not view == other and not other == view
+    for key, score in want.items():
+        assert key in view and view[key] == score and view.get(key) == score
+    # a non-tuple (an unhashable list among them), a 1-tuple, a 3-tuple, an unhashable id, a missing SEG and image
+    for key in ["s0", ["s0", "a.jpg"], ("s0",), ("s0", "a.jpg", "m"), (["s0"], "a.jpg"), ("zz", "a.jpg"), ("s0", "zz")]:
+        assert key not in view and view.get(key, "none") == "none"
+        with pytest.raises(KeyError) as info:
+            view[key]
+        assert info.value.args == (key,)
+
+
+def _read_outcome(call):
+    """``call()``'s repr (NaN and -0.0 compare as text), or the message and missing list of its CoverageError."""
+    try:
+        return repr(call())
+    except CoverageError as exc:
+        return str(exc), exc.missing
+
+
+def test_loaded_view_and_both_read_paths_match_the_reference_loader(tmp_path):
+    rng = random.Random(29)
+    # every SEG holds all three images on two nodes, so a table that skips one has a gap
+    collection = collection_of(
+        *(make_seg([("0", 0, ["a.jpg", "s0"]), ("1", 1, ["b c"])], [("0", "1")], seg_id=s) for s in ["s0", "s1", "a.jpg"])
+    )
+    outcomes = set()
+    for n in range(300):
+        path = tmp_path / f"scores{n}.csv"
+        rows = [
+            [seg, image, metric, rng.choice(["0.5", "1", "-0", " 2.5e-3 ", "1_0", "1e308", "0.25"])]
+            for metric in rng.sample(["m", "a,b", "z"], rng.randint(1, 3))
+            for seg in ["s0", "s1", "a.jpg"][: rng.randint(1, 3)]
+            for image in ["a.jpg", "s0", "b c"][: rng.randint(1, 3)]
+        ]
+        rng.shuffle(rows)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([SCORE_CSV_HEADER, *rows])
+        got, want = load_score_tables(path), reference_load(path)
+        assert list(got) == list(want)
+        for name, table in got.items():
+            view = table.entries
+            assert_view_reads_as(view, {key: want[name].entries[key] for key in _regrouped(want[name].entries)})
+            plain = ScoreTable(name, dict(view))
+            for read in [
+                lambda t: global_std(collection, t),
+                *(lambda t, seg=seg: evaluate_seg(seg, t, 0.5) for seg in collection),
+                *(lambda t, seg=seg: walk_line_data(seg, t) for seg in collection),
+            ]:
+                outcome = _read_outcome(lambda: read(table))
+                assert outcome == _read_outcome(lambda: read(plain))
+                outcomes.add(type(outcome))
+    assert outcomes == {str, tuple}  # both the covered and the gapped tables came up
+
+
+def _retained_bytes(loader, path) -> int:
+    """The bytes ``loader(path)``'s result holds, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tables = loader(path)  # held while counted
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_loaded_tables_hold_less_memory_than_tuple_keyed_dicts_on_paper_sized_segs(tmp_path):
+    # the shape of the synth-1k benchmark workload: 6-12 nodes of 2-8 images, four metrics
+    args = ["synth", "--seed", "5", "--segs", "200", "--nodes", "6", "12", "--images", "2", "8"]
+    assert main([*args, "--out", str(tmp_path / "segs"), "--scores-out", str(tmp_path / "scores.csv")]) == 0
+    _retained_bytes(load_score_tables, tmp_path / "scores.csv")  # the first call also fills interpreter caches
+    new, old = (_retained_bytes(loader, tmp_path / "scores.csv") for loader in (load_score_tables, reference_load))
+    assert new < old  # 0.81x on Python 3.11-3.13, 0.96x on 3.10
+
+
+def test_loaded_tables_of_tiny_segs_hold_at_most_a_quarter_more_memory(tmp_path):
+    # the shape of the small-4k benchmark workload: 4000 SEGs of 2-3 one-image nodes, two metrics. Each
+    # (SEG, metric) holds a dict, which outweighs the shared key tuples it replaces; Python 3.10's dicts
+    # lack the compact entries that 3.11 gives string keys, so each costs more there
+    collection = generate_segs(SynthConfig(seed=5, seg_count=4000, nodes_per_seg=(2, 3), images_per_node=(1, 1)))
+    write_score_tables([oracle_scores(collection, kind) for kind in ("perfect", "constant")], tmp_path / "scores.csv")
+    _retained_bytes(load_score_tables, tmp_path / "scores.csv")
+    new, old = (_retained_bytes(loader, tmp_path / "scores.csv") for loader in (load_score_tables, reference_load))
+    assert new <= old * (1.25 if sys.version_info >= (3, 11) else 1.45)  # 1.22x-1.23x; 1.42x on 3.10
 
 
 def test_writer_bytes_equal_the_all_rows_sort(tmp_path):
@@ -944,6 +1046,15 @@ def test_writer_rejects_a_non_finite_score_before_opening_the_file(tmp_path, sco
     tables = [ScoreTable("a", {("s", "x"): 1.0}), ScoreTable("m", {("s", "b"): 0.5, ("s", "c"): score})]
     path = tmp_path / "scores.csv"
     with pytest.raises(ValidationError, match=rf"^metric 'm': non-finite score {score!r} for \('s', 'c'\)$"):
+        write_score_tables(tables, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("tables", [[], [ScoreTable("m", {})], [ScoreTable("a", {}), ScoreTable("m", {})]])
+def test_writer_rejects_tables_without_scores_before_opening_the_file(tmp_path, tables):
+    # a header-only file, which segeval score rejects with "no score rows" (exit 3)
+    path = tmp_path / "scores.csv"
+    with pytest.raises(ValidationError, match="^no scores to write$"):
         write_score_tables(tables, path)
     assert not path.exists()
 
