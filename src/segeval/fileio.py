@@ -13,11 +13,12 @@ import codecs
 import csv
 import io
 import json
+from collections.abc import Mapping
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 
 def not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ParseError:
@@ -45,6 +46,47 @@ def read_json(path: str | Path):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # also an integer over the digit limit, or deep nesting
         raise ParseError(f"invalid JSON: {exc}", source=str(path)) from exc
+
+
+class IndexView(Mapping):
+    """A read-only view of an index ``{group: {last key field: value}}``, keyed by whole key tuples.
+
+    A group is a key's first field, or the tuple of its leading fields.  The view iterates group by
+    group, then in each group's order; any key but a tuple of two or more fields is missing.
+    """
+
+    __slots__ = ("index", "_len")
+
+    def __init__(self, index: dict) -> None:
+        self.index, self._len = index, sum(map(len, index.values()))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, key: tuple):
+        if isinstance(key, tuple) and len(key) >= 2:
+            try:  # a tuple first field is never a group by itself, so (("a", "b"), "c") is not ("a", "b", "c")
+                return self.index[key[:-1] if len(key) > 2 or isinstance(key[0], tuple) else key[0]][key[-1]]
+            except (KeyError, TypeError):  # no such value, or an unhashable field
+                pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        for group, values in self.index.items():
+            head = group if isinstance(group, tuple) else (group,)
+            for last in values:
+                yield (*head, last)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def check_keys(keys: Iterable, names: Sequence[str], where: str) -> None:
+    """Raise ValidationError, prefixed ``where``, naming the first of ``keys`` that is not a tuple of strings named ``names``."""
+    types = (str,) * len(names)
+    for key in keys:
+        if not (isinstance(key, tuple) and len(key) == len(types) and all(map(isinstance, key, types))):
+            raise ValidationError(f"{where}key {key!r} is not a ({', '.join(names)}) tuple of strings")
 
 
 NUMBER = (int, float)

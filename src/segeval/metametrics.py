@@ -23,9 +23,9 @@ own when none is given, so each direct call enumerates the SEG's walks.
 
 Scores arrive as a CSV with header ``seg_id,image_id,metric,score`` (UTF-8,
 '.' decimal separator).  Missing scores are hard errors, never imputed.  A
-loaded table holds a per-SEG index ``{seg_id: {image_id: score}}``, and its
-``entries`` is a read-only view of it; every node population and
-``global_std`` read a SEG's scores from it by image id alone.
+loaded table's ``entries`` is a :class:`~segeval.fileio.IndexView` of its
+per-SEG index ``{seg_id: {image_id: score}}``, read SEG by SEG; every node
+population and ``global_std`` read a SEG's scores from it by image id alone.
 """
 
 from __future__ import annotations
@@ -35,13 +35,13 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain
 from operator import add, attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import CoverageError, ParseError, ValidationError
-from .fileio import load_csv
+from .fileio import IndexView, check_keys, load_csv
 from .seg import SUBSETS, SegCollection, SemanticErrorGraph
 from .stats import (
     TieMode, _Checked, _Sorted, _check_sample, _ranked_runs, ks_statistic, population_moments, spearman_rho,
@@ -92,39 +92,6 @@ class AggregateReport(NamedTuple):
 # score table I/O
 
 
-class _IndexedScores(Mapping):
-    """A loaded score table's entries: a read-only view of its per-SEG index
-    ``{seg_id: {image_id: score}}``, keyed by ``(seg_id, image_id)``.
-
-    It iterates SEG by SEG, in the order the file first names each, then in
-    row order; for a file :func:`write_score_tables` wrote, that is file order.
-    """
-
-    __slots__ = ("_by_seg", "_len")
-
-    def __init__(self, by_seg: dict[str, dict[str, float]]) -> None:
-        self._by_seg = by_seg
-        self._len = sum(map(len, by_seg.values()))
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, key: tuple[str, str]) -> float:
-        if isinstance(key, tuple) and len(key) == 2:
-            try:
-                return self._by_seg[key[0]][key[1]]
-            except (KeyError, TypeError):  # no such score, or an unhashable id
-                pass
-        raise KeyError(key)
-
-    def __iter__(self):
-        for seg_id, scores in self._by_seg.items():
-            yield from zip(repeat(seg_id), scores)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-
 def _score_tables(rows) -> dict[str, ScoreTable] | None:
     tables: dict[str, dict[str, dict[str, float]]] = {}
     # every table shares one string per seg id and one per (seg, image id); segs maps a seg id
@@ -143,7 +110,7 @@ def _score_tables(rows) -> dict[str, ScoreTable] | None:
     per_seg = [scores for by_seg in tables.values() for scores in by_seg.values()]
     if sum(map(len, per_seg)) != n or not all(map(math.isfinite, chain.from_iterable(map(dict.values, per_seg)))):
         return None  # a score given twice (fewer entries than rows), or a non-finite one
-    return {name: ScoreTable(metric_name=name, entries=_IndexedScores(by_seg)) for name, by_seg in sorted(tables.items())}
+    return {name: ScoreTable(metric_name=name, entries=IndexView(by_seg)) for name, by_seg in sorted(tables.items())}
 
 
 def _first_bad_score(rows, source: str) -> None:
@@ -174,8 +141,9 @@ def write_score_tables(tables: Iterable[ScoreTable], path: str | Path) -> None:
     """Write one table per metric name as the standard CSV, in name order, rows sorted by key.
 
     Raises ValidationError, before opening ``path``, if two tables share a
-    name, a score is NaN or infinite, or no table holds a score, as the
-    loader or ``segeval score`` would reject the file.
+    name, a key is not a ``(seg_id, image_id)`` tuple of strings, a score is
+    NaN or infinite, or no table holds a score, as the loader or ``segeval
+    score`` would reject the file.
     Lines end in CRLF (the csv default, unlike the LF report bundle), so
     score files keep the bytes earlier versions wrote.
     """
@@ -183,6 +151,7 @@ def write_score_tables(tables: Iterable[ScoreTable], path: str | Path) -> None:
     for table in tables:
         if table.metric_name in by_name:
             raise ValidationError(f"two score tables for metric {table.metric_name!r}")
+        check_keys(table.entries, SCORE_CSV_HEADER[:2], f"metric {table.metric_name!r}: ")
         if not all(map(math.isfinite, table.entries.values())):
             key, score = next((key, score) for key, score in table.entries.items() if not math.isfinite(score))
             raise ValidationError(f"metric {table.metric_name!r}: non-finite score {score!r} for {key}")
@@ -213,8 +182,8 @@ def missing_scores(
 def _score_of(table: ScoreTable, seg_id: str) -> Callable[[str], float]:
     """The score of each of one SEG's image ids, or KeyError: one string-keyed lookup for a loaded table."""
     entries = table.entries
-    if isinstance(entries, _IndexedScores):
-        return entries._by_seg.get(seg_id, {}).__getitem__
+    if isinstance(entries, IndexView):
+        return entries.index.get(seg_id, {}).__getitem__
     return lambda image_id: entries[seg_id, image_id]
 
 

@@ -15,7 +15,8 @@ and embedding extraction all happen upstream and enter as files.
 Formats: question graphs are JSON objects
 ``{"prompt_id": str, "questions": [{"id": str, "parent_ids": [str, ...],
 "expected_answer": str}, ...]}`` (a top-level array of such objects is also
-accepted); answers are CSV ``seg_id,image_id,question_id,answer``;
+accepted); answers are CSV ``seg_id,image_id,question_id,answer``, read
+image by image through an index view, as scores are read SEG by SEG;
 embeddings are text files with one ``id v1 v2 ...`` record per line.
 """
 
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import Literal, NamedTuple
 
 from .errors import CoverageError, ParseError, SegEvalError, ValidationError
-from .fileio import fields, load_csv, not_utf8, read_json, str_list
+from .fileio import IndexView, check_keys, fields, load_csv, not_utf8, read_json, str_list
 from .metametrics import ScoreTable
 from .seg import SegCollection, _topological_order
 
@@ -51,62 +52,32 @@ class QuestionGraph(NamedTuple):
     questions: tuple[Question, ...]
 
 
-class _IndexedAnswers(Mapping):
-    """An answer table's entries: a read-only view of its per-image index, in row order.
-
-    An image's k-th row holds its dict's k-th question id, as a dict keeps insertion order.
-    """
-
-    __slots__ = ("_by_image", "_rows")
-
-    def __init__(self, by_image: dict[tuple[str, str], dict[str, str]], rows: list[dict[str, str]]) -> None:
-        self._by_image = by_image
-        self._rows = rows  # each row's image, as that image's answer dict
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, key: tuple[str, str, str]) -> str:
-        try:
-            seg_id, image_id, question_id = key
-            return self._by_image[seg_id, image_id][question_id]
-        except (KeyError, TypeError, ValueError):  # no such answer, or not a 3-item key
-            raise KeyError(key) from None
-
-    def __iter__(self):
-        cursors = {id(answers): (key, iter(answers)) for key, answers in self._by_image.items()}
-        for answers in self._rows:
-            (seg_id, image_id), question_ids = cursors[id(answers)]
-            yield seg_id, image_id, next(question_ids)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-
-def _index(rows) -> _IndexedAnswers:
-    """The per-image index of ``(seg_id, image_id, question_id, answer)`` rows, one string per distinct text."""
+def _index(rows) -> tuple[IndexView, int]:
+    """The per-image index of ``(seg_id, image_id, question_id, answer)`` rows, one string per distinct text; the row count."""
     by_image: dict[tuple[str, str], dict[str, str]] = {}
-    row_images: list[dict[str, str]] = []
-    get, append = by_image.get, row_images.append
+    get = by_image.get
     share = {}.setdefault  # each field's first equal string; local, as answers are free text
-    for seg_id, image_id, question_id, answer in rows:
+    n = 0
+    for n, (seg_id, image_id, question_id, answer) in enumerate(rows, 1):
         per_image = get((seg_id, image_id))
         if per_image is None:
             per_image = by_image[share(seg_id, seg_id), share(image_id, image_id)] = {}
         per_image[share(question_id, question_id)] = share(answer, answer)
-        append(per_image)
-    return _IndexedAnswers(by_image, row_images)
+    return IndexView(by_image), n
 
 
 class AnswerTable:
     """Answers keyed by (seg_id, image_id, question_id), indexed per image when the table is built.
 
-    ``entries`` is a read-only view of that index in row order; a mapping given is copied into it.
+    ``entries`` is an :class:`~segeval.fileio.IndexView` of that index, read
+    image by image; a mapping given is copied into it, and a key that is not
+    a tuple of three strings is a ValidationError.
     """
 
     def __init__(self, entries: Mapping[tuple[str, str, str], str]) -> None:
-        if not isinstance(entries, _IndexedAnswers):
-            entries = _index((*key, answer) for key, answer in entries.items())
+        if not isinstance(entries, IndexView):
+            check_keys(entries, ANSWER_CSV_HEADER[:3], "answer ")
+            entries = _index((*key, answer) for key, answer in entries.items())[0]
         self.__dict__["entries"] = entries
 
     def __setattr__(self, name: str, value: object = None) -> None:
@@ -121,10 +92,10 @@ class AnswerTable:
         return self.entries == other.entries if other.__class__ is self.__class__ else NotImplemented
 
     def images(self) -> list[tuple[str, str]]:
-        return sorted(self.entries._by_image)
+        return sorted(self.entries.index)
 
     def answers_for(self, seg_id: str, image_id: str) -> dict[str, str]:
-        return dict(self.entries._by_image.get((seg_id, image_id), {}))
+        return dict(self.entries.index.get((seg_id, image_id), {}))
 
 
 def _normalize_answer(text: str) -> str:
@@ -196,8 +167,8 @@ def load_question_graphs(path: str | Path) -> list[QuestionGraph]:
 
 
 def _answer_table(rows) -> AnswerTable | None:
-    index = _index(rows)  # a key answered twice leaves fewer answers than rows
-    return AnswerTable(index) if sum(map(len, index._by_image.values())) == len(index) else None
+    entries, n = _index(rows)  # a key answered twice leaves fewer answers than rows
+    return AnswerTable(entries) if len(entries) == n else None
 
 
 def _first_bad_answer(rows, source: str) -> None:
@@ -311,7 +282,7 @@ def accumulate_scores(
     name = f"{base}-{mode}-acc"
 
     normalized = _Normalized()
-    by_image = answers.entries._by_image  # read, not copied as answers_for copies it
+    by_image = answers.entries.index  # read, not copied as answers_for copies it
     entries: dict[tuple[str, str], float] = {}
     for key in answers.images():  # the index's own key tuples, shared with the output
         seg_id, image_id = key
@@ -371,21 +342,27 @@ def load_embeddings(path: str | Path) -> dict[str, EmbeddingVector]:
                 f"line {lineno}: record {vec_id!r} has dimension {len(values)}, expected {dim}",
                 source=str(path),
             )
-        vec = EmbeddingVector(values=values)
-        if vec.norm() == 0.0:
+        if not any(values):
             raise ParseError(f"line {lineno}: zero-norm vector {vec_id!r}", source=str(path))
-        vectors[vec_id] = vec
+        vectors[vec_id] = EmbeddingVector(values=values)
     if not vectors:
         raise ParseError("no embedding records found", source=str(path))
     return vectors
 
 
+def _unit_scaled(vec: EmbeddingVector) -> EmbeddingVector:
+    """``vec`` times the power of two that puts its largest |value| in [0.5, 1): exact in range, and no norm overflows."""
+    exponent = math.frexp(max(map(abs, vec.values), default=0.0))[1]
+    return EmbeddingVector(tuple(math.ldexp(v, -exponent) for v in vec.values))
+
+
 def embedding_correlation_score(text_vec: EmbeddingVector, image_vec: EmbeddingVector) -> float:
-    """Cosine similarity clamped to [0, 1]."""
+    """Cosine similarity clamped to [0, 1]; only an all-zero vector has no direction."""
     if len(text_vec.values) != len(image_vec.values):
         raise ValueError(
             f"dimension mismatch: {len(text_vec.values)} vs {len(image_vec.values)}"
         )
+    text_vec, image_vec = _unit_scaled(text_vec), _unit_scaled(image_vec)
     nt, ni = text_vec.norm(), image_vec.norm()
     if nt == 0.0 or ni == 0.0:
         raise ValueError("zero-norm embedding vector")

@@ -1,4 +1,4 @@
-"""Shared SEG builders and seeded CSV files for the test suite."""
+"""Shared SEG builders, seeded CSV files and table-view checks for the test suite."""
 
 from __future__ import annotations
 
@@ -143,3 +143,36 @@ def identity_pattern(objects) -> list[int]:
     """Each object's index among the distinct objects by identity, in order of first appearance."""
     first: dict[int, int] = {}
     return [first.setdefault(id(obj), len(first)) for obj in objects]
+
+
+def regrouped(keys):
+    """``keys`` grouped by all but their last field, in the order of each group's first key, then in their own order."""
+    first: dict[tuple, int] = {}
+    return sorted(keys, key=lambda key: first.setdefault(key[:-1], len(first)))
+
+
+# keys no table holds: a non-tuple (an unhashable list among them), tuples one field short and one too long,
+# a nested tuple, unhashable fields, and a missing group and last field; "abc" and ["a", "b", "c"] unpack to
+# ("a", "b", "c"), and (("a", "b"), "c") holds its fields
+MISSING_KEYS = [
+    "abc", ["a", "b", "c"], ("a", "b"), ("a", "b", "c", "d"), (("a", "b"), "c"), (["a"], "b", "c"),
+    "s0", ["s0", "a.jpg"], ("s0",), ("s0", "a.jpg", "m"), (["s0"], "a.jpg"), ("zz", "a.jpg"), ("s0", "zz"),
+]
+
+
+def assert_view_reads_as(view, want: dict) -> None:
+    """``view`` reads as the non-empty dict ``want``: items and their order, len, in, get, repr, and == and !=
+    both ways; each of :data:`MISSING_KEYS`, none of which ``want`` holds, is missing, and a lookup raises KeyError(key)."""
+    assert dict(view) == want and list(view.items()) == list(want.items()) and len(view) == len(want)
+    assert repr(view) == repr(want)
+    assert view == want and want == view and not view != want and not want != view
+    (first, value), *_ = want.items()
+    other = {**want, (*first[:-1], "zz"): value}
+    assert view != other and other != view and not view == other and not other == view
+    for key, value in want.items():
+        assert key in view and view[key] == value and view.get(key) == value
+    for key in MISSING_KEYS:
+        assert key not in view and view.get(key, "none") == "none"
+        with pytest.raises(KeyError) as info:
+            view[key]
+        assert info.value.args == (key,)

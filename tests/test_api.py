@@ -27,6 +27,25 @@ DOCUMENTED = {
 }
 
 
+def test_no_module_has_an_unused_top_level_import():
+    # __init__.py imports to export; a line marked "# noqa: F401" says why its import looks unused
+    unused = []
+    for path in sorted(Path(segeval.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        tree = ast.parse("\n".join(lines))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            names = ((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+            unused += [f"{path.name}:{node.lineno}: {name}" for name in names if name not in used]
+    assert unused == []
+
+
 def test_public_names_are_the_documented_ones():
     public = {
         name

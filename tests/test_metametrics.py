@@ -37,7 +37,10 @@ from segeval.stats import ks_statistic, spearman_rho
 from segeval.synth import SynthConfig, generate_segs, oracle_scores, write_collection
 from segeval.walks import adjacent_pairs, enumerate_walks
 
-from conftest import CSV_FAULTS, chain_seg, collection_of, identity_pattern, make_seg, seeded_csv, stacked_diamond, table_for
+from conftest import (
+    CSV_FAULTS, assert_view_reads_as, chain_seg, collection_of, identity_pattern, make_seg, regrouped, seeded_csv,
+    stacked_diamond, table_for,
+)
 
 
 def oracle_rank(seg, table, tie_mode="midrank"):
@@ -887,12 +890,6 @@ def _load_outcome(loader, path):
         return type(exc), str(exc)
 
 
-def _regrouped(keys):
-    """``keys`` grouped by seg id, in the order of each seg id's first key, then in their own order."""
-    first: dict[str, int] = {}
-    return sorted(keys, key=lambda key: first.setdefault(key[0], len(first)))
-
-
 def _id_strings(key_lists):
     """Every id string of the keys, in list and key order."""
     return [obj for keys in key_lists for key in keys for obj in key]
@@ -921,28 +918,11 @@ def test_one_pass_loader_matches_the_line_numbered_loop_on_seeded_files(tmp_path
             outcomes.add(fault)
             continue
         outcomes.add("loaded")
-        got_keys, want_keys = [list(t.entries) for t in got.values()], [_regrouped(t.entries) for t in want.values()]
+        got_keys, want_keys = [list(t.entries) for t in got.values()], [regrouped(t.entries) for t in want.values()]
         assert got_keys == want_keys
         assert identity_pattern(_id_strings(got_keys)) == identity_pattern(_id_strings(want_keys))
     faults = set(CSV_FAULTS) - {"none"} | {f"value {v!r}" for v in bad}
     assert outcomes == faults | {"loaded"}  # every kind of fault came up, and failed
-
-
-def assert_view_reads_as(view, want: dict) -> None:
-    """``view`` reads as the dict ``want``: items and their order, len, in, get, repr, and == and != both ways."""
-    assert dict(view) == want and list(view.items()) == list(want.items()) and len(view) == len(want)
-    assert repr(view) == repr(want)
-    assert view == want and want == view and not view != want and not want != view
-    other = {**want, ("s0", "zz"): 0.5}
-    assert view != other and other != view and not view == other and not other == view
-    for key, score in want.items():
-        assert key in view and view[key] == score and view.get(key) == score
-    # a non-tuple (an unhashable list among them), a 1-tuple, a 3-tuple, an unhashable id, a missing SEG and image
-    for key in ["s0", ["s0", "a.jpg"], ("s0",), ("s0", "a.jpg", "m"), (["s0"], "a.jpg"), ("zz", "a.jpg"), ("s0", "zz")]:
-        assert key not in view and view.get(key, "none") == "none"
-        with pytest.raises(KeyError) as info:
-            view[key]
-        assert info.value.args == (key,)
 
 
 def _read_outcome(call):
@@ -975,7 +955,7 @@ def test_loaded_view_and_both_read_paths_match_the_reference_loader(tmp_path):
         assert list(got) == list(want)
         for name, table in got.items():
             view = table.entries
-            assert_view_reads_as(view, {key: want[name].entries[key] for key in _regrouped(want[name].entries)})
+            assert_view_reads_as(view, {key: want[name].entries[key] for key in regrouped(want[name].entries)})
             plain = ScoreTable(name, dict(view))
             for read in [
                 lambda t: global_std(collection, t),
@@ -1047,6 +1027,18 @@ def test_writer_rejects_a_non_finite_score_before_opening_the_file(tmp_path, sco
     path = tmp_path / "scores.csv"
     with pytest.raises(ValidationError, match=rf"^metric 'm': non-finite score {score!r} for \('s', 'c'\)$"):
         write_score_tables(tables, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("key", ["ab", ("s", "b", "c"), ("s",), "s", ("s", 1), (b"s", "b"), None])
+def test_writer_rejects_a_key_that_is_not_two_strings_before_opening_the_file(tmp_path, key):
+    # "ab" once wrote the row a,b,m,1; a 3-tuple raised ValueError with the file cut to its header
+    tables = [ScoreTable("a", {("s", "x"): 1.0}), ScoreTable("m", {("s", "b"): 0.5, key: 1.0})]
+    path = tmp_path / "scores.csv"
+    message = f"metric 'm': key {key!r} is not a (seg_id, image_id) tuple of strings"
+    with pytest.raises(ValidationError) as info:
+        write_score_tables(tables, path)
+    assert str(info.value) == message
     assert not path.exists()
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import random
+from functools import reduce
+from operator import add, mul
 from pathlib import Path
 
 import pytest
@@ -29,7 +31,7 @@ from segeval.scorers import (
 )
 from segeval.synth import SynthConfig, generate_segs
 
-from conftest import CSV_FAULTS, chain_seg, collection_of, identity_pattern, seeded_csv
+from conftest import CSV_FAULTS, assert_view_reads_as, chain_seg, collection_of, identity_pattern, regrouped, seeded_csv
 
 
 def qgraph(*questions: tuple[str, list[str], str], prompt_id: str = "p1") -> QuestionGraph:
@@ -323,6 +325,11 @@ def test_shared_answer_strings_match_the_reference_loader(tmp_path):
         reference = [[*key, answer] for key, answer in want.entries.items()]
         assert identity_pattern(sum(strings, [])) == identity_pattern(sum(reference, []))
         assert_loaded_index_reads_as_built(got, AnswerTable(entries=want.entries))
+        rows = {(seg_id, image_id, qid): answer for _, (seg_id, image_id, qid, answer) in read_csv(path, ANSWER_CSV_HEADER)}
+        if rows:  # the loaded and the mapping-built view read as the rows grouped per image
+            grouped = {key: rows[key] for key in regrouped(rows)}
+            assert_view_reads_as(got.entries, grouped)
+            assert_view_reads_as(AnswerTable(rows).entries, grouped)
     assert outcomes == set(CSV_FAULTS) - {"none"} | {"loaded"}  # every kind of fault came up, and failed
 
 
@@ -384,11 +391,31 @@ def test_mutating_an_answers_for_result_leaves_the_table_and_accumulate_unchange
     assert after == before == {"tifa": {("s1", "i1"): 1.0}, "dsg": {("s1", "i1"): 1.0}}
 
 
+def test_answer_entries_read_as_the_dict_they_stand_for(tmp_path):
+    # with ("a", "b", "c") a key, "abc" and ["a", "b", "c"] would find it if any 3-item iterable were unpacked
+    entries = {("s", "i2", "q2"): "yes", ("a", "b", "c"): "no", ("s", "i1", "q1"): " Yes", ("a", "b", "d"): "yes"}
+    path = tmp_path / "answers.csv"
+    rows = [ANSWER_CSV_HEADER, *([*key, answer] for key, answer in entries.items())]
+    path.write_text("".join(map(csv_row, rows)), encoding="utf-8", newline="")
+    grouped = {key: entries[key] for key in regrouped(entries)}
+    for table in (AnswerTable(entries), load_answer_table(path)):
+        assert_view_reads_as(table.entries, grouped)
+
+
+@pytest.mark.parametrize("key", ["abc", ("s", "i"), ("s", "i", "q", "x"), ("s", "i", 1), None])
+def test_a_mapping_key_that_is_not_three_strings_is_rejected(key):
+    # "abc" once read as the key ('a', 'b', 'c')
+    with pytest.raises(ValidationError) as info:
+        AnswerTable({("s", "i", "q"): "yes", key: "yes"})
+    assert str(info.value) == f"answer key {key!r} is not a (seg_id, image_id, question_id) tuple of strings"
+
+
 def test_a_table_built_from_a_mapping_reads_the_answers_as_they_were_at_construction():
     qg = qgraph(("q1", [], "yes"), ("q2", ["q1"], "yes"))
     source = {("s", "i2", "q2"): "yes", ("s", "i1", "q1"): "yes", ("s", "i2", "q1"): "no", ("s", "i1", "q2"): "yes"}
     table = AnswerTable(source)
-    assert list(table.entries.items()) == list(source.items())  # the mapping's order, not grouped per image
+    grouped = [(key, source[key]) for key in [("s", "i2", "q2"), ("s", "i2", "q1"), ("s", "i1", "q1"), ("s", "i1", "q2")]]
+    assert list(table.entries.items()) == grouped  # image by image, first-seen image first, then the mapping's order
     snapshot = dict(source)
     before = {mode: accumulate_scores([qg], table, mode).entries for mode in ("tifa", "dsg")}
     assert before == {"tifa": {("s", "i1"): 1.0, ("s", "i2"): 0.5}, "dsg": {("s", "i1"): 1.0, ("s", "i2"): 0.0}}
@@ -396,7 +423,7 @@ def test_a_table_built_from_a_mapping_reads_the_answers_as_they_were_at_construc
     source[("s", "i3", "q1")] = "yes"
     source[("s", "i1", "q1")] = "no"
     del source[("s", "i2", "q2")]
-    assert len(table.entries) == 4 and list(table.entries.items()) == list(snapshot.items())
+    assert len(table.entries) == 4 and list(table.entries.items()) == grouped
     assert table.images() == [("s", "i1"), ("s", "i2")]
     assert table.answers_for("s", "i1") == {"q1": "yes", "q2": "yes"}
     assert table.answers_for("s", "i2") == {"q2": "yes", "q1": "no"}
@@ -693,13 +720,40 @@ def test_cosine_45_degrees():
 
 def test_cosine_scale_invariance():
     rng = random.Random(5)
-    for _ in range(25):
+    for scale in [4.25, 1e200, 1e-200] * 25:
         a = EmbeddingVector(values=tuple(rng.gauss(0, 1) for _ in range(8)))
         b = EmbeddingVector(values=tuple(rng.gauss(0, 1) for _ in range(8)))
-        scaled = EmbeddingVector(values=tuple(4.25 * v for v in b.values))
+        scaled = EmbeddingVector(values=tuple(scale * v for v in b.values))
+        both = EmbeddingVector(values=tuple(scale * v for v in a.values))
         assert embedding_correlation_score(a, scaled) == pytest.approx(
             embedding_correlation_score(a, b), abs=1e-12
         )
+        assert embedding_correlation_score(both, scaled) == pytest.approx(
+            embedding_correlation_score(a, b), abs=1e-12
+        )
+
+
+@pytest.mark.parametrize("values", [(1e200, 1e200), (1e160, 0.0), (1e-200,), (5e-324, 0.0), (1.7e308, -1.7e308)])
+def test_a_vector_of_any_scale_has_cosine_one_with_itself(tmp_path, values):
+    vec = EmbeddingVector(values=values)
+    assert embedding_correlation_score(vec, vec) == 1.0
+    path = tmp_path / "emb.txt"
+    path.write_text("v " + " ".join(map(repr, values)) + "\n")
+    assert load_embeddings(path) == {"v": vec}
+
+
+def test_cosine_in_range_equals_the_unscaled_formula_bit_for_bit():
+    def unscaled(a, b):
+        nt, ni = (math.sqrt(reduce(add, map(mul, v, v), 0.0)) for v in (a, b))
+        return min(1.0, max(0.0, reduce(add, map(mul, a, b), 0.0) / (nt * ni)))
+
+    rng = random.Random(31)
+    for _ in range(2000):
+        dim = rng.randint(1, 12)
+        # values within 1e±40 keep every product and square, scaled or not, a normal float: in range
+        a, b = (tuple(rng.gauss(0, 1) * 10.0 ** rng.randint(-40, 40) for _ in range(dim)) for _ in range(2))
+        got = embedding_correlation_score(EmbeddingVector(values=a), EmbeddingVector(values=b))
+        assert got.hex() == unscaled(a, b).hex()
 
 
 def test_cosine_dimension_mismatch_and_zero_norm():
