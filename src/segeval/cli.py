@@ -139,10 +139,10 @@ def _print_table(report, raw: bool) -> None:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    collection, warnings = load_segs(args.segs)
+    loaded, warnings = load_segs(args.segs)
     for w in warnings:  # the lines validate prints for these files
         print(f"WARN {w}", file=sys.stderr)
-    collection = collection.filter_subset(args.subset)
+    collection = loaded.filter_subset(args.subset)
     if not len(collection):
         raise ValidationError(f"no SEGs{f' in subset {args.subset!r}' if args.subset else ''}")
     tables = load_score_tables(args.scores)
@@ -157,6 +157,16 @@ def cmd_score(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         tables = {name: tables[name] for name in args.metric}
     results = evaluate_collection(collection, tables.values(), args.tie_mode, args.pair_mode)
+    # coverage has passed, so an evaluated SEG's rows beyond its image count are for images it does not list;
+    # rows for a SEG that --subset leaves out are expected
+    image_count = sum(len(seg.image_ids()) for seg in collection)
+    for name in sorted(tables):
+        entries = tables[name].entries
+        segs = len(entries) - sum(len(entries.index.get(seg.id, ())) for seg in loaded)
+        images = sum(len(entries.index[seg.id]) for seg in collection) - image_count
+        if segs or images:
+            unused = f"{segs + images} score row(s) unused: {segs} for unknown SEG(s), {images} for unknown image(s)"
+            print(f"WARN {args.scores}: metric {name!r}: {unused}", file=sys.stderr)
     report = aggregate(results, collection)
     emit_report(report, results, args.out, collection=collection, score_tables=tables, tie_mode=args.tie_mode)
     _print_table(report, args.raw)

@@ -22,10 +22,13 @@ The per-SEG functions take it as an optional last argument and build their
 own when none is given, so each direct call enumerates the SEG's walks.
 
 Scores arrive as a CSV with header ``seg_id,image_id,metric,score`` (UTF-8,
-'.' decimal separator).  Missing scores are hard errors, never imputed.  A
-loaded table's ``entries`` is a :class:`~segeval.fileio.IndexView` of its
-per-SEG index ``{seg_id: {image_id: score}}``, read SEG by SEG; every node
-population and ``global_std`` read a SEG's scores from it by image id alone.
+'.' decimal separator).  Missing scores are hard errors, never imputed.  The
+``entries`` of every table segeval builds (loaded, oracle, ``accumulate`` or
+embedding) is a :class:`~segeval.fileio.IndexView` of its per-SEG index
+``{seg_id: {image_id: score}}``, read SEG by SEG; every node population and
+``global_std`` read a SEG's scores from it by image id alone, and only a
+table a caller builds from another mapping by ``(seg_id, image_id)`` key.
+The writer writes every table from such an index.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from functools import reduce
-from itertools import chain
+from itertools import chain, repeat
 from operator import add, attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -52,7 +55,7 @@ SCORE_CSV_HEADER = ["seg_id", "image_id", "metric", "score"]
 
 
 class ScoreTable(NamedTuple):
-    """One metric's scores keyed by (seg_id, image_id)."""
+    """One metric's scores keyed by (seg_id, image_id); segeval builds ``entries`` as a per-SEG index view."""
 
     metric_name: str
     entries: Mapping[tuple[str, str], float]
@@ -137,34 +140,55 @@ def load_score_tables(path: str | Path) -> dict[str, ScoreTable]:
     return load_csv(Path(path), SCORE_CSV_HEADER, _score_tables, _first_bad_score)
 
 
+def _score_index(table: ScoreTable) -> dict[str, dict[str, float]]:
+    """``table``'s per-SEG index ``{seg_id: {image_id: score}}``: an index view's own, or a mapping's scores grouped.
+
+    A key that is not a ``(seg_id, image_id)`` tuple of strings, then a NaN
+    or infinite score, is a ValidationError naming the first in table order.
+    """
+    entries, where = table.entries, f"metric {table.metric_name!r}: "
+    if isinstance(entries, IndexView):
+        index = entries.index
+        if not all(map(isinstance, chain(index, chain.from_iterable(index.values())), repeat(str))):
+            check_keys(entries, SCORE_CSV_HEADER[:2], where)  # raises, naming the view's first bad key
+    else:
+        check_keys(entries, SCORE_CSV_HEADER[:2], where)
+        index = {}
+        for (seg_id, image_id), score in entries.items():
+            index.setdefault(seg_id, {})[image_id] = score
+    if not all(all(map(math.isfinite, scores.values())) for scores in index.values()):
+        key, score = next((key, score) for key, score in entries.items() if not math.isfinite(score))
+        raise ValidationError(f"{where}non-finite score {score!r} for {key}")
+    return index
+
+
 def write_score_tables(tables: Iterable[ScoreTable], path: str | Path) -> None:
     """Write one table per metric name as the standard CSV, in name order, rows sorted by key.
 
-    Raises ValidationError, before opening ``path``, if two tables share a
-    name, a key is not a ``(seg_id, image_id)`` tuple of strings, a score is
-    NaN or infinite, or no table holds a score, as the loader or ``segeval
-    score`` would reject the file.
+    Each table is written from its per-SEG index, SEG ids and then each
+    SEG's image ids in sorted order; a table built from another mapping is
+    grouped into one first.  Raises ValidationError, before opening
+    ``path``, if two tables share a name, a key is not a ``(seg_id,
+    image_id)`` tuple of strings, a score is NaN or infinite, or no table
+    holds a score, as the loader or ``segeval score`` would reject the file.
     Lines end in CRLF (the csv default, unlike the LF report bundle), so
     score files keep the bytes earlier versions wrote.
     """
-    by_name: dict[str, ScoreTable] = {}
+    by_name: dict[str, dict[str, dict[str, float]]] = {}
     for table in tables:
         if table.metric_name in by_name:
             raise ValidationError(f"two score tables for metric {table.metric_name!r}")
-        check_keys(table.entries, SCORE_CSV_HEADER[:2], f"metric {table.metric_name!r}: ")
-        if not all(map(math.isfinite, table.entries.values())):
-            key, score = next((key, score) for key, score in table.entries.items() if not math.isfinite(score))
-            raise ValidationError(f"metric {table.metric_name!r}: non-finite score {score!r} for {key}")
-        by_name[table.metric_name] = table
-    if not any(table.entries for table in by_name.values()):
+        by_name[table.metric_name] = _score_index(table)
+    if not any(any(index.values()) for index in by_name.values()):
         raise ValidationError("no scores to write")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORE_CSV_HEADER)
-        for metric in sorted(by_name):
+        for metric, index in sorted(by_name.items()):
             writer.writerows(
                 [seg_id, image_id, metric, format(score, ".17g")]
-                for (seg_id, image_id), score in sorted(by_name[metric].entries.items())
+                for seg_id in sorted(index)
+                for image_id, score in sorted(index[seg_id].items())
             )
 
 

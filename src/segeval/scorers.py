@@ -18,6 +18,8 @@ Formats: question graphs are JSON objects
 accepted); answers are CSV ``seg_id,image_id,question_id,answer``, read
 image by image through an index view, as scores are read SEG by SEG;
 embeddings are text files with one ``id v1 v2 ...`` record per line.
+Both producers build their table as the per-SEG index ``{seg_id: {image_id:
+score}}`` that a loaded score table holds, so no key tuple is made per image.
 """
 
 from __future__ import annotations
@@ -283,21 +285,21 @@ def accumulate_scores(
 
     normalized = _Normalized()
     by_image = answers.entries.index  # read, not copied as answers_for copies it
-    entries: dict[tuple[str, str], float] = {}
-    for key in answers.images():  # the index's own key tuples, shared with the output
-        seg_id, image_id = key
+    index: dict[str, dict[str, float]] = {}
+    for key in answers.images():  # sorted, so each SEG's images are contiguous
+        seg_id, image_id = key  # the answer index's own strings, shared with the output
         qg = single or by_prompt.get(seg_id)
         if qg is None:
             raise CoverageError(
                 f"no question graph with prompt_id {seg_id!r} for seg {seg_id!r}"
             )
-        if qg is not planned:  # images come sorted by seg id, so a graph's are contiguous
+        if qg is not planned:
             plan, planned = _plan(qg, gated=mode == "dsg"), qg
         per_image = by_image[key]
         if per_image.keys() != plan.expected.keys():
             raise _answers_error(plan, per_image, f"seg {seg_id!r} image {image_id!r}")
-        entries[key] = _accumulate(qg, plan, per_image, normalized)
-    return ScoreTable(metric_name=name, entries=entries)
+        index.setdefault(seg_id, {})[image_id] = _accumulate(qg, plan, per_image, normalized)
+    return ScoreTable(metric_name=name, entries=IndexView(index))
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +382,18 @@ def embedding_score_table(
 
     Text vectors are keyed by seg id, image vectors by image id.
     """
-    entries: dict[tuple[str, str], float] = {}
+    index: dict[str, dict[str, float]] = {}
     missing: list[tuple[str, str]] = []
     for seg in collection:
         if seg.id not in text_embeddings:
             missing.append((seg.id, "<prompt>"))
             continue
-        tv = text_embeddings[seg.id]
+        tv, scores = text_embeddings[seg.id], index.setdefault(seg.id, {})  # a repeated seg id merges
         for img in seg.image_ids():
             if img not in image_embeddings:
                 missing.append((seg.id, img))
                 continue
-            entries[(seg.id, img)] = embedding_correlation_score(tv, image_embeddings[img])
+            scores[img] = embedding_correlation_score(tv, image_embeddings[img])
     if missing:
         raise CoverageError(
             "missing embedding(s) for: "
@@ -399,4 +401,4 @@ def embedding_score_table(
             + ("..." if len(missing) > 10 else ""),
             missing=missing,
         )
-    return ScoreTable(metric_name=metric_name, entries=entries)
+    return ScoreTable(metric_name=metric_name, entries=IndexView(index))

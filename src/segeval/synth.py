@@ -6,6 +6,8 @@ and platforms and independent of generation order.  The oracle scorers
 encode the behaviours the meta-metrics must recover exactly: a perfect
 scorer orders every walk, an inverse one anti-orders it, a constant one
 carries no information, and a noisy one degrades smoothly with sigma.
+Each oracle table is built as the per-SEG index ``{seg_id: {image_id:
+score}}`` that a loaded table holds, under the SEGs' own id strings.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .fileio import nonempty_path
+from .fileio import IndexView, nonempty_path
 from .metametrics import ScoreTable
 from .seg import (
     ERROR_LABELS,
@@ -178,20 +180,18 @@ def oracle_scores(
     """
     if kind not in ORACLE_KINDS:
         raise ValueError(f"unknown oracle kind: {kind!r}")
-    entries: dict[tuple[str, str], float] = {}
+    index: dict[str, dict[str, float]] = {}
     for seg in collection:
         max_count = max(n.error_count for n in seg.nodes)
-        rng = random.Random(_subseed(seed, f"noise:{seg.id}"))
+        scores = index.setdefault(seg.id, {})  # a repeated seg id merges, as its keys did in a flat dict
+        if kind == "noisy":
+            gauss = random.Random(_subseed(seed, f"noise:{seg.id}")).gauss
         for node in seg.nodes:
             base = 1.0 - node.error_count / max_count
-            for img in node.images:
-                if kind == "perfect":
-                    score = base
-                elif kind == "inverse":
-                    score = 1.0 - base
-                elif kind == "constant":
-                    score = 0.5
-                else:
-                    score = min(1.0, max(0.0, base + rng.gauss(0.0, noise_sigma)))
-                entries[(seg.id, img)] = score
-    return ScoreTable(metric_name=kind, entries=entries)
+            if kind == "noisy":  # one draw per image, in node order
+                for img in node.images:
+                    scores[img] = min(1.0, max(0.0, base + gauss(0.0, noise_sigma)))
+            else:  # one score per node, shared by its images
+                score = base if kind == "perfect" else 1.0 - base if kind == "inverse" else 0.5
+                scores.update(dict.fromkeys(node.images, score))
+    return ScoreTable(metric_name=kind, entries=IndexView(index))

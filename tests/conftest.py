@@ -9,7 +9,8 @@ import pytest
 
 from segeval.fileio import csv_row
 from segeval.seg import ErrorEdge, ErrorNode, SegCollection, SemanticErrorGraph
-from segeval.metametrics import ScoreTable
+from segeval.metametrics import SCORE_CSV_HEADER, ScoreTable
+from segeval.synth import _subseed
 
 
 def make_seg(
@@ -69,6 +70,36 @@ def table_for(
         metric_name=metric,
         entries={(seg.id, img): s for img, s in zip(images, scores)},
     )
+
+
+def reference_oracle_scores(collection, kind: str, noise_sigma: float = 0.05, seed: int = 0) -> ScoreTable:
+    """The oracle table as it was built: one flat dict keyed by a new (seg_id, image_id) tuple per image."""
+    entries = {}
+    for seg in collection:
+        max_count = max(n.error_count for n in seg.nodes)
+        rng = random.Random(_subseed(seed, f"noise:{seg.id}"))
+        for node in seg.nodes:
+            base = 1.0 - node.error_count / max_count
+            for img in node.images:
+                if kind == "perfect":
+                    score = base
+                elif kind == "inverse":
+                    score = 1.0 - base
+                elif kind == "constant":
+                    score = 0.5
+                else:
+                    score = min(1.0, max(0.0, base + rng.gauss(0.0, noise_sigma)))
+                entries[(seg.id, img)] = score
+    return ScoreTable(metric_name=kind, entries=entries)
+
+
+def reference_write(tables, path) -> None:
+    """The score writer as it was: one (metric, seg, image, score) sort over every row."""
+    rows = sorted((t.metric_name, s, i, x) for t in tables for (s, i), x in t.entries.items())
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SCORE_CSV_HEADER)
+        writer.writerows([s, i, m, format(x, ".17g")] for m, s, i, x in rows)
 
 
 @pytest.fixture

@@ -286,6 +286,46 @@ def test_score_constant_seg_beside_a_varied_one_has_zero_delta(tmp_path, capsys)
     assert "m,flat,synth,0,0,0,1,2" in rows
 
 
+def _digests(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_score_rows_no_seg_uses_give_one_warn_line_per_metric_and_leave_the_bundle_alone(tmp_path, capsys):
+    # the Quickstart files, and two noisy rows: one for a SEG that no file defines, one for an image SEG 0000 does not list
+    segs, scores = tmp_path / "segs", tmp_path / "scores.csv"
+    assert main(["synth", "--seed", "1", "--segs", "10", "--out", str(segs), "--scores-out", str(scores)]) == EXIT_OK
+    assert main(["score", "--segs", str(segs), "--scores", str(scores), "--out", str(tmp_path / "clean")]) == EXIT_OK
+    assert "WARN" not in capsys.readouterr().err
+    extra = tmp_path / "extra.csv"
+    extra.write_bytes(scores.read_bytes() + b"9999,x.jpg,noisy,0.5\r\n0000,nope.jpg,noisy,0.5\r\n")
+    assert main(["score", "--segs", str(segs), "--scores", str(extra), "--out", str(tmp_path / "extra")]) == EXIT_OK
+    warn = f"WARN {extra}: metric 'noisy': 2 score row(s) unused: 1 for unknown SEG(s), 1 for unknown image(s)"
+    assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("WARN")] == [warn]
+    assert _digests(tmp_path / "extra") == _digests(tmp_path / "clean") and len(_digests(tmp_path / "clean")) == 14
+    # a metric that is not evaluated gives no line
+    argv = ["score", "--segs", str(segs), "--scores", str(extra), "--metric", "perfect", "--out", str(tmp_path / "p")]
+    assert main(argv) == EXIT_OK
+    assert "WARN" not in capsys.readouterr().err
+
+
+def test_score_rows_for_segs_outside_the_subset_give_no_warning(tmp_path, capsys):
+    # SEG 0000 is in subset synth, so with --subset nat its rows, the unknown image's among them, are expected
+    segs, scores = tmp_path / "segs", tmp_path / "scores.csv"
+    assert main(["synth", "--seed", "1", "--segs", "10", "--out", str(segs), "--scores-out", str(scores)]) == EXIT_OK
+    assert json.loads((segs / "0000.json").read_text(encoding="utf-8"))["subset"] == "synth"
+    with open(scores, "ab") as fh:
+        fh.write(b"0000,nope.jpg,noisy,0.5\r\n")
+    capsys.readouterr()
+    for subset in ("nat", "real"):
+        argv = ["score", "--segs", str(segs), "--scores", str(scores), "--subset", subset, "--out", str(tmp_path / subset)]
+        assert main(argv) == EXIT_OK
+        assert "WARN" not in capsys.readouterr().err
+    assert main(["score", "--segs", str(segs), "--scores", str(scores), "--subset", "synth", "--out", str(tmp_path / "s")]) == 0
+    assert f"WARN {scores}: metric 'noisy': 1 score row(s) unused: 0 for unknown SEG(s), 1 for unknown image(s)" in (
+        capsys.readouterr().err.splitlines()
+    )
+
+
 def test_score_pair_mode_changes_pair_count_not_walk_count(workspace):
     tmp_path, seg_dir, scores, _ = workspace
     rows = {}

@@ -14,7 +14,7 @@ from operator import add
 import pytest
 
 from segeval.errors import CoverageError, ParseError, SegEvalError, ValidationError
-from segeval.fileio import read_csv
+from segeval.fileio import IndexView, read_csv
 from segeval.metametrics import (
     SCORE_CSV_HEADER,
     ScoreTable,
@@ -34,12 +34,12 @@ from segeval.cli import EXIT_COVERAGE, main
 import segeval.metametrics as metametrics
 from segeval.reporting import walk_line_data
 from segeval.stats import ks_statistic, spearman_rho
-from segeval.synth import SynthConfig, generate_segs, oracle_scores, write_collection
+from segeval.synth import ORACLE_KINDS, SynthConfig, generate_segs, oracle_scores, write_collection
 from segeval.walks import adjacent_pairs, enumerate_walks
 
 from conftest import (
-    CSV_FAULTS, assert_view_reads_as, chain_seg, collection_of, identity_pattern, make_seg, regrouped, seeded_csv,
-    stacked_diamond, table_for,
+    CSV_FAULTS, assert_view_reads_as, chain_seg, collection_of, identity_pattern, make_seg, reference_oracle_scores,
+    reference_write, regrouped, seeded_csv, stacked_diamond, table_for,
 )
 
 
@@ -821,15 +821,6 @@ def reference_load(path):
     return {name: ScoreTable(metric_name=name, entries=entries) for name, entries in sorted(tables.items())}
 
 
-def reference_write(tables, path):
-    """The writer as it was: one (metric, seg, image, score) sort over every row."""
-    rows = sorted((t.metric_name, s, i, x) for t in tables for (s, i), x in t.entries.items())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORE_CSV_HEADER)
-        writer.writerows([s, i, m, format(x, ".17g")] for m, s, i, x in rows)
-
-
 def _load_error(loader, path) -> str:
     with pytest.raises(ParseError) as info:
         loader(path)
@@ -999,6 +990,19 @@ def test_loaded_tables_of_tiny_segs_hold_at_most_a_quarter_more_memory(tmp_path)
     assert new <= old * (1.25 if sys.version_info >= (3, 11) else 1.45)  # 1.22x-1.23x; 1.42x on 3.10
 
 
+def test_oracle_tables_hold_at_most_half_the_memory_of_tuple_keyed_dicts_on_paper_sized_segs():
+    # the synth-1k shape: each image's score sits in its SEG's dict under the SEG's own image id string,
+    # where the flat dict held a new (seg_id, image_id) tuple per image
+    collection = generate_segs(SynthConfig(seed=5, seg_count=200, nodes_per_seg=(6, 12), images_per_node=(2, 8)))
+
+    def retained(build) -> int:
+        return sum(_retained_bytes(lambda kind: build(collection, kind), kind) for kind in ORACLE_KINDS)
+
+    retained(oracle_scores)  # the first calls also fill interpreter caches
+    new, old = retained(oracle_scores), retained(reference_oracle_scores)
+    assert new <= old * (0.5 if sys.version_info >= (3, 11) else 0.6)  # 0.39x on Python 3.11
+
+
 def test_writer_bytes_equal_the_all_rows_sort(tmp_path):
     config = SynthConfig(seed=4, seg_count=30)
     collection = generate_segs(config)
@@ -1042,7 +1046,27 @@ def test_writer_rejects_a_key_that_is_not_two_strings_before_opening_the_file(tm
     assert not path.exists()
 
 
-@pytest.mark.parametrize("tables", [[], [ScoreTable("m", {})], [ScoreTable("a", {}), ScoreTable("m", {})]])
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        ({"s": {"x": 1.0, 2: 0.5}}, "key ('s', 2) is not a (seg_id, image_id) tuple of strings"),
+        ({"s": {"x": 1.0}, 3: {"c": 1.0}}, "key (3, 'c') is not a (seg_id, image_id) tuple of strings"),
+        ({"s": {"x": 1.0}, ("s", "b"): {"c": 1.0}}, "key ('s', 'b', 'c') is not a (seg_id, image_id) tuple of strings"),
+        ({"s": {"x": 1.0}, "t": {"y": math.inf, "z": math.nan}}, "non-finite score inf for ('t', 'y')"),
+    ],
+)
+def test_writer_rejects_an_index_view_as_it_rejects_its_flat_dict_before_opening_the_file(tmp_path, index, message):
+    path = tmp_path / "scores.csv"
+    for entries in (IndexView(index), dict(IndexView(index))):
+        with pytest.raises(ValidationError) as info:
+            write_score_tables([ScoreTable("a", {("s", "x"): 1.0}), ScoreTable("m", entries)], path)
+        assert str(info.value) == f"metric 'm': {message}"
+        assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "tables", [[], [ScoreTable("m", {})], [ScoreTable("a", {}), ScoreTable("m", {})], [ScoreTable("m", IndexView({"s": {}}))]]
+)
 def test_writer_rejects_tables_without_scores_before_opening_the_file(tmp_path, tables):
     # a header-only file, which segeval score rejects with "no score rows" (exit 3)
     path = tmp_path / "scores.csv"
