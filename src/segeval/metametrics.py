@@ -47,7 +47,8 @@ from .errors import CoverageError, ParseError, ValidationError
 from .fileio import IndexView, check_keys, load_csv
 from .seg import SUBSETS, SegCollection, SemanticErrorGraph
 from .stats import (
-    TieMode, _Checked, _Sorted, _check_sample, _ranked_runs, ks_statistic, population_moments, spearman_rho,
+    TieMode, _Checked, _Sorted, _check_sample, _ranked_runs, _unit_exponent, ks_statistic, population_moments,
+    spearman_rho,
 )
 from .walks import PairMode, adjacent_pairs, enumerate_walks
 
@@ -99,17 +100,22 @@ def _score_tables(rows) -> dict[str, ScoreTable] | None:
     tables: dict[str, dict[str, dict[str, float]]] = {}
     # every table shares one string per seg id and one per (seg, image id); segs maps a seg id
     # to (that string, {image id: its string}) and is read once per run of rows with the same
-    # seg id and metric, as tables is per run of metrics
+    # seg id and metric, as tables is per run of metrics.  Within such a run equal score texts
+    # share one float: floats maps each text to it and is dropped when the run ends, so no pool
+    # outlives a run (nor sys.intern, whose strings CPython 3.12 never frees)
     segs: dict[str, tuple[str, dict[str, str]]] = {}
-    seg_key = metric_key = bucket = scores = share = None
+    seg_key = metric_key = bucket = scores = share = floats = None
     n = 0
     for n, (seg_id, image_id, metric, raw) in enumerate(rows, 1):
         if seg_id != seg_key or metric != metric_key:
             if metric != metric_key:
                 metric_key, bucket = metric, tables.setdefault(metric, {})
             seg_key, images = segs.setdefault(seg_id, (seg_id, {}))
-            scores, share = bucket.setdefault(seg_key, {}), images.setdefault
-        scores[share(image_id, image_id)] = float(raw)
+            scores, share, floats = bucket.setdefault(seg_key, {}), images.setdefault, {}
+        score = floats.get(raw)
+        if score is None:
+            score = floats[raw] = float(raw)
+        scores[share(image_id, image_id)] = score
     per_seg = [scores for by_seg in tables.values() for scores in by_seg.values()]
     if sum(map(len, per_seg)) != n or not all(map(math.isfinite, chain.from_iterable(map(dict.values, per_seg)))):
         return None  # a score given twice (fewer entries than rows), or a non-finite one
@@ -322,20 +328,35 @@ def delta_score(
 
     ``global_std`` must be the population standard deviation of this
     metric's scores over all images of the whole collection under
-    evaluation; a 0 spread yields 0 by convention.  Otherwise a SEG without
-    adjacent pairs (one node) raises ValidationError.
+    evaluation; a 0 spread yields 0 by convention, and a negative, NaN or
+    infinite one raises ValueError.  Otherwise a SEG without
+    adjacent pairs (one node) raises ValidationError, and a NaN or infinite
+    score ValueError, as rank and sep do.  Scores whose sums overflow are
+    scaled by a power of two first, so finite scores of any size give a
+    finite delta; no other delta changes.
     """
-    if global_std < 0:
-        raise ValueError("global_std must be non-negative")
+    if not 0.0 <= global_std < math.inf:
+        raise ValueError("global_std must be finite and non-negative")
     plan = plan or _SegPlan(seg)
     pops = plan.populations(scores)  # checks coverage even when the spread is 0
     if global_std == 0.0:
         return 0.0
+    pairs = plan.pairs(pair_mode)
+    delta = _mean_gap(pops, pairs) / global_std
+    if not math.isfinite(delta):  # a non-finite score, or an overflowed sum: checked only here, off the finite path
+        for v in pops.values():
+            _check_sample(v, "x")
+        e = _unit_exponent(chain.from_iterable(pops.values()))
+        scaled = {n: [math.ldexp(x, -e) for x in v] for n, v in pops.items()}
+        delta = _mean_gap(scaled, pairs) / math.ldexp(global_std, -e)
+    return delta
+
+
+def _mean_gap(pops: dict[str, list[float]], pairs: list[tuple[str, str]]) -> float:
+    """Mean over ``pairs`` of the first node's mean score minus the second's."""
     # a constant node's mean is its value, which sum / len can miss by an ulp
     means = {n: v[0] if v.count(v[0]) == len(v) else reduce(add, v, 0.0) / len(v) for n, v in pops.items()}
-    pairs = plan.pairs(pair_mode)
-    gap = reduce(add, (means[a] - means[b] for a, b in pairs), 0.0) / len(pairs)
-    return gap / global_std
+    return reduce(add, (means[a] - means[b] for a, b in pairs), 0.0) / len(pairs)
 
 
 def global_std(

@@ -35,6 +35,7 @@ from .errors import CoverageError, ParseError, SegEvalError, ValidationError
 from .fileio import IndexView, check_keys, fields, load_csv, not_utf8, read_json, str_list
 from .metametrics import ScoreTable
 from .seg import SegCollection, _topological_order
+from .stats import _unit_exponent
 
 AccumulationMode = Literal["tifa", "dsg"]
 
@@ -354,7 +355,7 @@ def load_embeddings(path: str | Path) -> dict[str, EmbeddingVector]:
 
 def _unit_scaled(vec: EmbeddingVector) -> EmbeddingVector:
     """``vec`` times the power of two that puts its largest |value| in [0.5, 1): exact in range, and no norm overflows."""
-    exponent = math.frexp(max(map(abs, vec.values), default=0.0))[1]
+    exponent = _unit_exponent(vec.values)
     return EmbeddingVector(tuple(math.ldexp(v, -exponent) for v in vec.values))
 
 

@@ -301,12 +301,16 @@ _NODE_FIELDS = {"id": str, "error_count": int, "images": list}
 _EDGE_FIELDS = {"error_labels": list, "from": str, "to": str}
 _EDGE_KNOWN = {*_EDGE_FIELDS, "weight"}
 _WEIGHT_FIELD = {"weight": int}
+# each core label as its own string, so an edge holds ERROR_LABELS' strings, not one decoded per use
+_SHARED_LABELS = {label: label for label in ERROR_LABELS}
 
 
 def parse_seg(data: dict, source: str = "<data>") -> tuple[SemanticErrorGraph, list[str]]:
     """``(seg, notes)`` from a decoded JSON object; strict about schema, not structure.
 
     One note per unknown key, in key order (seg, nodes[i], edges[i]): ``<where>: ignoring unknown field 'k'``.
+    An edge's ``src`` and ``dst`` are the id strings of the nodes they name, and each label in
+    :data:`ERROR_LABELS` is that module string, so the JSON's repeats are not held once per use.
     """
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object", source=source)
@@ -323,16 +327,18 @@ def parse_seg(data: dict, source: str = "<data>") -> tuple[SemanticErrorGraph, l
         nodes.append(ErrorNode(node_id, count, str_list(images, "images", where, source)))
 
     edges = []
+    ids = {n.id: n.id for n in nodes}
     for i, ed in enumerate(raw_edges):
         where = f"edges[{i}]"
         labels, src, dst = fields(ed, _EDGE_FIELDS, where, source)
         notes += [f"{where}: ignoring unknown field {k!r}" for k in ed if k not in _EDGE_KNOWN]
         labels = str_list(labels, "error_labels", where, source)
+        labels = tuple(map(_SHARED_LABELS.get, labels, labels))
         if "weight" in ed:
             (weight,) = fields(ed, _WEIGHT_FIELD, where, source)
         else:
             weight = ErrorEdge.default_weight(labels)
-        edges.append(ErrorEdge(src, dst, labels, weight))
+        edges.append(ErrorEdge(ids.get(src, src), ids.get(dst, dst), labels, weight))
 
     return SemanticErrorGraph(seg_id, prompt, subset, tuple(nodes), tuple(edges)), notes
 

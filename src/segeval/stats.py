@@ -33,7 +33,9 @@ count, taken by bisection in the sorted sample, divided once, so the result
 is the float that evaluating F_X - F_Y at every pooled point in float64 gives.
 Direct calls check each argument; ``sep_score`` checks each node's scores once.
 
-Population moments add in numpy's pairwise order, so they are numpy's floats.
+Population moments add in numpy's pairwise order, so they are numpy's floats
+wherever numpy's are finite.  Only a finite sample whose sums or squares
+overflow is summed again, scaled by a power of two, so its moments are finite.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import math
 from bisect import bisect_left, bisect_right
 from functools import reduce
 from operator import add, mul
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 TieMode = Literal["midrank", "countbelow"]
 
@@ -69,7 +71,10 @@ class _Ranked(tuple):
 
 
 def _check_sample(values: Sequence[float], name: str = "sample", sort: bool = False) -> list[float]:
-    vals = sorted(map(float, values)) if sort else list(map(float, values))
+    return _check_floats(sorted(map(float, values)) if sort else list(map(float, values)), name)
+
+
+def _check_floats(vals: list[float], name: str = "sample") -> list[float]:
     if not vals:
         raise ValueError(f"{name} must be non-empty")
     if not all(map(math.isfinite, vals)):
@@ -181,14 +186,36 @@ def _pairwise_sum(vals: list[float], lo: int, hi: int) -> float:
     return _pairwise_sum(vals, lo, lo + half) + _pairwise_sum(vals, lo + half, hi)
 
 
+def _unit_exponent(values: Iterable[float]) -> int:
+    """The e that puts the largest |value| times 2**-e in [0.5, 1); 0 for no or only zero values.
+
+    Scaling by 2**-e is exact for every value it leaves at or above 2**-1022.
+    """
+    return math.frexp(max(map(abs, values), default=0.0))[1]
+
+
+def _moments(vals: list[float], n: int) -> tuple[float, float]:
+    mean = _pairwise_sum(vals, 0, n) / n
+    # each deviation squared as numpy squares it, d * d; d ** 2 can differ in the last bit
+    return mean, math.sqrt(_pairwise_sum([(v - mean) * (v - mean) for v in vals], 0, n) / n)
+
+
 def population_moments(values: Sequence[float]) -> tuple[float, float]:
-    """(mean, population standard deviation) of a non-empty sample."""
-    vals = _check_sample(values)
-    n = len(vals)
+    """(mean, population standard deviation) of a non-empty sample; a list of floats is read in place, not copied.
+
+    A sample whose sums or squares overflow gets the moments of its values
+    scaled by the power of two that puts the largest |value| in [0.5, 1),
+    scaled back, so every finite sample has finite moments; any other sample
+    gets numpy's floats.
+    """
+    vals = values if type(values) is list and {*map(type, values)} == {float} else list(map(float, values))
+    n = len(_check_floats(vals))
     if vals.count(vals[0]) == n:
         # their float mean can miss them by an ulp, leaving a tiny nonzero spread
         return vals[0], 0.0
-    mean = _pairwise_sum(vals, 0, n) / n
-    devs = [v - mean for v in vals]
-    # d * d, as numpy squares; d ** 2 can differ in the last bit
-    return mean, math.sqrt(_pairwise_sum(list(map(mul, devs, devs)), 0, n) / n)
+    mean, std = _moments(vals, n)
+    if not math.isfinite(std):  # a sum or a square overflowed
+        e = _unit_exponent(vals)
+        mean, std = _moments([math.ldexp(v, -e) for v in vals], n)
+        mean, std = math.ldexp(mean, e), math.ldexp(std, e)
+    return mean, std

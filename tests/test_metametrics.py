@@ -6,12 +6,15 @@ import csv
 import math
 import random
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from functools import reduce
 from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segeval.errors import CoverageError, ParseError, SegEvalError, ValidationError
 from segeval.fileio import IndexView, read_csv
@@ -477,8 +480,9 @@ def test_delta_zero_spread_guard():
     seg = chain_seg([1, 1])
     table = table_for(seg, [0.5, 0.5])
     assert delta_score(seg, table, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        delta_score(seg, table, -0.1)
+    for std in (-0.1, math.nan, math.inf):  # a NaN or infinite spread once gave nan or 0.0
+        with pytest.raises(ValueError, match=r"^global_std must be finite and non-negative$"):
+            delta_score(seg, table, std)
 
 
 def test_delta_sign_antisymmetry():
@@ -490,6 +494,55 @@ def test_delta_sign_antisymmetry():
     d2 = delta_score(seg, inverted, std)
     assert d1 > 0
     assert d2 == pytest.approx(-d1, abs=1e-12)
+
+
+def test_delta_of_a_nan_or_infinite_score_raises_the_error_rank_and_sep_raise():
+    chain = chain_seg([2, 1, 2])
+    diamonds = stacked_diamond(2)  # more pairs than nodes
+    for seg in (chain, diamonds):
+        for bad in (math.nan, math.inf, -math.inf):
+            table = table_for(seg, [bad, *[0.5 - i / 10 for i in range(len(seg.image_ids()) - 1)]])
+            for score in (rank_score, sep_score, lambda seg, table: delta_score(seg, table, 0.25)):
+                with pytest.raises(ValueError, match=r"^x contains non-finite values$"):
+                    score(seg, table)
+            assert delta_score(seg, table, 0.0) == 0.0  # a zero spread still gives 0, as documented
+
+
+def test_delta_of_scores_whose_sums_overflow_is_the_delta_of_the_scores_unscaled():
+    # scaled by 2**1023, node sums and mean gaps of scores in (-1, 1) can overflow; they are then scaled back
+    # by a power of two, which is exact, so delta keeps the unscaled scores' float
+    rng = random.Random(32)
+    segs = [chain_seg([3, 3], seg_id="two"), chain_seg([2, 1, 3]), stacked_diamond(2)]
+    segs += generate_segs(SynthConfig(seed=32, seg_count=30, nodes_per_seg=(3, 8), images_per_node=(1, 6)))
+    overflowed = 0
+    for n, seg in enumerate(segs):
+        values = [0.9, 0.8, 0.7, -0.9, -0.8, -0.7] if n == 0 else [rng.uniform(-1, 1) for _ in seg.image_ids()]
+        table, big = table_for(seg, values), table_for(seg, [math.ldexp(v, 1023) for v in values])
+        std, big_std = global_std(collection_of(seg), table), global_std(collection_of(seg), big)
+        assert big_std == math.ldexp(std, 1023)
+        means = {n.id: reduce(add, (big.entries[seg.id, img] for img in n.images)) / len(n.images) for n in seg.nodes}
+        gaps = (means[a] - means[b] for a, b in adjacent_pairs(enumerate_walks(seg)))
+        overflowed += not math.isfinite(reduce(add, gaps))
+        for pair_mode in ("per-walk", "unique-edge"):
+            assert delta_score(seg, big, big_std, pair_mode) == delta_score(seg, table, std, pair_mode), (n, pair_mode)
+    assert overflowed >= 10, overflowed
+
+
+def test_score_of_scores_near_the_float_maximum_writes_finite_deltas(tmp_path):
+    # the noisy rows times 1e308 once gave delta nan in per_seg.csv and bare NaN in report.json
+    args = ["synth", "--seed", "1", "--segs", "3", "--out", str(tmp_path / "segs")]
+    assert main([*args, "--scores-out", str(tmp_path / "scores.csv")]) == 0
+    with open(tmp_path / "scores.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    with open(tmp_path / "big.csv", "w", newline="") as fh:
+        big = [[*row[:3], repr(float(row[3]) * 1e308)] if row[2] == "noisy" else row for row in rows]
+        csv.writer(fh).writerows([header, *big])
+    for name in ("scores", "big"):
+        argv = ["score", "--segs", str(tmp_path / "segs"), "--scores", str(tmp_path / f"{name}.csv")]
+        assert main([*argv, "--out", str(tmp_path / f"report_{name}")]) == 0
+    per_seg = (tmp_path / "report_big" / "per_seg.csv").read_text()
+    assert per_seg == (tmp_path / "report_scores" / "per_seg.csv").read_text()
+    assert "nan" not in per_seg and "NaN" not in (tmp_path / "report_big" / "report.json").read_text()
 
 
 def test_global_std_over_concatenated_multiset():
@@ -821,6 +874,15 @@ def reference_load(path):
     return {name: ScoreTable(metric_name=name, entries=entries) for name, entries in sorted(tables.items())}
 
 
+def reference_float_per_row_load(path):
+    """The one-pass loader before equal score texts shared a float: the same per-SEG index, one float per row."""
+    tables, segs = {}, {}
+    for _, (seg_id, image_id, metric, raw) in read_csv(Path(path), SCORE_CSV_HEADER):
+        seg_key, images = segs.setdefault(seg_id, (seg_id, {}))
+        tables.setdefault(metric, {}).setdefault(seg_key, {})[images.setdefault(image_id, image_id)] = float(raw)
+    return {name: ScoreTable(metric_name=name, entries=IndexView(by_seg)) for name, by_seg in sorted(tables.items())}
+
+
 def _load_error(loader, path) -> str:
     with pytest.raises(ParseError) as info:
         loader(path)
@@ -839,6 +901,45 @@ def test_loaded_tables_share_one_string_per_seg_id_and_per_image_id(tmp_path):
     image_ids = {key: key[1] for key in keys[0]}
     assert len(seg_ids) == 40 and all(len(k) == len(image_ids) for k in keys)
     assert all(seg_ids[key[0]] is key[0] and image_ids[key] is key[1] for k in keys for key in k)
+
+
+def test_equal_score_texts_of_one_seg_and_metric_share_one_float_that_no_later_load_holds(tmp_path):
+    path = tmp_path / "scores.csv"
+    rows = ["s,a,m,0.5", "s,b,m,0.5", "s,c,m,-0", "s,d,m,0", "s,e,m,-0", "t,a,m,0.5", "s,f,n,0.5", "s,g,m,0.5"]
+    path.write_text("\n".join(["seg_id,image_id,metric,score", *rows, ""]))
+    loaded = load_score_tables(path)
+    s = loaded["m"].entries.index["s"]
+    assert s["a"] is s["b"] and s["c"] is s["e"]
+    assert [repr(s[img]) for img in "abcdeg"] == ["0.5", "0.5", "-0.0", "0.0", "-0.0", "0.5"]
+    again = load_score_tables(path)
+    first = {id(v) for table in loaded.values() for v in table.entries.values()}
+    assert not first & {id(v) for table in again.values() for v in table.entries.values()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["s0", "s1", "a.jpg"]),
+            st.sampled_from(["a.jpg", "s0", "b c", "d"]),
+            st.sampled_from(["m", "a,b", "z"]),
+            st.sampled_from(["0.5", "0.50", "1", "-0", "0", " 2.5e-3 ", "1_0", "1e308", "1e-400", "0.1"]),
+        ),
+        min_size=1, max_size=60, unique_by=lambda row: row[:3],
+    )
+)
+def test_loaded_tables_equal_the_float_per_row_loader_entry_for_entry_and_write_its_bytes(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scores.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([SCORE_CSV_HEADER, *rows])
+        got, want = load_score_tables(path), reference_float_per_row_load(path)
+        assert [(name, [(key, repr(v)) for key, v in t.entries.items()]) for name, t in got.items()] == [
+            (name, [(key, repr(v)) for key, v in t.entries.items()]) for name, t in want.items()
+        ]
+        write_score_tables(got.values(), Path(tmp) / "got.csv")
+        write_score_tables(want.values(), Path(tmp) / "want.csv")
+        assert (Path(tmp) / "got.csv").read_bytes() == (Path(tmp) / "want.csv").read_bytes()
 
 
 def test_same_image_under_two_metrics_is_accepted_with_one_string_per_id(tmp_path):
@@ -975,8 +1076,13 @@ def test_loaded_tables_hold_less_memory_than_tuple_keyed_dicts_on_paper_sized_se
     args = ["synth", "--seed", "5", "--segs", "200", "--nodes", "6", "12", "--images", "2", "8"]
     assert main([*args, "--out", str(tmp_path / "segs"), "--scores-out", str(tmp_path / "scores.csv")]) == 0
     _retained_bytes(load_score_tables, tmp_path / "scores.csv")  # the first call also fills interpreter caches
-    new, old = (_retained_bytes(loader, tmp_path / "scores.csv") for loader in (load_score_tables, reference_load))
+    new, old, per_row = (
+        _retained_bytes(loader, tmp_path / "scores.csv")
+        for loader in (load_score_tables, reference_load, reference_float_per_row_load)
+    )
     assert new < old  # 0.81x on Python 3.11-3.13, 0.96x on 3.10
+    # the perfect, inverse and constant tables give each node one score, so a SEG's equal texts share a float
+    assert new <= per_row * 0.85  # 0.75x on Python 3.11, 0.74x on 3.12-3.13, 0.79x on 3.10
 
 
 def test_loaded_tables_of_tiny_segs_hold_at_most_a_quarter_more_memory(tmp_path):

@@ -12,6 +12,7 @@ import pytest
 import segeval.seg
 from segeval.errors import ParseError, ValidationError
 from segeval.seg import (
+    ERROR_LABELS,
     ErrorEdge,
     ErrorNode,
     SemanticErrorGraph,
@@ -322,6 +323,32 @@ def test_parse_seg_requires_exact_case(tmp_path):
     # beside the exact name, the wrong case is an unknown field
     seg, notes = parse_seg({"id": "x", "prompt": "p", "Prompt": "q", "subset": "synth", "nodes": [], "edges": []})
     assert (seg.prompt, notes) == ("p", ["seg: ignoring unknown field 'Prompt'"])
+
+
+def test_parsed_edges_hold_their_nodes_id_strings_and_the_core_label_strings(tmp_path):
+    # json decodes every repeat of a string as a new object; ids of more than one character are not cached
+    data = {
+        "id": "shared", "prompt": "p", "subset": "synth",
+        "nodes": [
+            {"id": nid, "error_count": c, "images": [f"{nid}.jpg"]} for nid, c in [("head", 0), ("mid", 1), ("tail", 3)]
+        ],
+        "edges": [
+            {"from": "head", "to": "mid", "error_labels": ["verbal"]},
+            {"from": "mid", "to": "tail", "error_labels": ["missing_object", "free form"]},
+            {"from": "mid", "to": "ghost", "error_labels": ["composition"]},
+        ],
+    }
+    (tmp_path / "shared.json").write_text(json.dumps(data))
+    for seg, _ in (parse_seg(json.loads(json.dumps(data))), load_seg_file(tmp_path / "shared.json")):
+        node_ids = {n.id: n.id for n in seg.nodes}
+        assert all(e.src is node_ids[e.src] for e in seg.edges)
+        assert all(e.dst is node_ids[e.dst] for e in seg.edges[:2])
+        assert seg.edges[2].dst == "ghost"  # an unknown node keeps its own string, and validation names it
+        core = {label: label for label in ERROR_LABELS}
+        labels = [label for e in seg.edges for label in e.error_labels]
+        assert labels == ["verbal", "missing_object", "free form", "composition"]
+        assert all(label is core[label] for label in labels if label in core)
+        assert seg_to_dict(seg) == {**data, "edges": [{**e, "weight": len(e["error_labels"])} for e in data["edges"]]}
 
 
 # ---------------------------------------------------------------------------

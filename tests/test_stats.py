@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import segeval.stats as stats
 from segeval.stats import (
     _Checked,
     _Ranked,
@@ -646,6 +647,43 @@ def test_moments_are_bit_identical_to_numpy_reference():
 @given(st.lists(tie_prone_floats, min_size=1, max_size=400))
 def test_moments_match_numpy_reference_exactly(values):
     assert population_moments(values) == numpy_moments_reference(values)
+
+
+def test_moments_of_samples_whose_sums_overflow_are_the_moments_scaled():
+    # population_moments([1e308, 0.5e308, 0.9e308]) once gave (inf, inf); squares overflow from about 1.3e154
+    rng = random.Random(32)
+    scaled_path = 0
+    for k, n in enumerate([n for n in range(1, 140) for _ in range(3)] + [1000, 8193]):
+        values = _moments_draw(rng, n, k % 3)
+        top = math.frexp(max(map(abs, values)))[1]
+        mean, std = numpy_moments_reference(values)
+        # shifts that keep every sum finite, down to squares that underflow, keep the unscaled formula's floats
+        for shift in (-1000, -600, -300, 0, 300, 450):
+            shifted = [math.ldexp(v, shift) for v in values]
+            assert population_moments(shifted) == numpy_moments_reference(shifted), (n, k % 3, shift)
+        # sums or squares that overflow: scaled by a power of two, which is exact here
+        for shift in (600, 1023 - top):
+            shifted = [math.ldexp(v, shift) for v in values]
+            with np.errstate(over="ignore", invalid="ignore"):
+                scaled_path += bool(std) and not math.isfinite(numpy_moments_reference(shifted)[1])
+            assert population_moments(shifted) == (math.ldexp(mean, shift), math.ldexp(std, shift)), (n, k % 3, shift)
+    assert scaled_path > 300
+    mean, std = population_moments([1e308, 0.5e308, 0.9e308])
+    assert mean == pytest.approx(0.8e308, rel=1e-15)
+    assert std == pytest.approx(math.sqrt(((0.2**2 + 0.3**2 + 0.1**2) / 3)) * 1e308, rel=1e-15)
+    big = 1.7976931348623157e308
+    assert population_moments([big, -big]) == (0.0, big)
+
+
+def test_moments_read_a_list_of_floats_in_place(monkeypatch):
+    with pytest.raises(ValueError, match=r"^sample contains non-finite values$"):
+        population_moments([0.5, math.nan])  # checked in place, as a copy was
+    seen = []
+    monkeypatch.setattr(stats, "_check_floats", lambda vals, name="sample": seen.append(vals) or vals)
+    floats, mixed = [0.25, 0.5, 0.75], [0.25, True, 0.75]
+    assert population_moments(floats) == population_moments((0.25, 0.5, 0.75)) == (0.5, math.sqrt(0.125 / 3))
+    assert population_moments(mixed) == population_moments([0.25, 1.0, 0.75])
+    assert seen[0] is floats and seen[1] is not floats and seen[2] is not mixed and seen[2] == [0.25, 1.0, 0.75]
 
 
 @settings(max_examples=50)
