@@ -22,13 +22,12 @@ The per-SEG functions take it as an optional last argument and build their
 own when none is given, so each direct call enumerates the SEG's walks.
 
 Scores arrive as a CSV with header ``seg_id,image_id,metric,score`` (UTF-8,
-'.' decimal separator).  Missing scores are hard errors, never imputed.  The
-``entries`` of every table segeval builds (loaded, oracle, ``accumulate`` or
-embedding) is a :class:`~segeval.fileio.IndexView` of its per-SEG index
-``{seg_id: {image_id: score}}``, read SEG by SEG; every node population and
-``global_std`` read a SEG's scores from it by image id alone, and only a
-table a caller builds from another mapping by ``(seg_id, image_id)`` key.
-The writer writes every table from such an index.
+'.' decimal separator).  Missing scores are hard errors, never imputed.  A
+:class:`ScoreTable` holds finite floats, checked once, when it is built, in
+a :class:`~segeval.fileio.IndexView` of its per-SEG index ``{seg_id:
+{image_id: score}}``.  Node populations, ``global_std`` and the writer read
+a SEG's scores from that index by image id, so rank, sep and delta take one
+sample path and check no score again.
 """
 
 from __future__ import annotations
@@ -41,13 +40,13 @@ from functools import reduce
 from itertools import chain, repeat
 from operator import add, attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import CoverageError, ParseError, ValidationError
 from .fileio import IndexView, check_keys, load_csv
 from .seg import SUBSETS, SegCollection, SemanticErrorGraph
 from .stats import (
-    TieMode, _Checked, _Sorted, _check_sample, _ranked_runs, _unit_exponent, ks_statistic, population_moments,
+    TieMode, _Checked, _Sorted, _ranked_runs, _unit_exponent, ks_statistic, population_moments,
     spearman_rho,
 )
 from .walks import PairMode, adjacent_pairs, enumerate_walks
@@ -55,11 +54,47 @@ from .walks import PairMode, adjacent_pairs, enumerate_walks
 SCORE_CSV_HEADER = ["seg_id", "image_id", "metric", "score"]
 
 
-class ScoreTable(NamedTuple):
-    """One metric's scores keyed by (seg_id, image_id); segeval builds ``entries`` as a per-SEG index view."""
+class ScoreTable(NamedTuple("_ScoreFields", [("metric_name", str), ("entries", Mapping[tuple[str, str], float])])):
+    """One metric's scores keyed by (seg_id, image_id): an IndexView of finite floats, checked when it is built.
 
-    metric_name: str
-    entries: Mapping[tuple[str, str], float]
+    A view of string keys and finite floats is held as given; any other mapping is copied into one, each score
+    as ``float(score)``.  A key that is not a ``(seg_id, image_id)`` tuple of strings, then a score that is not
+    a finite number, is a ValidationError naming the first in mapping order.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, metric_name: str, entries: Mapping[tuple[str, str], float]) -> ScoreTable:
+        return super().__new__(cls, metric_name, _score_view(entries, f"metric {metric_name!r}: "))
+
+    @classmethod
+    def _make(cls, iterable) -> ScoreTable:  # what _replace builds through
+        return cls(*iterable)
+
+
+def _score_view(entries: Mapping, where: str) -> IndexView:
+    """``entries`` if it is an index view of string keys and finite floats, else such a view of its scores."""
+    if isinstance(entries, IndexView):
+        index = entries.index
+        if (
+            all(map(isinstance, chain(index, chain.from_iterable(index.values())), repeat(str)))
+            and {*map(type, chain.from_iterable(map(dict.values, index.values())))} <= {float}
+            and all(map(math.isfinite, chain.from_iterable(map(dict.values, index.values()))))
+        ):
+            return entries
+    check_keys(entries, SCORE_CSV_HEADER[:2], where)
+    index = {}
+    for key, score in entries.items():
+        try:
+            finite = math.isfinite(score)
+        except TypeError:  # math.isfinite, unlike float, takes no string
+            raise ValidationError(f"{where}score {score!r} for {key} is not a number") from None
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise ValidationError(f"{where}non-finite score {score!r} for {key}")
+        index.setdefault(key[0], {})[key[1]] = float(score)
+    return IndexView(index)
 
 
 class SegMetricResult(NamedTuple):
@@ -116,10 +151,11 @@ def _score_tables(rows) -> dict[str, ScoreTable] | None:
         if score is None:
             score = floats[raw] = float(raw)
         scores[share(image_id, image_id)] = score
-    per_seg = [scores for by_seg in tables.values() for scores in by_seg.values()]
-    if sum(map(len, per_seg)) != n or not all(map(math.isfinite, chain.from_iterable(map(dict.values, per_seg)))):
-        return None  # a score given twice (fewer entries than rows), or a non-finite one
-    return {name: ScoreTable(metric_name=name, entries=IndexView(by_seg)) for name, by_seg in sorted(tables.items())}
+    try:
+        loaded = {name: ScoreTable(name, IndexView(by_seg)) for name, by_seg in sorted(tables.items())}
+    except ValidationError:  # a non-finite score
+        return None
+    return loaded if sum(len(t.entries) for t in loaded.values()) == n else None  # a score given twice leaves fewer
 
 
 def _first_bad_score(rows, source: str) -> None:
@@ -146,37 +182,14 @@ def load_score_tables(path: str | Path) -> dict[str, ScoreTable]:
     return load_csv(Path(path), SCORE_CSV_HEADER, _score_tables, _first_bad_score)
 
 
-def _score_index(table: ScoreTable) -> dict[str, dict[str, float]]:
-    """``table``'s per-SEG index ``{seg_id: {image_id: score}}``: an index view's own, or a mapping's scores grouped.
-
-    A key that is not a ``(seg_id, image_id)`` tuple of strings, then a NaN
-    or infinite score, is a ValidationError naming the first in table order.
-    """
-    entries, where = table.entries, f"metric {table.metric_name!r}: "
-    if isinstance(entries, IndexView):
-        index = entries.index
-        if not all(map(isinstance, chain(index, chain.from_iterable(index.values())), repeat(str))):
-            check_keys(entries, SCORE_CSV_HEADER[:2], where)  # raises, naming the view's first bad key
-    else:
-        check_keys(entries, SCORE_CSV_HEADER[:2], where)
-        index = {}
-        for (seg_id, image_id), score in entries.items():
-            index.setdefault(seg_id, {})[image_id] = score
-    if not all(all(map(math.isfinite, scores.values())) for scores in index.values()):
-        key, score = next((key, score) for key, score in entries.items() if not math.isfinite(score))
-        raise ValidationError(f"{where}non-finite score {score!r} for {key}")
-    return index
-
-
 def write_score_tables(tables: Iterable[ScoreTable], path: str | Path) -> None:
     """Write one table per metric name as the standard CSV, in name order, rows sorted by key.
 
     Each table is written from its per-SEG index, SEG ids and then each
-    SEG's image ids in sorted order; a table built from another mapping is
-    grouped into one first.  Raises ValidationError, before opening
-    ``path``, if two tables share a name, a key is not a ``(seg_id,
-    image_id)`` tuple of strings, a score is NaN or infinite, or no table
-    holds a score, as the loader or ``segeval score`` would reject the file.
+    SEG's image ids in sorted order.  Raises ValidationError, before opening
+    ``path``, if two tables share a name or no table holds a score, as
+    ``segeval score`` would reject the file; a table holds no key or score
+    that its loader would reject.
     Lines end in CRLF (the csv default, unlike the LF report bundle), so
     score files keep the bytes earlier versions wrote.
     """
@@ -184,7 +197,7 @@ def write_score_tables(tables: Iterable[ScoreTable], path: str | Path) -> None:
     for table in tables:
         if table.metric_name in by_name:
             raise ValidationError(f"two score tables for metric {table.metric_name!r}")
-        by_name[table.metric_name] = _score_index(table)
+        by_name[table.metric_name] = table.entries.index
     if not any(any(index.values()) for index in by_name.values()):
         raise ValidationError("no scores to write")
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -202,19 +215,12 @@ def missing_scores(
     collection: SegCollection | Iterable[SemanticErrorGraph], table: ScoreTable
 ) -> list[tuple[str, str]]:
     """(seg_id, image_id) pairs the table fails to cover, in collection order."""
-    return [(seg.id, img) for seg in collection for img in seg.image_ids() if (seg.id, img) not in table.entries]
+    index = table.entries.index
+    return [(seg.id, img) for seg in collection for img in seg.image_ids() if img not in index.get(seg.id, ())]
 
 
 # ---------------------------------------------------------------------------
 # per-SEG meta-metrics
-
-
-def _score_of(table: ScoreTable, seg_id: str) -> Callable[[str], float]:
-    """The score of each of one SEG's image ids, or KeyError: one string-keyed lookup for a loaded table."""
-    entries = table.entries
-    if isinstance(entries, IndexView):
-        return entries.index.get(seg_id, {}).__getitem__
-    return lambda image_id: entries[seg_id, image_id]
 
 
 class _SegPlan:
@@ -234,7 +240,7 @@ class _SegPlan:
     def populations(self, scores: ScoreTable) -> dict[str, list[float]]:
         if self._cell[0] is not scores:
             sid = self.seg.id
-            score_of = _score_of(scores, sid)
+            score_of = scores.entries.index.get(sid, {}).__getitem__
             try:
                 self._cell = (scores, {n.id: list(map(score_of, n.images)) for n in self.seg.nodes})
             except KeyError:
@@ -286,19 +292,9 @@ def rank_score(
     """
     plan = plan or _SegPlan(seg)
     pops = plan.populations(scores)
-    # with more walks than nodes, check the cell's scores once, as sep_score does; when they are not all
-    # finite floats, each walk's list is checked by spearman_rho, which names the fault as a direct call does
-    checked = False
-    if len(plan.walks) > len(pops):
-        vals = [*chain.from_iterable(pops.values())]
-        checked = {*map(type, vals)} == {float} and all(map(math.isfinite, vals))
     total = 0.0
-    for walk, errors in zip(plan.walks, plan.errors(tie_mode)):
-        if checked:
-            x = _Checked(chain.from_iterable(map(pops.__getitem__, walk)))
-        else:
-            x = [v for node in walk for v in pops[node]]
-        total += -spearman_rho(x, errors, tie_mode)
+    for walk, errors in zip(plan.walks, plan.errors(tie_mode)):  # the table's scores are finite floats
+        total += -spearman_rho(_Checked(chain.from_iterable(map(pops.__getitem__, walk))), errors, tie_mode)
     return total / len(plan.walks)
 
 
@@ -312,11 +308,8 @@ def sep_score(
     plan = plan or _SegPlan(seg)
     pops = plan.populations(scores)
     pairs = plan.pairs(pair_mode)
-    if len(pairs) > len(pops):  # check and sort each node's sample once, not once per pair
-        try:
-            pops = {n: _Sorted((_check_sample(v, sort=True),)) for n, v in pops.items()}
-        except ValueError:  # a bad node: each pair checks its own samples and names the bad one x or y
-            pass
+    # each node's finite floats sorted once; an empty node (unvalidated SEGs only) is left to ks_statistic to name
+    pops = {n: _Sorted((sorted(v),)) if v else v for n, v in pops.items()}
     return reduce(add, (ks_statistic(pops[a], pops[b]) for a, b in pairs), 0.0) / len(pairs)
 
 
@@ -329,11 +322,10 @@ def delta_score(
     ``global_std`` must be the population standard deviation of this
     metric's scores over all images of the whole collection under
     evaluation; a 0 spread yields 0 by convention, and a negative, NaN or
-    infinite one raises ValueError.  Otherwise a SEG without
-    adjacent pairs (one node) raises ValidationError, and a NaN or infinite
-    score ValueError, as rank and sep do.  Scores whose sums overflow are
-    scaled by a power of two first, so finite scores of any size give a
-    finite delta; no other delta changes.
+    infinite one raises ValueError.  Otherwise a SEG without adjacent pairs
+    (one node) raises ValidationError.  Scores whose sums overflow are
+    scaled by a power of two first, so a delta in the float range is found
+    whatever the scores' size, and one outside it raises OverflowError.
     """
     if not 0.0 <= global_std < math.inf:
         raise ValueError("global_std must be finite and non-negative")
@@ -343,12 +335,14 @@ def delta_score(
         return 0.0
     pairs = plan.pairs(pair_mode)
     delta = _mean_gap(pops, pairs) / global_std
-    if not math.isfinite(delta):  # a non-finite score, or an overflowed sum: checked only here, off the finite path
-        for v in pops.values():
-            _check_sample(v, "x")
+    if not math.isfinite(delta):  # a sum, a gap or the quotient overflowed: scale both by powers of two, and back
         e = _unit_exponent(chain.from_iterable(pops.values()))
+        spread, e_std = math.frexp(global_std)
         scaled = {n: [math.ldexp(x, -e) for x in v] for n, v in pops.items()}
-        delta = _mean_gap(scaled, pairs) / math.ldexp(global_std, -e)
+        try:
+            delta = math.ldexp(_mean_gap(scaled, pairs) / spread, e - e_std)
+        except OverflowError:
+            raise OverflowError("delta is outside the float range") from None
     return delta
 
 
@@ -367,7 +361,7 @@ def global_std(
     gaps: list[tuple[str, str]] = []
     for seg in collection:
         try:
-            values.extend(map(_score_of(scores, seg.id), seg.image_ids()))
+            values.extend(map(scores.entries.index.get(seg.id, {}).__getitem__, seg.image_ids()))
         except KeyError:
             gaps.extend(missing_scores([seg], scores))
     if gaps:

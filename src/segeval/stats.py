@@ -22,16 +22,16 @@ value has doubled rank 2k + 2, or 2k counting below, so its rank sums are
 closed forms in n); any other x, and any y but a ``_Ranked`` one (a walk's
 error-count ranks, which ``rank_score`` derives from node image counts), is
 ranked by bisection.  All three give the same integers.  ``spearman_rho``
-checks both inputs, except a non-empty ``_Checked`` x: ``rank_score`` passes
-one per walk when a SEG has more walks than nodes and the cell's scores are
-all finite floats, checked once.
+checks both inputs, except a non-empty ``_Checked`` x, which ``rank_score``
+passes for every walk: a score table holds finite floats, checked when it is
+built.
 
 The two-sample Kolmogorov-Smirnov statistic uses the right-continuous
 empirical CDF, F(x) = fraction of sample values <= x, and takes the
 supremum over all pooled sample points.  Each ECDF value is an exact
 count, taken by bisection in the sorted sample, divided once, so the result
 is the float that evaluating F_X - F_Y at every pooled point in float64 gives.
-Direct calls check each argument; ``sep_score`` checks each node's scores once.
+Direct calls check each argument, but not a ``_Sorted`` one: ``sep_score``'s.
 
 Population moments add in numpy's pairwise order, so they are numpy's floats
 wherever numpy's are finite.  Only a finite sample whose sums or squares
@@ -52,7 +52,7 @@ TIE_MODES = ("midrank", "countbelow")
 
 
 class _Sorted(tuple):
-    """``(vals,)``, where ``vals`` is what ``_check_sample(..., sort=True)`` returned."""
+    """``(vals,)``, where ``vals`` is a non-empty sorted list of finite floats; ``ks_statistic`` checks it no further."""
     __slots__ = ()
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -72,7 +73,17 @@ def table_for(
     )
 
 
-def reference_oracle_scores(collection, kind: str, noise_sigma: float = 0.05, seed: int = 0) -> ScoreTable:
+class FlatTable(NamedTuple):
+    """A score table as segeval once built one: a flat dict keyed by (seg_id, image_id), held as given.
+
+    It compares equal to a :class:`ScoreTable` of the same scores, as a tuple, but no segeval function reads it.
+    """
+
+    metric_name: str
+    entries: dict
+
+
+def reference_oracle_scores(collection, kind: str, noise_sigma: float = 0.05, seed: int = 0) -> FlatTable:
     """The oracle table as it was built: one flat dict keyed by a new (seg_id, image_id) tuple per image."""
     entries = {}
     for seg in collection:
@@ -90,7 +101,7 @@ def reference_oracle_scores(collection, kind: str, noise_sigma: float = 0.05, se
                 else:
                     score = min(1.0, max(0.0, base + rng.gauss(0.0, noise_sigma)))
                 entries[(seg.id, img)] = score
-    return ScoreTable(metric_name=kind, entries=entries)
+    return FlatTable(metric_name=kind, entries=entries)
 
 
 def reference_write(tables, path) -> None:

@@ -13,8 +13,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import segeval.metametrics as metametrics
+import segeval.scorers as scorers
+import segeval.synth as synth
 from segeval.fileio import IndexView
-from segeval.metametrics import ScoreTable, write_score_tables
+from segeval.metametrics import ScoreTable, load_score_tables, write_score_tables
 from segeval.scorers import (
     AnswerTable, EmbeddingVector, Question, QuestionGraph, accumulate_scores, dsg_accumulate,
     embedding_correlation_score, embedding_score_table, tifa_accumulate,
@@ -22,7 +25,7 @@ from segeval.scorers import (
 from segeval.seg import SegCollection
 from segeval.synth import ORACLE_KINDS, SynthConfig, generate_segs, oracle_scores
 
-from conftest import chain_seg, make_seg, reference_oracle_scores, reference_write
+from conftest import FlatTable, chain_seg, make_seg, reference_oracle_scores, reference_write
 
 
 def _range(lo: int, hi: int):
@@ -41,7 +44,7 @@ CONFIGS = st.builds(
 )
 
 
-def reference_accumulate(graphs, answers: AnswerTable, mode: str, metric_name=None) -> ScoreTable:
+def reference_accumulate(graphs, answers: AnswerTable, mode: str, metric_name=None) -> FlatTable:
     """The accumulate table as it was built: a flat dict in sorted image order, each image scored on its own."""
     by_prompt = {g.prompt_id: g for g in graphs}
     score = dsg_accumulate if mode == "dsg" else tifa_accumulate
@@ -50,33 +53,34 @@ def reference_accumulate(graphs, answers: AnswerTable, mode: str, metric_name=No
     for seg_id, image_id in answers.images():
         qg = graphs[0] if len(graphs) == 1 else by_prompt[seg_id]
         entries[(seg_id, image_id)] = score(qg, answers.answers_for(seg_id, image_id))
-    return ScoreTable(f"{base}-{mode}-acc", entries)
+    return FlatTable(f"{base}-{mode}-acc", entries)
 
 
-def reference_embedding(collection, text, images, metric_name="embedding-corr") -> ScoreTable:
+def reference_embedding(collection, text, images, metric_name="embedding-corr") -> FlatTable:
     """The embedding table as it was built: a flat dict in collection order."""
     entries = {}
     for seg in collection:
         for img in seg.image_ids():
             entries[(seg.id, img)] = embedding_correlation_score(text[seg.id], images[img])
-    return ScoreTable(metric_name, entries)
+    return FlatTable(metric_name, entries)
 
 
-def assert_reads_as_flat(table: ScoreTable, flat: ScoreTable) -> None:
+def assert_reads_as_flat(table: ScoreTable, flat: FlatTable) -> None:
     assert isinstance(table.entries, IndexView) and table.metric_name == flat.metric_name
     assert dict(table.entries) == flat.entries
     assert list(table.entries) == list(flat.entries)
     assert len(table.entries) == len(flat.entries)
 
 
-def assert_writes_as_flat(table: ScoreTable, flat: ScoreTable, work) -> None:
-    """The indexed table, its scores as a flat dict and that dict shuffled write one file, the all-rows sort's."""
+def assert_writes_as_flat(table: ScoreTable, flat: FlatTable, work) -> None:
+    """The indexed table and tables built from its scores as a flat dict, and from that dict shuffled, write one
+    file, the all-rows sort's."""
     items = list(flat.entries.items())
     random.Random(len(items)).shuffle(items)
     shuffled = ScoreTable(flat.metric_name, dict(items))
     reference_write([flat], work / "reference.csv")
     want = (work / "reference.csv").read_bytes()
-    for n, written in enumerate([table, flat, shuffled]):
+    for n, written in enumerate([table, ScoreTable(*flat), shuffled]):
         write_score_tables([written], work / f"{n}.csv")
         assert (work / f"{n}.csv").read_bytes() == want
 
@@ -156,3 +160,37 @@ def test_a_repeated_seg_id_merges_into_one_group_as_its_flat_keys_did(tmp_path):
     table, flat = embedding_score_table(collection, vectors, vectors), reference_embedding(collection, vectors, vectors)
     assert dict(table.entries) == flat.entries and len(table.entries) == len(flat.entries) == 7
     assert_writes_as_flat(table, flat, tmp_path)
+
+
+def test_every_builder_hands_its_table_the_index_it_built_with_no_copy(tmp_path, monkeypatch):
+    # a ScoreTable holds an index view of string keys and finite floats as given, so the dict each builder
+    # indexes its scores in is the table's own index, with no copy of it beside it
+    collection = generate_segs(SynthConfig(seed=3, seg_count=6))
+    write_score_tables([oracle_scores(collection, kind) for kind in ORACLE_KINDS], tmp_path / "scores.csv")
+    graph = QuestionGraph("p", (Question("q0", (), "yes"), Question("q1", ("q0",), "no")))
+    answers = AnswerTable({(seg.id, img, q): "yes" for seg in collection for img in seg.image_ids() for q in ("q0", "q1")})
+    vectors = {name: EmbeddingVector((1.0, len(name) / 8)) for seg in collection for name in [seg.id, *seg.image_ids()]}
+
+    def assert_held_as_given(module, build) -> None:
+        built = []  # each index the builder hands IndexView
+
+        class RecordingView(IndexView):
+            __slots__ = ()
+
+            def __init__(self, index: dict) -> None:
+                built.append(index)
+                super().__init__(index)
+
+        with monkeypatch.context() as m:
+            m.setattr(module, "IndexView", RecordingView)
+            tables = build()
+        tables = list(tables.values()) if isinstance(tables, dict) else [tables]
+        assert len(tables) == len(built) and all(t.entries.index is index for t, index in zip(tables, built))
+        assert all(type(t.entries) is RecordingView for t in tables)
+
+    assert_held_as_given(metametrics, lambda: load_score_tables(tmp_path / "scores.csv"))
+    for kind in ORACLE_KINDS:
+        assert_held_as_given(synth, lambda: oracle_scores(collection, kind))
+    for mode in ("tifa", "dsg"):
+        assert_held_as_given(scorers, lambda: accumulate_scores([graph], answers, mode))
+    assert_held_as_given(scorers, lambda: embedding_score_table(collection, vectors, vectors))

@@ -41,8 +41,8 @@ from segeval.synth import ORACLE_KINDS, SynthConfig, generate_segs, oracle_score
 from segeval.walks import adjacent_pairs, enumerate_walks
 
 from conftest import (
-    CSV_FAULTS, assert_view_reads_as, chain_seg, collection_of, identity_pattern, make_seg, reference_oracle_scores,
-    reference_write, regrouped, seeded_csv, stacked_diamond, table_for,
+    CSV_FAULTS, FlatTable, assert_view_reads_as, chain_seg, collection_of, identity_pattern, make_seg,
+    reference_oracle_scores, reference_write, regrouped, seeded_csv, stacked_diamond, table_for,
 )
 
 
@@ -122,10 +122,9 @@ def test_delta_checks_coverage_even_with_zero_spread():
 def test_every_direct_lookup_names_all_missing_images(tmp_path):
     seg = chain_seg([2, 1, 2])
     other = chain_seg([2, 2], seg_id="other")
-    full = table_for(seg, [0.9, 0.8, 0.5, 0.2, 0.1])
-    full.entries.update(table_for(other, [1.0, 0.9, 0.1, 0.0]).entries)
+    full = {**table_for(seg, [0.9, 0.8, 0.5, 0.2, 0.1]).entries, **table_for(other, [1.0, 0.9, 0.1, 0.0]).entries}
     gaps = [("chain", "0-1.jpg"), ("chain", "2-0.jpg")]
-    table = ScoreTable("m", {k: v for k, v in full.entries.items() if k not in gaps})
+    table = ScoreTable("m", {k: v for k, v in full.items() if k not in gaps})
     per_seg = r"missing 2 score\(s\) on seg chain: 0-1\.jpg, 2-0\.jpg$"
     calls = {
         "rank_score": (lambda: rank_score(seg, table), per_seg),
@@ -260,74 +259,6 @@ def test_every_walk_reader_raises_the_validation_error_for_an_edge_to_an_unknown
             call()
 
 
-def test_rank_of_a_nan_score_names_x_on_both_paths():
-    valid = chain_seg([2, 1, 2])
-    falls = make_seg(
-        [("0", 0, ["0-0.jpg", "0-1.jpg"]), ("1", 2, ["1-0.jpg"]), ("2", 1, ["2-0.jpg", "2-1.jpg"])],
-        [("0", "1"), ("1", "2")],
-        seg_id="chain",
-    )
-    table = table_for(valid, [0.9, 0.8, float("nan"), 0.2, 0.1])
-    for seg in (valid, falls):
-        for tie_mode in ("midrank", "countbelow"):
-            with pytest.raises(ValueError, match=r"^x contains non-finite values$"):
-                rank_score(seg, table, tie_mode)
-            assert _outcome(reference_rank, seg, table, tie_mode) == (ValueError, "x contains non-finite values")
-    clean = table_for(valid, [0.9, 0.9, 0.5, 0.1, 0.1])
-    assert rank_score(valid, clean) == 1.0
-    assert rank_score(valid, clean, "countbelow") == reference_rank(valid, clean, "countbelow") < 1.0
-
-
-def _rank_and_sample_types(seg, table, tie_mode, monkeypatch):
-    """rank_score's outcome and the type of every sample it hands spearman_rho."""
-    types = []
-
-    def recording_spearman(x, y, tie_mode="midrank"):
-        types.append(type(x))
-        return spearman_rho(x, y, tie_mode)
-
-    with monkeypatch.context() as m:
-        m.setattr(metametrics, "spearman_rho", recording_spearman)
-        return _outcome(rank_score, seg, table, tie_mode), set(types)
-
-
-def test_rank_checks_a_cell_once_only_when_every_score_is_a_finite_float(monkeypatch):
-    diamonds = stacked_diamond(4)  # 16 walks over 13 nodes
-    # an unvalidated SEG: nodes "u" and "v" only point at each other, so no walk reaches them
-    nodes = [(n.id, n.error_count, list(n.images)) for n in diamonds.nodes] + [("u", 9, ["u.jpg"]), ("v", 10, [])]
-    edges = [(e.src, e.dst) for e in diamonds.edges] + [("u", "v"), ("v", "u")]
-    unreachable = make_seg(nodes, edges, seg_id="diamonds")
-    rng = random.Random(12)
-    floats = [rng.random() for _ in diamonds.image_ids()]
-    base = table_for(diamonds, floats).entries
-
-    def table(**changes):
-        return ScoreTable("m", {**base, **{("diamonds", img): v for img, v in changes.items()}})
-
-    cases = {  # (seg, table, whether spearman_rho gets _Checked samples)
-        "floats": (diamonds, table(), True),
-        "an int score": (diamonds, table(**{"2.jpg": 1}), False),
-        "a bool score": (diamonds, table(**{"2.jpg": True}), False),
-        "a NaN": (diamonds, table(**{"5a.jpg": float("nan")}), False),
-        "an infinity": (diamonds, table(**{"0.jpg": -math.inf}), False),
-        "unreachable float": (unreachable, table(**{"u.jpg": 0.5}), True),
-        "unreachable int": (unreachable, table(**{"u.jpg": 2}), False),
-        "unreachable NaN": (unreachable, table(**{"u.jpg": float("nan")}), False),
-    }
-    for name, (seg, tbl, checked) in cases.items():
-        for tie_mode in ("midrank", "countbelow"):
-            outcome, types = _rank_and_sample_types(seg, tbl, tie_mode, monkeypatch)
-            assert outcome == _outcome(reference_rank, seg, tbl, tie_mode), (name, tie_mode)
-            assert types == ({metametrics._Checked} if checked else {list}), (name, tie_mode)
-    assert _outcome(rank_score, diamonds, cases["a NaN"][1], "midrank") == (ValueError, "x contains non-finite values")
-    assert _outcome(rank_score, unreachable, cases["unreachable NaN"][1], "midrank") == _outcome(
-        rank_score, diamonds, cases["floats"][1], "midrank"
-    )
-    # no more walks than nodes: each walk's sample is checked by spearman_rho, as before
-    chain = chain_seg([2, 1, 3])
-    assert _rank_and_sample_types(chain, table_for(chain, floats[:6]), "midrank", monkeypatch)[1] == {list}
-
-
 def test_a_seg_without_adjacent_pairs_raises_a_validation_error_naming_it():
     seg = make_seg([("0", 0, ["a", "b"])], [], seg_id="lone")
     table = table_for(seg, [0.9, 0.1])
@@ -428,20 +359,20 @@ def _sep_error(seg, table):
 
 
 def test_sep_on_a_bad_node_raises_the_per_pair_error():
-    nan, inf = float("nan"), float("inf")
-    chain = chain_seg([2, 1, 2])
-    assert _sep_error(chain, table_for(chain, [0.1, nan, 0.5, 0.2, 0.3])) == "x contains non-finite values"
-    assert _sep_error(chain, table_for(chain, [0.1, 0.2, 0.5, 0.2, -inf])) == "y contains non-finite values"
+    # a table holds no NaN or infinite score (test_a_bad_score_or_key_is_rejected_when_its_table_is_built), so the
+    # one bad node left is an empty one, which only an unvalidated SEG has: ks_statistic names it x or y
     gap = chain_seg([1, 0, 1])
     assert _sep_error(gap, table_for(gap, [0.1, 0.2])) == "y must be non-empty"
-    # more pairs than nodes: the checked node samples are built, and a bad one falls back per pair
-    diamonds = stacked_diamond(2)
+    head = make_seg([("0", 0, []), ("1", 1, ["b"])], [("0", "1")])
+    assert _sep_error(head, table_for(head, [0.5])) == "x must be non-empty"
+    # more pairs than nodes, as on the stacked diamonds
+    nodes = [(n.id, n.error_count, [] if n.id == "2" else list(n.images)) for n in stacked_diamond(2).nodes]
+    diamonds = make_seg(nodes, [(e.src, e.dst) for e in stacked_diamond(2).edges], seg_id="diamonds")
     assert len(adjacent_pairs(enumerate_walks(diamonds))) > len(diamonds.nodes)
-    assert _sep_error(diamonds, table_for(diamonds, [nan, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0])) == "x contains non-finite values"
-    assert _sep_error(diamonds, table_for(diamonds, [0.9, 0.5, 0.4, 0.3, inf, 0.1, 0.0])) == "y contains non-finite values"
-    # a bad node in no pair (unreachable from the head) raises nothing, as in the per-pair loop
-    seg = make_seg([("0", 0, ["a"]), ("1", 1, ["b"]), ("2", 2, ["c"]), ("3", 3, [])], [("0", "1"), ("2", "3"), ("3", "2")])
-    table = ScoreTable("m", {("seg", "a"): 0.1, ("seg", "b"): 0.5, ("seg", "c"): nan})
+    assert _sep_error(diamonds, table_for(diamonds, [0.9, 0.5, 0.4, 0.2, 0.1, 0.0])) == "y must be non-empty"
+    # an empty node in no pair (unreachable from the head) raises nothing, as in the per-pair loop
+    seg = make_seg([("0", 0, ["a"]), ("1", 1, ["b"]), ("2", 2, []), ("3", 3, [])], [("0", "1"), ("2", "3"), ("3", "2")])
+    table = ScoreTable("m", {("seg", "a"): 0.1, ("seg", "b"): 0.5})
     assert sep_score(seg, table) == reference_sep(seg, table) == 1.0
 
 
@@ -496,18 +427,6 @@ def test_delta_sign_antisymmetry():
     assert d2 == pytest.approx(-d1, abs=1e-12)
 
 
-def test_delta_of_a_nan_or_infinite_score_raises_the_error_rank_and_sep_raise():
-    chain = chain_seg([2, 1, 2])
-    diamonds = stacked_diamond(2)  # more pairs than nodes
-    for seg in (chain, diamonds):
-        for bad in (math.nan, math.inf, -math.inf):
-            table = table_for(seg, [bad, *[0.5 - i / 10 for i in range(len(seg.image_ids()) - 1)]])
-            for score in (rank_score, sep_score, lambda seg, table: delta_score(seg, table, 0.25)):
-                with pytest.raises(ValueError, match=r"^x contains non-finite values$"):
-                    score(seg, table)
-            assert delta_score(seg, table, 0.0) == 0.0  # a zero spread still gives 0, as documented
-
-
 def test_delta_of_scores_whose_sums_overflow_is_the_delta_of_the_scores_unscaled():
     # scaled by 2**1023, node sums and mean gaps of scores in (-1, 1) can overflow; they are then scaled back
     # by a power of two, which is exact, so delta keeps the unscaled scores' float
@@ -526,6 +445,104 @@ def test_delta_of_scores_whose_sums_overflow_is_the_delta_of_the_scores_unscaled
         for pair_mode in ("per-walk", "unique-edge"):
             assert delta_score(seg, big, big_std, pair_mode) == delta_score(seg, table, std, pair_mode), (n, pair_mode)
     assert overflowed >= 10, overflowed
+
+
+def test_delta_outside_the_float_range_raises_overflow_error():
+    # a spread of 1e-300 once raised ZeroDivisionError (the spread, scaled by the scores' power of two, underflowed
+    # to 0) and one of 1e-5 gave inf; the delta of about 1e313 or more is outside the float range either way
+    seg = chain_seg([2, 1])
+    table = table_for(seg, [1e308, 1.7e308, -1e308])
+    for std in (1e-300, 1e-5, 1.0, 5e-324):
+        with pytest.raises(OverflowError, match=r"^delta is outside the float range$"):
+            delta_score(seg, table, std)
+    # a delta inside the range keeps the float of the scores and spread scaled down by 2**64; the spread is no
+    # longer scaled into the subnormals, where 3.9 lost its last bit
+    small = table_for(seg, [math.ldexp(v, -64) for v in (1e308, 1.7e308, -1e308)])
+    for std in (2.0, 2.2, 3.9, 1.3e5, 1e300):
+        assert delta_score(seg, table, std) == delta_score(seg, small, math.ldexp(std, -64)) < math.inf
+    assert delta_score(seg, table, 3.9) == 6.025641025641026e307
+
+
+def reference_delta(seg, table, std, pair_mode="per-walk"):
+    """The per-pair delta loop: each pair takes its two node means itself; a node of equal scores has that value."""
+    if std == 0.0:
+        return 0.0
+    pops = {n.id: [table.entries[(seg.id, img)] for img in n.images] for n in seg.nodes}
+
+    def mean(v):
+        return v[0] if v.count(v[0]) == len(v) else reduce(add, v, 0.0) / len(v)
+
+    pairs = adjacent_pairs(enumerate_walks(seg), pair_mode)
+    return reduce(add, (mean(pops[a]) - mean(pops[b]) for a, b in pairs), 0.0) / len(pairs) / std
+
+
+# SEGs on both sides of the selections rank and sep once made: walks <= nodes and walks > nodes (stacked diamonds
+# from k = 4), and per-walk or unique-edge pairs <= nodes and > nodes
+KERNEL_SEGS = [
+    chain_seg([1]), chain_seg([2, 1, 3]), chain_seg([1, 1, 1, 1, 1]), chain_seg([4, 4]),
+    *(stacked_diamond(k) for k in range(1, 6)),
+    *generate_segs(SynthConfig(seed=33, seg_count=12, nodes_per_seg=(2, 9), images_per_node=(1, 4))),
+]
+
+
+def test_the_kernel_segs_lie_on_both_sides_of_the_selections_rank_and_sep_once_made():
+    sides = set()
+    for seg in KERNEL_SEGS:
+        walks = enumerate_walks(seg)
+        sides.add(("walks", len(walks) > len(seg.nodes)))
+        for mode in ("per-walk", "unique-edge"):
+            sides.add((mode, len(adjacent_pairs(walks, mode)) > len(seg.nodes)))
+    assert sides == {(what, more) for what in ("walks", "per-walk", "unique-edge") for more in (False, True)}
+
+
+SCORE_DRAWS = st.one_of(
+    st.sampled_from([0, 1, 2, -1, True, False, 0.0, -0.0, 0.5, 0.25, 1 / 3]),
+    st.integers(-3, 3),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seg=st.sampled_from(KERNEL_SEGS), data=st.data())
+def test_rank_sep_and_delta_equal_the_per_walk_and_per_pair_loops_bit_for_bit(seg, data):
+    # the loops read the mapping as given, ints, bools and ties included; the kernels read the table built from it
+    raw = {(seg.id, img): data.draw(SCORE_DRAWS) for img in seg.image_ids()}
+    table, flat = ScoreTable("m", raw), FlatTable("m", raw)
+    std = global_std(collection_of(seg), table)
+    for tie_mode in ("midrank", "countbelow"):
+        assert rank_score(seg, table, tie_mode) == reference_rank(seg, flat, tie_mode)
+    if len(seg.nodes) == 1:  # no adjacent pairs
+        return
+    for pair_mode in ("per-walk", "unique-edge"):
+        assert sep_score(seg, table, pair_mode) == reference_sep(seg, flat, pair_mode)
+        assert repr(delta_score(seg, table, std, pair_mode)) == repr(reference_delta(seg, flat, std, pair_mode))
+
+
+def test_every_walk_and_node_sample_takes_the_one_path(monkeypatch):
+    # rank hands spearman_rho a _Checked sample per walk, and sep hands ks_statistic a _Sorted one per node,
+    # whatever the SEG's walk and pair counts
+    types = []
+
+    def recording(kernel):
+        def record(x, y, *rest):
+            types.extend([kernel.__name__, type(x), type(y)])
+            return kernel(x, y, *rest)
+        return record
+
+    monkeypatch.setattr(metametrics, "spearman_rho", recording(spearman_rho))
+    monkeypatch.setattr(metametrics, "ks_statistic", recording(ks_statistic))
+    for seg in KERNEL_SEGS:
+        table = table_for(seg, [float(i % 3) for i in range(len(seg.image_ids()))])
+        rank_score(seg, table)
+        if len(seg.nodes) > 1:
+            sep_score(seg, table, "unique-edge")
+    assert set(types[0::3]) == {"spearman_rho", "ks_statistic"}
+    assert {(name, x) for name, x in zip(types[0::3], types[1::3])} == {
+        ("spearman_rho", metametrics._Checked), ("ks_statistic", metametrics._Sorted)
+    }
+    assert {(name, y) for name, y in zip(types[0::3], types[2::3]) if name == "ks_statistic"} == {
+        ("ks_statistic", metametrics._Sorted)
+    }
 
 
 def test_score_of_scores_near_the_float_maximum_writes_finite_deltas(tmp_path):
@@ -871,7 +888,7 @@ def reference_load(path):
                 source=str(path),
             )
         bucket[key] = score
-    return {name: ScoreTable(metric_name=name, entries=entries) for name, entries in sorted(tables.items())}
+    return {name: FlatTable(metric_name=name, entries=entries) for name, entries in sorted(tables.items())}
 
 
 def reference_float_per_row_load(path):
@@ -1018,11 +1035,14 @@ def test_one_pass_loader_matches_the_line_numbered_loop_on_seeded_files(tmp_path
 
 
 def _read_outcome(call):
-    """``call()``'s repr (NaN and -0.0 compare as text), or the message and missing list of its CoverageError."""
+    """``call()``'s repr (-0.0 compares as text), or the message and missing list of its CoverageError, or the
+    message of its OverflowError (a 1e308 score over the fixed spread 0.5 gives a delta outside the float range)."""
     try:
         return repr(call())
     except CoverageError as exc:
         return str(exc), exc.missing
+    except OverflowError as exc:
+        return str(exc), None
 
 
 def test_loaded_view_and_both_read_paths_match_the_reference_loader(tmp_path):
@@ -1048,7 +1068,7 @@ def test_loaded_view_and_both_read_paths_match_the_reference_loader(tmp_path):
         for name, table in got.items():
             view = table.entries
             assert_view_reads_as(view, {key: want[name].entries[key] for key in regrouped(want[name].entries)})
-            plain = ScoreTable(name, dict(view))
+            plain = ScoreTable(name, dict(view))  # copied into an index of its own
             for read in [
                 lambda t: global_std(collection, t),
                 *(lambda t, seg=seg: evaluate_seg(seg, t, 0.5) for seg in collection),
@@ -1131,24 +1151,92 @@ def test_writer_bytes_equal_the_all_rows_sort(tmp_path):
     assert not (tmp_path / "shared.csv").exists()
 
 
+# ---------------------------------------------------------------------------
+# score table construction
+
+
+def _assert_rejected_when_built(entries, message: str) -> None:
+    """Each way of building a ScoreTable of ``entries`` raises ValidationError ``metric 'm': {message}``."""
+    good = ScoreTable("a", {("s", "x"): 1.0})
+    builds = {
+        "by position": lambda: ScoreTable("m", entries),
+        "by keyword": lambda: ScoreTable(metric_name="m", entries=entries),
+        "_make": lambda: ScoreTable._make(["m", entries]),
+        "_replace": lambda: good._replace(metric_name="m", entries=entries),
+    }
+    if type(entries) is dict:  # its repr text, as eval(repr(t)) would read it
+        text = f"ScoreTable(metric_name='m', entries={entries!r})"
+        builds["eval"] = lambda: eval(text, {"ScoreTable": ScoreTable, "nan": math.nan, "inf": math.inf})
+    for how, build in builds.items():
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == f"metric 'm': {message}", how
+
+
+def test_a_table_built_from_a_mapping_holds_a_copy_of_its_scores_as_floats():
+    np = pytest.importorskip("numpy")
+    entries = {("s", "a"): 1, ("t", "c"): np.float64(0.25), ("s", "b"): True, ("s", "d"): np.int64(-3), ("t", "e"): 0.5}
+    table = ScoreTable("m", entries)
+    assert isinstance(table.entries, IndexView)
+    assert table.entries.index == {"s": {"a": 1.0, "b": 1.0, "d": -3.0}, "t": {"c": 0.25, "e": 0.5}}
+    assert {type(v) for v in table.entries.values()} == {float}
+    entries[("s", "a")] = 9.0
+    assert table.entries[("s", "a")] == 1.0  # later changes to the mapping do not reach the table
+    for built in (eval(repr(table), {"ScoreTable": ScoreTable}), ScoreTable._make(table), table._replace()):
+        assert built == table and type(built) is ScoreTable and isinstance(built.entries, IndexView)
+        assert repr(built) == repr(table)
+    # an index view of string keys and finite floats is held as given; any other is copied, its scores as floats
+    view = IndexView({"s": {"a": 0.5}})
+    assert ScoreTable("m", view).entries is view and table._replace(entries=view).entries is view
+    ints = IndexView({"s": {"a": 1, "b": False}})
+    assert ScoreTable("m", ints).entries.index == {"s": {"a": 1.0, "b": 0.0}}
+    assert {type(v) for v in ScoreTable("m", ints).entries.values()} == {float}
+
+
+NOT_TWO_STRINGS = ["ab", ("s", "b", "c"), ("s",), "s", ("s", 1), (b"s", "b"), None]
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        *(({("s", "b"): 0.5, ("s", "c"): x}, f"non-finite score {x!r} for ('s', 'c')") for x in [math.nan, -math.inf]),
+        ({("s", "b"): 0.5, ("s", "c"): 10**400}, f"non-finite score {10**400!r} for ('s', 'c')"),
+        *(({("s", "c"): x}, f"score {x!r} for ('s', 'c') is not a number") for x in ["0.5", None, b"1", 1j]),
+        *(({("s", "b"): 0.5, key: 1.0}, f"key {key!r} is not a (seg_id, image_id) tuple of strings") for key in NOT_TWO_STRINGS),
+        ({("s", "b"): math.nan, ("s",): 1.0}, "key ('s',) is not a (seg_id, image_id) tuple of strings"),  # keys first
+    ],
+)
+def test_a_bad_score_or_key_is_rejected_when_its_table_is_built(entries, message):
+    _assert_rejected_when_built(entries, message)
+
+
+def test_a_nan_or_infinite_score_in_a_file_is_still_a_parse_error_naming_its_line(tmp_path):
+    path = tmp_path / "scores.csv"
+    for raw in ["nan", "1e999", "-inf", "Infinity"]:
+        path.write_text(f"seg_id,image_id,metric,score\ns,a,m,0.5\ns,b,n,1\ns,c,m,{raw}\ns,d,m,0.25\n")
+        assert _load_error(load_score_tables, path) == f"{path}: line 4: non-finite score {raw!r}"
+
+
 @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
 def test_writer_rejects_a_non_finite_score_before_opening_the_file(tmp_path, score):
-    tables = [ScoreTable("a", {("s", "x"): 1.0}), ScoreTable("m", {("s", "b"): 0.5, ("s", "c"): score})]
+    # the table rejects the score when it is built, so no writer is handed one
+    _assert_rejected_when_built({("s", "b"): 0.5, ("s", "c"): score}, f"non-finite score {score!r} for ('s', 'c')")
     path = tmp_path / "scores.csv"
     with pytest.raises(ValidationError, match=rf"^metric 'm': non-finite score {score!r} for \('s', 'c'\)$"):
-        write_score_tables(tables, path)
+        write_score_tables([ScoreTable("a", {("s", "x"): 1.0}), ScoreTable("m", {("s", "b"): 0.5, ("s", "c"): score})], path)
     assert not path.exists()
 
 
-@pytest.mark.parametrize("key", ["ab", ("s", "b", "c"), ("s",), "s", ("s", 1), (b"s", "b"), None])
+@pytest.mark.parametrize("key", NOT_TWO_STRINGS)
 def test_writer_rejects_a_key_that_is_not_two_strings_before_opening_the_file(tmp_path, key):
-    # "ab" once wrote the row a,b,m,1; a 3-tuple raised ValueError with the file cut to its header
-    tables = [ScoreTable("a", {("s", "x"): 1.0}), ScoreTable("m", {("s", "b"): 0.5, key: 1.0})]
+    # "ab" once wrote the row a,b,m,1; a 3-tuple raised ValueError with the file cut to its header. The table
+    # rejects the key when it is built, so no writer is handed one
+    message = f"key {key!r} is not a (seg_id, image_id) tuple of strings"
+    _assert_rejected_when_built({("s", "b"): 0.5, key: 1.0}, message)
     path = tmp_path / "scores.csv"
-    message = f"metric 'm': key {key!r} is not a (seg_id, image_id) tuple of strings"
     with pytest.raises(ValidationError) as info:
-        write_score_tables(tables, path)
-    assert str(info.value) == message
+        write_score_tables([ScoreTable("a", {("s", "x"): 1.0}), ScoreTable("m", {("s", "b"): 0.5, key: 1.0})], path)
+    assert str(info.value) == f"metric 'm': {message}"
     assert not path.exists()
 
 
@@ -1159,11 +1247,14 @@ def test_writer_rejects_a_key_that_is_not_two_strings_before_opening_the_file(tm
         ({"s": {"x": 1.0}, 3: {"c": 1.0}}, "key (3, 'c') is not a (seg_id, image_id) tuple of strings"),
         ({"s": {"x": 1.0}, ("s", "b"): {"c": 1.0}}, "key ('s', 'b', 'c') is not a (seg_id, image_id) tuple of strings"),
         ({"s": {"x": 1.0}, "t": {"y": math.inf, "z": math.nan}}, "non-finite score inf for ('t', 'y')"),
+        ({"s": {"x": 1.0}, "t": {"y": "0.5"}}, "score '0.5' for ('t', 'y') is not a number"),
     ],
 )
 def test_writer_rejects_an_index_view_as_it_rejects_its_flat_dict_before_opening_the_file(tmp_path, index, message):
+    # a bad index view is rejected when its table is built, with its flat dict's message
     path = tmp_path / "scores.csv"
     for entries in (IndexView(index), dict(IndexView(index))):
+        _assert_rejected_when_built(entries, message)
         with pytest.raises(ValidationError) as info:
             write_score_tables([ScoreTable("a", {("s", "x"): 1.0}), ScoreTable("m", entries)], path)
         assert str(info.value) == f"metric 'm': {message}"
