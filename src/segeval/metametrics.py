@@ -44,7 +44,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import CoverageError, ParseError, ValidationError
 from .fileio import IndexView, check_keys, load_csv
-from .seg import SUBSETS, SegCollection, SemanticErrorGraph
+from .seg import SUBSETS, SegCollection, SemanticErrorGraph, validate_seg
 from .stats import (
     TieMode, _Checked, _Sorted, _ranked_runs, _unit_exponent, ks_statistic, population_moments,
     spearman_rho,
@@ -58,8 +58,8 @@ class ScoreTable(NamedTuple("_ScoreFields", [("metric_name", str), ("entries", M
     """One metric's scores keyed by (seg_id, image_id): an IndexView of finite floats, checked when it is built.
 
     A view of string keys and finite floats is held as given; any other mapping is copied into one, each score
-    as ``float(score)``.  A key that is not a ``(seg_id, image_id)`` tuple of strings, then a score that is not
-    a finite number, is a ValidationError naming the first in mapping order.
+    as ``float(score)``.  A view's SEG without a dict, then a key that is not a ``(seg_id, image_id)`` tuple of
+    strings, then a score that is not a finite number, is a ValidationError naming the first in mapping order.
     """
 
     __slots__ = ()
@@ -76,6 +76,9 @@ def _score_view(entries: Mapping, where: str) -> IndexView:
     """``entries`` if it is an index view of string keys and finite floats, else such a view of its scores."""
     if isinstance(entries, IndexView):
         index = entries.index
+        for seg_id, scores in index.items():  # the view stands for {seg_id: {image_id: score}}
+            if not isinstance(scores, dict):
+                raise ValidationError(f"{where}scores for seg {seg_id!r} are a {type(scores).__name__}, not a dict")
         if (
             all(map(isinstance, chain(index, chain.from_iterable(index.values())), repeat(str)))
             and {*map(type, chain.from_iterable(map(dict.values, index.values())))} <= {float}
@@ -229,12 +232,21 @@ class _SegPlan:
     deepest error counts and the adjacent pairs per pair mode.  Nothing else
     holds a SEG's walks.
 
+    A SEG whose head has no child, or with a node without images, a negative
+    count or a count that does not rise along an edge, gets no plan: it raises
+    the ValidationError ``seg S: <first violation>`` of :func:`~segeval.seg.validate_seg`.
+
     The last table's node populations are kept, so one (SEG, metric) cell
     builds them once for rank, sep and delta; any gap raises CoverageError.
     """
 
     def __init__(self, seg: SemanticErrorGraph) -> None:
         self.seg, self.counts, self.walks = seg, {n.id: n.error_count for n in seg.nodes}, enumerate_walks(seg)
+        counts = self.counts  # what every reader relies on is checked here; only the validator names a fault
+        rising = all(counts[e.src] < counts[e.dst] for e in seg.edges if e.src in counts and e.dst in counts)
+        if not (rising and len(self.walks[0]) > 1 and all(n.images and n.error_count >= 0 for n in seg.nodes)):
+            violations = validate_seg(seg).violations
+            raise ValidationError(f"seg {seg.id}: {violations[0]}", violations)
         self._errors, self._pairs, self._cell, self._tops = {}, {}, (None, {}), None
 
     def populations(self, scores: ScoreTable) -> dict[str, list[float]]:
@@ -253,32 +265,25 @@ class _SegPlan:
         return self._cell[1]
 
     def errors(self, tie_mode: TieMode) -> list:
-        """Each walk's error counts for ``spearman_rho``: when every edge raises the count, as in a
-        valid SEG, ``stats._Ranked`` from its node image counts, built once per walk shape."""
+        """Each walk's error-count ranks for ``spearman_rho``: one ``_Ranked`` per walk shape, its node image counts."""
         errors = self._errors.get(tie_mode)
         if errors is None:
-            counts, sizes = self.counts, {n.id: len(n.images) for n in self.seg.nodes}
-            if all(counts[e.src] < counts[e.dst] for e in self.seg.edges if e.src in counts and e.dst in counts):
-                ranked = {}  # one _Ranked per walk shape: the walk's node image counts
-                shapes = (tuple(map(sizes.__getitem__, walk)) for walk in self.walks)
-                errors = [ranked.get(sh) or ranked.setdefault(sh, _ranked_runs(sh, tie_mode)) for sh in shapes]
-            else:  # an unvalidated SEG: rank each walk's counts as given
-                errors = [[counts[n] for n in walk for _ in range(sizes[n])] for walk in self.walks]
+            ranked, sizes = {}, {n.id: len(n.images) for n in self.seg.nodes}
+            shapes = (tuple(map(sizes.__getitem__, walk)) for walk in self.walks)
+            errors = [ranked.get(sh) or ranked.setdefault(sh, _ranked_runs(sh, tie_mode)) for sh in shapes]
             self._errors[tie_mode] = errors
         return errors
 
     def tops(self) -> list[int]:
-        """Each walk's deepest error count: its last node's on a valid SEG, where counts rise."""
+        """Each walk's deepest error count, its last node's, as the counts rise."""
         if self._tops is None:
-            self._tops = [max(map(self.counts.__getitem__, walk)) for walk in self.walks]
+            self._tops = [self.counts[walk[-1]] for walk in self.walks]
         return self._tops
 
     def pairs(self, mode: PairMode) -> list[tuple[str, str]]:
         pairs = self._pairs.get(mode)
         if pairs is None:
             pairs = self._pairs[mode] = adjacent_pairs(self.walks, mode)
-        if not pairs:  # a one-node SEG: sep and delta would divide by 0
-            raise ValidationError(f"seg {self.seg.id}: no adjacent node pairs")
         return pairs
 
 
@@ -301,15 +306,11 @@ def rank_score(
 def sep_score(
     seg: SemanticErrorGraph, scores: ScoreTable, pair_mode: PairMode = "per-walk", plan: _SegPlan | None = None
 ) -> float:
-    """Mean KS statistic over adjacent node pairs, in [0, 1].
-
-    Raises ValidationError on a SEG without adjacent pairs (one node).
-    """
+    """Mean KS statistic over adjacent node pairs, in [0, 1]."""
     plan = plan or _SegPlan(seg)
     pops = plan.populations(scores)
     pairs = plan.pairs(pair_mode)
-    # each node's finite floats sorted once; an empty node (unvalidated SEGs only) is left to ks_statistic to name
-    pops = {n: _Sorted((sorted(v),)) if v else v for n, v in pops.items()}
+    pops = {n: _Sorted((sorted(v),)) for n, v in pops.items()}  # each node's finite floats sorted once
     return reduce(add, (ks_statistic(pops[a], pops[b]) for a, b in pairs), 0.0) / len(pairs)
 
 
@@ -322,8 +323,7 @@ def delta_score(
     ``global_std`` must be the population standard deviation of this
     metric's scores over all images of the whole collection under
     evaluation; a 0 spread yields 0 by convention, and a negative, NaN or
-    infinite one raises ValueError.  Otherwise a SEG without adjacent pairs
-    (one node) raises ValidationError.  Scores whose sums overflow are
+    infinite one raises ValueError.  Scores whose sums overflow are
     scaled by a power of two first, so a delta in the float range is found
     whatever the scores' size, and one outside it raises OverflowError.
     """

@@ -113,8 +113,7 @@ def walk_line_data(
     """Per-walk (normalized_rank, score) series, one point per image.
 
     normalized_rank = error_count / max error count in the walk, so 0 is the
-    head and 1 the walk's deepest node regardless of depth; on a walk whose
-    max is 0 (only an unvalidated SEG has one) every point gets 0.0.
+    head and 1 the walk's deepest node regardless of depth.
     """
     plan = _SegPlan(seg)
     points = _walk_points(plan, plan.populations(scores), lambda xr, values: [(xr, v) for v in values])
@@ -128,8 +127,8 @@ def _walk_points(
 
     A walk's points are ``node_points(normalized_rank, pops[node])`` for
     each node in turn, where normalized_rank is the node's error count over
-    the walk's deepest one (``plan.tops()``, built once per plan), or 0.0
-    where that is 0.  A node's points depend on its walk only through that
+    the walk's deepest one (``plan.tops()``, built once per plan, and never
+    0).  A node's points depend on its walk only through that
     deepest count, so they are built once per (walk depth, node) and each
     iterator chains the stored lists.
     """
@@ -139,7 +138,7 @@ def _walk_points(
         points = by_top.setdefault(top, {})
         for node in walk:
             if node not in points:
-                points[node] = node_points(counts[node] / top if top else 0.0, pops[node])
+                points[node] = node_points(counts[node] / top, pops[node])
         yield chain.from_iterable(map(points.__getitem__, walk))
 
 
@@ -160,21 +159,19 @@ def _line_rows(plan: _SegPlan, scores: ScoreTable) -> Iterator[str]:
     """One SEG's lines_*.csv data rows as CSV text, one walk at a time.
 
     Each score is formatted once per image, or once per node when all the
-    node's images share it (the rule ``delta_score`` uses; a node without
-    images, which only an unvalidated SEG has, formats nothing), and each
+    node's images share it (the rule ``delta_score`` uses), and each
     "normalized_rank,score" point text once per (walk depth, node); a walk's
     rows are its points joined behind its "seg_id,walk_index," head.  Only
     the seg id can need quoting, so the csv module renders it once.
     """
     texts = {
-        node: [_fmt(v[0])] * len(v) if v and v.count(v[0]) == len(v) else list(map(_fmt, v))
+        node: [_fmt(v[0])] * len(v) if v.count(v[0]) == len(v) else list(map(_fmt, v))
         for node, v in plan.populations(scores).items()
     }
     sid = csv_row((plan.seg.id, ""))[:-1]  # id and comma; a lone empty field would render as ""
     for w_idx, points in enumerate(_walk_points(plan, texts, _point_texts)):
         head = f"{sid}{w_idx},"
-        if rows := head.join(points):  # "" on a walk without images, which only an unvalidated SEG has
-            yield head + rows
+        yield head + head.join(points)
 
 
 def _point_texts(xr: float, score_texts: list[str]) -> list[str]:
@@ -223,7 +220,8 @@ def emit_report(
     Raises, before writing anything, ValidationError when two metric names
     map to the same plot-file name, a score table is keyed by another name
     than its metric's, or a result is one :func:`aggregate` rejects, and
-    FileNotFoundError on an empty ``out_path``.
+    FileNotFoundError on an empty ``out_path``.  A SEG that gets no plan
+    raises its ValidationError while the walk-line CSVs are written.
     """
     results = sorted(per_seg_results, key=lambda r: (r.metric_name, r.seg_id))
     subset_of = {seg.id: seg.subset for seg in collection}

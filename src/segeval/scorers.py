@@ -113,19 +113,23 @@ class _Normalized(dict):
         return norm
 
 
-def _gating_order(qg: QuestionGraph, source: str) -> list[str] | None:
-    """Question ids with every parent before its children; None on a cycle."""
-    succs: dict[str, list[tuple[str, int]]] = {q.id: [] for q in qg.questions}
+def _gating_order(qg: QuestionGraph, source: str) -> list[str]:
+    """Question ids with every parent before its children; a repeated id, then an unknown parent, then a cycle
+    is a ValidationError naming ``source``, as the loader words it."""
+    succs: dict[str, list[tuple[str, int]]] = {}
+    for q in qg.questions:
+        if q.id in succs:
+            raise ValidationError(f"{source}: duplicate question id {q.id!r}")
+        succs[q.id] = []
     for q in qg.questions:
         for p in q.parent_ids:
             if p not in succs:
                 raise ValidationError(f"{source}: question {q.id!r} references unknown parent {p!r}")
             succs[p].append((q.id, 1))  # the weight goes unread
-    return _topological_order(succs)
-
-
-def _cycle_error(qg: QuestionGraph, source: str) -> ValidationError:
-    return ValidationError(f"{source}: question graph {qg.prompt_id!r} has a cyclic dependency")
+    order = _topological_order(succs)
+    if order is None:
+        raise ValidationError(f"{source}: question graph {qg.prompt_id!r} has a cyclic dependency")
+    return order
 
 
 _GRAPH_FIELDS = {"prompt_id": str, "questions": object}  # any non-list is the non-empty-list error below
@@ -143,13 +147,12 @@ def _parse_question_graph(data: dict, source: str) -> QuestionGraph:
         qid, parent_ids, expected = fields(q, _QUESTION_FIELDS, where, source)
         if not qid:
             raise ParseError(f"{where}: field 'id' must be a non-empty string", source=source)
-        if qid in ids:
+        if qid in ids:  # raised here, so it precedes any later question's ParseError
             raise ValidationError(f"{source}: duplicate question id {qid!r}")
         ids.add(qid)
         questions.append(Question(qid, str_list(parent_ids, "parent_ids", where, source), expected))
     qg = QuestionGraph(prompt_id=prompt_id, questions=tuple(questions))
-    if _gating_order(qg, source) is None:
-        raise _cycle_error(qg, source)
+    _gating_order(qg, source)
     return qg
 
 
@@ -197,19 +200,15 @@ class _Plan(NamedTuple):
     """What scoring one image against a question graph needs, derived once per graph."""
 
     expected: dict[str, str]  # question id -> normalized expected answer
-    # (id, normalized expected answer, parent ids) in gating order; tifa is
-    # every distinct id with no parents; None when a dsg graph has a cycle
-    steps: tuple[tuple[str, str, tuple[str, ...]], ...] | None
+    # (id, normalized expected answer, parent ids) in gating order; tifa gives no question parents
+    steps: tuple[tuple[str, str, tuple[str, ...]], ...]
 
 
 def _plan(qg: QuestionGraph, gated: bool) -> _Plan:
-    expected = {q.id: _normalize_answer(q.expected_answer) for q in qg.questions}
-    if not gated:
-        return _Plan(expected, tuple((qid, exp, ()) for qid, exp in expected.items()))
-    parents = {q.id: q.parent_ids for q in qg.questions}
     order = _gating_order(qg, "<data>")
-    steps = None if order is None else tuple((qid, expected[qid], parents[qid]) for qid in order)
-    return _Plan(expected, steps)
+    expected = {q.id: _normalize_answer(q.expected_answer) for q in qg.questions}
+    parents = {q.id: q.parent_ids if gated else () for q in qg.questions}
+    return _Plan(expected, tuple((qid, expected[qid], parents[qid]) for qid in order))
 
 
 def _answers_error(plan: _Plan, answers: Mapping[str, str], image: str = "") -> SegEvalError:
@@ -218,18 +217,16 @@ def _answers_error(plan: _Plan, answers: Mapping[str, str], image: str = "") -> 
     if unknown:
         whose = f"answers for {image}" if image else "answers"
         return ValidationError(f"{whose} reference unknown question id(s): " + ", ".join(unknown))
-    missing = sorted(plan.expected.keys() - answers.keys())  # each distinct id once
+    missing = sorted(plan.expected.keys() - answers.keys())
     where = f"{image}: " if image else ""
     return CoverageError(where + "missing answer(s) for question id(s): " + ", ".join(missing), missing=missing)
 
 
-def _accumulate(qg: QuestionGraph, plan: _Plan, answers: Mapping[str, str], normalized: _Normalized) -> float:
+def _accumulate(plan: _Plan, answers: Mapping[str, str], normalized: _Normalized) -> float:
     """The share of questions answered correctly with every parent satisfied (tifa: no parents).
 
     ``answers`` holds an answer for exactly the question ids of the plan.
     """
-    if plan.steps is None:
-        raise _cycle_error(qg, "<data>")
     satisfied: set[str] = set()
     for qid, expected, parents in plan.steps:
         if normalized[answers[qid]] == expected and satisfied.issuperset(parents):
@@ -241,7 +238,7 @@ def _accumulate_one(qg: QuestionGraph, answers: Mapping[str, str], gated: bool) 
     plan = _plan(qg, gated)
     if answers.keys() != plan.expected.keys():
         raise _answers_error(plan, answers)
-    return _accumulate(qg, plan, answers, _Normalized())
+    return _accumulate(plan, answers, _Normalized())
 
 
 def tifa_accumulate(qg: QuestionGraph, answers: Mapping[str, str]) -> float:
@@ -272,7 +269,9 @@ def accumulate_scores(
     name defaults to the prompt id (or "questions") suffixed ``-{mode}-acc``.
     Each graph's expected answers and gating order are derived once, on
     first use, and held while that graph's images are scored; each distinct
-    answer text is normalized once per call.
+    answer text is normalized once per call.  A graph that repeats a question
+    id, names an unknown parent or has a cycle raises the ValidationError
+    :func:`load_question_graphs` would, with source ``<data>``, in both modes.
     """
     if mode not in ACCUMULATION_MODES:
         raise ValueError(f"unknown accumulation mode: {mode!r}")
@@ -299,7 +298,7 @@ def accumulate_scores(
         per_image = by_image[key]
         if per_image.keys() != plan.expected.keys():
             raise _answers_error(plan, per_image, f"seg {seg_id!r} image {image_id!r}")
-        index.setdefault(seg_id, {})[image_id] = _accumulate(qg, plan, per_image, normalized)
+        index.setdefault(seg_id, {})[image_id] = _accumulate(plan, per_image, normalized)
     return ScoreTable(metric_name=name, entries=IndexView(index))
 
 

@@ -30,7 +30,7 @@ def enumerate_walks(seg: SemanticErrorGraph) -> list[tuple[str, ...]]:
     stack = [(seg.head().id,)]
     while stack:
         path = stack.pop()
-        if (kids := children.get(path[-1])) is None:  # an unvalidated graph's edge to an undefined node
+        if (kids := children.get(path[-1])) is None:  # an edge to a node the SEG does not define
             raise ValidationError(f"seg {seg.id}: edge references unknown node {path[-1]!r}")
         if not kids:
             walks.append(path)

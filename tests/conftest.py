@@ -8,8 +8,9 @@ from typing import NamedTuple
 
 import pytest
 
+from segeval.errors import ValidationError
 from segeval.fileio import csv_row
-from segeval.seg import ErrorEdge, ErrorNode, SegCollection, SemanticErrorGraph
+from segeval.seg import ErrorEdge, ErrorNode, SegCollection, SemanticErrorGraph, validate_seg
 from segeval.metametrics import SCORE_CSV_HEADER, ScoreTable
 from segeval.synth import _subseed
 
@@ -130,6 +131,30 @@ def diamond() -> SemanticErrorGraph:
 
 def collection_of(*segs: SemanticErrorGraph) -> SegCollection:
     return SegCollection(tuple(sorted(segs, key=lambda s: s.id)))
+
+
+def assert_raises_the_validators_message(call, seg: SemanticErrorGraph) -> None:
+    """``call()`` raises ValidationError ``seg S: <first violation>``, carrying every violation validate_seg reports."""
+    violations = validate_seg(seg).violations
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == f"seg {seg.id}: {violations[0]}"
+    assert exc.value.violations == violations
+
+
+_CHAIN = [("0", 0, ["a", "b"]), ("1", 1, ["c"]), ("2", 2, ["d", "e"])]
+
+# SEGs that break a fact every walk reader relies on, each as validate_seg reports it; no plan is built for them
+SEG_FAULTS = {
+    "one node": chain_seg([1]),
+    "a count that falls": make_seg([*_CHAIN[:2], ("2", 0, ["d", "e"])], [("0", "1"), ("1", "2")]),
+    "a count that stays": make_seg([*_CHAIN[:2], ("2", 1, ["d", "e"])], [("0", "1"), ("1", "2")]),
+    "a walk whose deepest count is 0": make_seg([("0", 0, ["a"]), ("1", 0, ["b", "c"])], [("0", "1")]),
+    "a node without images": make_seg([_CHAIN[0], ("1", 1, []), _CHAIN[2]], [("0", "1"), ("1", "2")]),
+    "a head without images": make_seg([("0", 0, []), *_CHAIN[1:]], [("0", "1"), ("1", "2")]),
+    "a negative count": make_seg([("0", -1, ["a"]), ("1", 0, ["b"])], [("0", "1")]),
+    "a head without a child": make_seg(_CHAIN, [("1", "2"), ("2", "1")]),
+}
 
 
 CSV_FAULTS = ("none", "duplicate", "short", "long", "oversized", "not-utf8", "bad-header", "empty")

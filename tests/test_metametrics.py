@@ -41,8 +41,9 @@ from segeval.synth import ORACLE_KINDS, SynthConfig, generate_segs, oracle_score
 from segeval.walks import adjacent_pairs, enumerate_walks
 
 from conftest import (
-    CSV_FAULTS, FlatTable, assert_view_reads_as, chain_seg, collection_of, identity_pattern, make_seg,
-    reference_oracle_scores, reference_write, regrouped, seeded_csv, stacked_diamond, table_for,
+    CSV_FAULTS, SEG_FAULTS, FlatTable, assert_raises_the_validators_message, assert_view_reads_as, chain_seg,
+    collection_of, identity_pattern, make_seg, reference_oracle_scores, reference_write, regrouped, seeded_csv,
+    stacked_diamond, table_for,
 )
 
 
@@ -212,37 +213,6 @@ def test_rank_equals_the_per_walk_loop_on_chains(monkeypatch):
     _assert_rank_equals_the_per_walk_loop(chains, monkeypatch, seed=7)
 
 
-def _outcome(rank, seg, table, tie_mode):
-    try:
-        return rank(seg, table, tie_mode)
-    except (SegEvalError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-def test_rank_of_an_unvalidated_seg_equals_the_per_walk_loop():
-    # each case sits beside its valid twin, which takes the run-length ranks
-    nodes = [("0", 0, ["a", "b"]), ("1", 1, ["c"]), ("2", 2, ["d", "e", "f"])]
-    edges = [("0", "1"), ("1", "2")]
-    cases = {
-        "valid": make_seg(nodes, edges),
-        "falls": make_seg([*nodes[:2], ("2", 0, ["d", "e", "f"])], edges),
-        "equal": make_seg([*nodes[:2], ("2", 1, ["d", "e", "f"])], edges),
-        "from an unknown node": make_seg(nodes, [*edges, ("ghost", "2")]),
-        "to an unknown node": make_seg(nodes, [*edges, ("2", "ghost")]),
-    }
-    table = table_for(cases["valid"], [0.9, 0.8, 0.5, 0.1, 0.3, 0.2])
-    outcomes = {}
-    for name, seg in cases.items():
-        for tie_mode in ("midrank", "countbelow"):
-            outcomes[name, tie_mode] = _outcome(rank_score, seg, table, tie_mode)
-            assert outcomes[name, tie_mode] == _outcome(reference_rank, seg, table, tie_mode), (name, tie_mode)
-    for tie_mode in ("midrank", "countbelow"):
-        # a falling or flat count ranks differently from a rising one
-        assert outcomes["falls", tie_mode] != outcomes["valid", tie_mode] != outcomes["equal", tie_mode]
-        assert outcomes["from an unknown node", tie_mode] == outcomes["valid", tie_mode]
-        assert outcomes["to an unknown node", tie_mode] == (ValidationError, "seg seg: edge references unknown node 'ghost'")
-
-
 def test_every_walk_reader_raises_the_validation_error_for_an_edge_to_an_unknown_node():
     seg = make_seg([("0", 0, ["a"]), ("1", 1, ["b"])], [("0", "1"), ("1", "ghost")])
     table = table_for(seg, [0.9, 0.1])
@@ -259,23 +229,22 @@ def test_every_walk_reader_raises_the_validation_error_for_an_edge_to_an_unknown
             call()
 
 
-def test_a_seg_without_adjacent_pairs_raises_a_validation_error_naming_it():
-    seg = make_seg([("0", 0, ["a", "b"])], [], seg_id="lone")
-    table = table_for(seg, [0.9, 0.1])
-    message = r"^seg lone: no adjacent node pairs$"
-    for pair_mode in ("per-walk", "unique-edge"):
-        with pytest.raises(ValidationError, match=message):
-            sep_score(seg, table, pair_mode)
-        with pytest.raises(ValidationError, match=message):
-            delta_score(seg, table, 0.5, pair_mode)
-        with pytest.raises(ValidationError, match=message):
-            evaluate_seg(seg, table, 0.5, pair_mode=pair_mode)
-        assert delta_score(seg, table, 0.0, pair_mode) == 0.0  # a zero spread still gives 0
-    assert rank_score(seg, table) == 0.0  # one walk over one node: a constant error count
-    with pytest.raises(ValidationError, match=message):
-        evaluate_collection(collection_of(seg), [table])
-    with pytest.raises(CoverageError):  # coverage is checked before the pairs
-        sep_score(seg, ScoreTable("m", {("lone", "a"): 0.5}))
+SEG_ENTRY_POINTS = {
+    "rank_score": lambda seg, table: rank_score(seg, table),
+    "sep_score": lambda seg, table: sep_score(seg, table, "unique-edge"),
+    "delta_score": lambda seg, table: delta_score(seg, table, 0.0),  # a zero spread too
+    "evaluate_seg": lambda seg, table: evaluate_seg(seg, table, 0.5, "countbelow"),
+    "evaluate_collection": lambda seg, table: evaluate_collection(collection_of(seg), [table]),
+}
+
+
+@pytest.mark.parametrize("entry_point", SEG_ENTRY_POINTS)
+def test_a_faulty_seg_raises_the_validators_message(entry_point):
+    # one node, a count that does not rise, a node without images, a negative count, a head without a child
+    call = SEG_ENTRY_POINTS[entry_point]
+    for fault, seg in SEG_FAULTS.items():
+        table = table_for(seg, [0.5 + i / 8 for i in range(len(seg.image_ids()))])
+        assert_raises_the_validators_message(lambda: call(seg, table), seg)
 
 
 # ---------------------------------------------------------------------------
@@ -347,33 +316,6 @@ def test_sep_equals_the_per_pair_loop_with_one_ks_call_per_pair(monkeypatch):
                 m.setattr(metametrics, "ks_statistic", counting_ks)
                 assert sep_score(seg, table, mode) == expected, (seg.id, mode)
             assert len(calls) == len(adjacent_pairs(enumerate_walks(seg), mode))
-
-
-def _sep_error(seg, table):
-    with pytest.raises(ValueError) as info:
-        sep_score(seg, table)
-    with pytest.raises(ValueError) as ref:
-        reference_sep(seg, table)
-    assert str(info.value) == str(ref.value)
-    return str(info.value)
-
-
-def test_sep_on_a_bad_node_raises_the_per_pair_error():
-    # a table holds no NaN or infinite score (test_a_bad_score_or_key_is_rejected_when_its_table_is_built), so the
-    # one bad node left is an empty one, which only an unvalidated SEG has: ks_statistic names it x or y
-    gap = chain_seg([1, 0, 1])
-    assert _sep_error(gap, table_for(gap, [0.1, 0.2])) == "y must be non-empty"
-    head = make_seg([("0", 0, []), ("1", 1, ["b"])], [("0", "1")])
-    assert _sep_error(head, table_for(head, [0.5])) == "x must be non-empty"
-    # more pairs than nodes, as on the stacked diamonds
-    nodes = [(n.id, n.error_count, [] if n.id == "2" else list(n.images)) for n in stacked_diamond(2).nodes]
-    diamonds = make_seg(nodes, [(e.src, e.dst) for e in stacked_diamond(2).edges], seg_id="diamonds")
-    assert len(adjacent_pairs(enumerate_walks(diamonds))) > len(diamonds.nodes)
-    assert _sep_error(diamonds, table_for(diamonds, [0.9, 0.5, 0.4, 0.2, 0.1, 0.0])) == "y must be non-empty"
-    # an empty node in no pair (unreachable from the head) raises nothing, as in the per-pair loop
-    seg = make_seg([("0", 0, ["a"]), ("1", 1, ["b"]), ("2", 2, []), ("3", 3, [])], [("0", "1"), ("2", "3"), ("3", "2")])
-    table = ScoreTable("m", {("seg", "a"): 0.1, ("seg", "b"): 0.5})
-    assert sep_score(seg, table) == reference_sep(seg, table) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +419,9 @@ def reference_delta(seg, table, std, pair_mode="per-walk"):
 
 
 # SEGs on both sides of the selections rank and sep once made: walks <= nodes and walks > nodes (stacked diamonds
-# from k = 4), and per-walk or unique-edge pairs <= nodes and > nodes
+# from k = 4), and per-walk or unique-edge pairs <= nodes and > nodes; a one-node chain gets no plan (SEG_FAULTS)
 KERNEL_SEGS = [
-    chain_seg([1]), chain_seg([2, 1, 3]), chain_seg([1, 1, 1, 1, 1]), chain_seg([4, 4]),
+    chain_seg([2, 1, 3]), chain_seg([1, 1, 1, 1, 1]), chain_seg([4, 4]),
     *(stacked_diamond(k) for k in range(1, 6)),
     *generate_segs(SynthConfig(seed=33, seg_count=12, nodes_per_seg=(2, 9), images_per_node=(1, 4))),
 ]
@@ -511,8 +453,6 @@ def test_rank_sep_and_delta_equal_the_per_walk_and_per_pair_loops_bit_for_bit(se
     std = global_std(collection_of(seg), table)
     for tie_mode in ("midrank", "countbelow"):
         assert rank_score(seg, table, tie_mode) == reference_rank(seg, flat, tie_mode)
-    if len(seg.nodes) == 1:  # no adjacent pairs
-        return
     for pair_mode in ("per-walk", "unique-edge"):
         assert sep_score(seg, table, pair_mode) == reference_sep(seg, flat, pair_mode)
         assert repr(delta_score(seg, table, std, pair_mode)) == repr(reference_delta(seg, flat, std, pair_mode))
@@ -534,8 +474,7 @@ def test_every_walk_and_node_sample_takes_the_one_path(monkeypatch):
     for seg in KERNEL_SEGS:
         table = table_for(seg, [float(i % 3) for i in range(len(seg.image_ids()))])
         rank_score(seg, table)
-        if len(seg.nodes) > 1:
-            sep_score(seg, table, "unique-edge")
+        sep_score(seg, table, "unique-edge")
     assert set(types[0::3]) == {"spearman_rho", "ks_statistic"}
     assert {(name, x) for name, x in zip(types[0::3], types[1::3])} == {
         ("spearman_rho", metametrics._Checked), ("ks_statistic", metametrics._Sorted)
@@ -1259,6 +1198,13 @@ def test_writer_rejects_an_index_view_as_it_rejects_its_flat_dict_before_opening
             write_score_tables([ScoreTable("a", {("s", "x"): 1.0}), ScoreTable("m", entries)], path)
         assert str(info.value) == f"metric 'm': {message}"
         assert not path.exists()
+
+
+@pytest.mark.parametrize("scores", ["abc", "", ["x"], ("x",), {"x"}])
+def test_a_view_mapping_a_seg_to_no_dict_is_rejected_naming_it(scores):
+    # "abc" and ["x"] once raised a bare TypeError (dict.values applied to a str or list)
+    message = f"scores for seg 't' are a {type(scores).__name__}, not a dict"
+    _assert_rejected_when_built(IndexView({"s": {"x": 1.0}, "t": scores}), message)
 
 
 @pytest.mark.parametrize(

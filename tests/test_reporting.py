@@ -27,11 +27,13 @@ from segeval.reporting import (
     metric_correlation_matrix,
     walk_line_data,
 )
-from segeval.seg import SegCollection
+from segeval.seg import SegCollection, validate_seg
 from segeval.synth import ORACLE_KINDS, SynthConfig, generate_segs, oracle_scores
 from segeval.walks import enumerate_walks
 
-from conftest import chain_seg, collection_of, make_seg, stacked_diamond, table_for
+from conftest import (
+    SEG_FAULTS, assert_raises_the_validators_message, chain_seg, collection_of, make_seg, stacked_diamond, table_for,
+)
 
 
 def result(metric, seg_id, rank, sep=0.5, delta=0.0):
@@ -304,24 +306,18 @@ def test_lines_csv_quotes_odd_seg_ids_as_the_csv_module_does(tmp_path):
 
 
 def reference_line_rows(collection, scores):
-    """lines_*.csv data rows rendered point by point, straight from each walk's nodes.
-
-    A walk whose largest error count is 0 is drawn at rank 0.0, and a walk
-    without images writes no row; only an unvalidated SEG has either.
-    """
+    """lines_*.csv data rows rendered point by point, straight from each walk's nodes."""
     for seg in collection:
         nodes = {n.id: n for n in seg.nodes}
         sid = csv_row((seg.id, ""))[:-1]
         for w_idx, walk in enumerate(enumerate_walks(seg)):
             path = [nodes[node_id] for node_id in walk]
             top = max(node.error_count for node in path)
-            rows = "".join(
-                f"{sid}{w_idx},{_fmt(node.error_count / top if top else 0.0)},{_fmt(scores.entries[(seg.id, img)])}\n"
+            yield "".join(
+                f"{sid}{w_idx},{_fmt(node.error_count / top)},{_fmt(scores.entries[(seg.id, img)])}\n"
                 for node in path
                 for img in node.images
             )
-            if rows:
-                yield rows
 
 
 @pytest.mark.parametrize("seed", [3, 17, 29])
@@ -349,24 +345,36 @@ def _unvalidated_seg(rng, seg_id):
     return make_seg(nodes, sorted(edges), seg_id=seg_id)
 
 
-def test_line_rows_equal_the_brute_force_rows_on_unvalidated_segs(tmp_path):
+def test_a_plan_is_built_for_each_valid_seg_or_raises_its_violations(tmp_path):
     rng = random.Random(41)
-    segs = [_unvalidated_seg(rng, f"u{i:03d}") for i in range(150)]
-    collection = SegCollection(tuple(segs))
-    entries = {(seg.id, img): rng.choice([rng.random(), -0.0, 1 / 3]) for seg in segs for img in seg.image_ids()}
-    table = ScoreTable("m", entries)
-    seen = set()
-    for seg in segs:
-        plan = _SegPlan(seg)
-        assert plan.tops() == [max(plan.counts[node] for node in walk) for walk in plan.walks]
-        seen |= {"top 0" for top in plan.tops() if top == 0}
-        seen |= {"no images" for walk in plan.walks if not any(plan.populations(table)[node] for node in walk)}
+    drawn = [("random", _unvalidated_seg(rng, f"u{i:03d}")) for i in range(150)]
+    drawn += [("synth", seg) for seg in generate_segs(SynthConfig(seed=41, seg_count=40, nodes_per_seg=(2, 10)))]
+    drawn += [("diamond", stacked_diamond(k, seg_id=f"d{k}")) for k in range(1, 6)]
+    built, outcomes = [], set()
+    for origin, seg in drawn:
+        violations = validate_seg(seg).violations
+        try:
+            plan = _SegPlan(seg)
+        except ValidationError as exc:
+            assert exc.violations == violations != [], seg.id
+            assert str(exc) == f"seg {seg.id}: {violations[0]}"
+            outcomes.add((origin, "rejected"))
+            continue
+        outcomes.add((origin, "built", not violations))  # a plan checks only what its readers rely on
+        built.append(seg)
+        table = ScoreTable("m", {(seg.id, img): rng.choice([rng.random(), -0.0, 1 / 3]) for img in seg.image_ids()})
         assert list(_line_rows(plan, table)) == list(reference_line_rows([seg], table)), seg.id
         lines = walk_line_data(seg, table)
         assert type(lines) is list and all(type(line) is list for line in lines)
         assert len(lines) == len(plan.walks)
-    assert seen == {"top 0", "no images"}
-    results = [SegMetricResult(seg.id, "m", 0.0, 0.0, 0.0, 1, 1) for seg in segs]
+    assert outcomes == {
+        ("random", "rejected"), ("random", "built", True), ("random", "built", False),
+        ("synth", "built", True), ("diamond", "built", True),
+    }
+    collection = SegCollection(tuple(built))
+    entries = {(seg.id, img): rng.choice([rng.random(), -0.0, 1 / 3]) for seg in built for img in seg.image_ids()}
+    table = ScoreTable("m", entries)
+    results = [SegMetricResult(seg.id, "m", 0.0, 0.0, 0.0, 1, 1) for seg in built]
     emit_report(aggregate(results, collection), results, tmp_path, collection, {"m": table})
     expected = "seg_id,walk_index,normalized_rank,score\n" + "".join(reference_line_rows(collection, table))
     assert (tmp_path / "lines_m.csv").read_text(encoding="utf-8") == expected
@@ -380,22 +388,22 @@ def test_walk_line_data_is_a_list_of_lists():
     assert lines[0] == [(0.0, 0.9), (0.25, 0.7), (0.5, 0.5), (0.75, 0.3), (1.0, 0.1)]
 
 
-def test_line_rows_skip_a_walk_without_images():
-    seg = make_seg(
-        nodes=[("0", 0, []), ("1", 1, []), ("2", 1, ["b"])], edges=[("0", "1"), ("0", "2")], seg_id="s"
-    )
-    table = ScoreTable(metric_name="m", entries={("s", "b"): 0.5})
-    assert "".join(_line_rows(_SegPlan(seg), table)) == "s,1,1,0.5\n"
+REPORT_ENTRY_POINTS = {
+    "walk_line_data": lambda seg, table, out: walk_line_data(seg, table),
+    "emit_report": lambda seg, table, out: emit_report(
+        aggregate([result("m", seg.id, 0.0)], collection_of(seg)), [result("m", seg.id, 0.0)], out,
+        collection_of(seg), {"m": table},
+    ),
+}
 
 
-def test_a_walk_whose_largest_error_count_is_zero_is_drawn_at_rank_zero(tmp_path):
-    # an unvalidated SEG: both nodes of the walk 0 -> 1 have error count 0
-    seg = make_seg(nodes=[("0", 0, ["a"]), ("1", 0, ["b", "c"])], edges=[("0", "1")], seg_id="s")
-    table = ScoreTable(metric_name="m", entries={("s", "a"): 0.9, ("s", "b"): 0.4, ("s", "c"): 0.1})
-    assert walk_line_data(seg, table) == [[(0.0, 0.9), (0.0, 0.4), (0.0, 0.1)]]
-    assert_lines_match_walk_line_data(tmp_path, SegCollection((seg,)), {"m": table})
-    rows = (tmp_path / "lines_m.csv").read_text(encoding="utf-8")
-    assert rows == "seg_id,walk_index,normalized_rank,score\ns,0,0,0.9\ns,0,0,0.4\ns,0,0,0.1\n"
+@pytest.mark.parametrize("entry_point", REPORT_ENTRY_POINTS)
+def test_a_faulty_seg_raises_the_validators_message(entry_point, tmp_path):
+    # one node, a count that does not rise, a node without images, a negative count, a head without a child
+    call = REPORT_ENTRY_POINTS[entry_point]
+    for n, (fault, seg) in enumerate(SEG_FAULTS.items()):
+        table = table_for(seg, [0.5 + i / 8 for i in range(len(seg.image_ids()))])
+        assert_raises_the_validators_message(lambda: call(seg, table, tmp_path / str(n)), seg)
 
 
 def test_emission_builds_one_plan_per_seg_for_every_lines_file(tmp_path, monkeypatch):

@@ -568,20 +568,42 @@ def test_one_text_answering_questions_that_expect_different_answers():
     assert accumulate_scores([qg], answers, "dsg").entries == {("s", "i"): 0.75}
 
 
-def test_api_built_graph_naming_an_unknown_parent_fails_dsg_with_the_loader_wording():
-    qg = qgraph(("q0", [], "yes"), ("q1", ["q0", "qx"], "yes"))
-    answers = {"q0": "yes", "q1": "yes"}
-    table = AnswerTable(entries={("s", "i", qid): ans for qid, ans in answers.items()})
-    message = "<data>: question 'q1' references unknown parent 'qx'"
-    with pytest.raises(ValidationError) as exc:
-        accumulate_scores([qg], table, "dsg")
-    assert str(exc.value) == message
-    with pytest.raises(ValidationError) as exc:
-        dsg_accumulate(qg, answers)
-    assert str(exc.value) == message
-    # tifa reads no parents
-    assert accumulate_scores([qg], table, "tifa").entries == {("s", "i"): 1.0}
-    assert tifa_accumulate(qg, answers) == 1.0
+# question graphs the loader rejects, each with the fault its file's error names
+QUESTION_GRAPH_FAULTS = {
+    "a repeated id": qgraph(("q1", [], "yes"), ("q2", ["q1"], "yes"), ("q1", [], "no")),
+    "an unknown parent": qgraph(("q0", [], "yes"), ("q1", ["q0", "qx"], "yes")),
+    "a cycle": qgraph(("a", ["b"], "y"), ("b", ["a"], "y"), ("c", [], "y")),
+    "a repeated id, then an unknown parent": qgraph(("q1", ["qx"], "yes"), ("q2", ["q1"], "yes"), ("q2", [], "no")),
+    "an unknown parent, then a cycle": qgraph(("a", ["b"], "y"), ("b", ["a"], "y"), ("c", ["qx"], "y")),
+}
+
+QUESTION_GRAPH_ENTRY_POINTS = {
+    "accumulate_scores_tifa": lambda qg, answers: accumulate_scores([qg], _answer_table(answers), "tifa"),
+    "accumulate_scores_dsg": lambda qg, answers: accumulate_scores([qg], _answer_table(answers), "dsg"),
+    "tifa_accumulate": tifa_accumulate,
+    "dsg_accumulate": dsg_accumulate,
+}
+
+
+def _answer_table(answers: dict[str, str]) -> AnswerTable:
+    return AnswerTable(entries={("s", "i", qid): ans for qid, ans in answers.items()})
+
+
+@pytest.mark.parametrize("entry_point", QUESTION_GRAPH_ENTRY_POINTS)
+def test_a_faulty_question_graph_raises_the_loaders_message(entry_point, tmp_path):
+    call = QUESTION_GRAPH_ENTRY_POINTS[entry_point]
+    path = tmp_path / "q.json"
+    for fault, qg in QUESTION_GRAPH_FAULTS.items():
+        questions = [{"id": q.id, "parent_ids": list(q.parent_ids), "expected_answer": q.expected_answer} for q in qg.questions]
+        path.write_text(json.dumps({"prompt_id": qg.prompt_id, "questions": questions}))
+        with pytest.raises(ValidationError) as loaded:
+            load_question_graphs(path)
+        message = str(loaded.value).replace(str(path), "<data>", 1)
+        right = {q.id: q.expected_answer for q in qg.questions}  # a repeated id's last listed answer
+        for answers in (right, {qg.questions[0].id: "no"}, {**right, "zz": "yes"}):  # all right, one missing, one unknown
+            with pytest.raises(ValidationError) as exc:
+                call(qg, answers)
+            assert str(exc.value) == message, (fault, answers)
 
 
 def test_tifa_equals_the_flat_oracle_on_random_graphs():
@@ -590,27 +612,6 @@ def test_tifa_equals_the_flat_oracle_on_random_graphs():
         qg = random_question_graph(rng, "p")
         answers = {q.id: rng.choice(ANSWER_VARIANTS) for q in qg.questions}
         assert tifa_accumulate(qg, answers) == oracle_tifa(qg, answers)
-
-
-def test_api_built_graph_repeating_an_id_divides_both_modes_by_distinct_ids():
-    # the last of a repeated id's expected answers is the one checked
-    qg = qgraph(("q1", [], "yes"), ("q2", ["q1"], "yes"), ("q1", [], "no"))
-    answers = {"q1": "no", "q2": "yes"}
-    assert tifa_accumulate(qg, answers) == 1.0  # 2 of the 2 distinct ids
-    assert dsg_accumulate(qg, answers) == 1.0  # 2 of the 2 distinct ids
-    table = AnswerTable(entries={("s", "i", qid): ans for qid, ans in answers.items()})
-    assert accumulate_scores([qg], table, "tifa").entries == {("s", "i"): 1.0}
-    assert accumulate_scores([qg], table, "dsg").entries == {("s", "i"): 1.0}
-
-
-def test_every_answer_right_scores_one_in_both_modes_on_graphs_repeating_an_id():
-    rng = random.Random(47)
-    for _ in range(50):
-        qg = random_dag(rng, rng.randint(1, 8))
-        repeats = [rng.choice(qg.questions)._replace(expected_answer="no") for _ in range(rng.randint(1, 3))]
-        qg = qg._replace(questions=qg.questions + tuple(repeats))
-        answers = {q.id: q.expected_answer for q in qg.questions}  # a repeated id's last listed answer
-        assert tifa_accumulate(qg, answers) == dsg_accumulate(qg, answers) == 1.0, qg
 
 
 def test_answers_differing_only_in_whitespace_or_case_score_alike():
@@ -664,37 +665,6 @@ def test_unknown_answer_ids_rejected_before_missing_ones(mode):
         with pytest.raises(ValidationError) as exc:
             (tifa_accumulate if mode == "tifa" else dsg_accumulate)(qg, answers)
         assert str(exc.value) == f"answers reference unknown question id(s): {unknown}"
-
-
-def test_missing_answers_name_a_repeated_id_once():
-    qg = qgraph(("q1", [], "yes"), ("q2", [], "yes"), ("q1", [], "no"))  # an API-built graph listing q1 twice
-    with pytest.raises(CoverageError) as exc:
-        dsg_accumulate(qg, {"q2": "yes"})
-    assert str(exc.value) == "missing answer(s) for question id(s): q1"
-    assert exc.value.missing == ["q1"]
-    with pytest.raises(CoverageError) as exc:
-        accumulate_scores([qg], AnswerTable(entries={("s", "i", "q2"): "yes"}), "tifa")
-    assert str(exc.value) == "seg 's' image 'i': missing answer(s) for question id(s): q1"
-    assert exc.value.missing == ["q1"]
-
-
-def test_api_built_cyclic_graph_fails_dsg_after_the_answer_checks_and_scores_tifa():
-    cyclic = qgraph(("a", ["b"], "y"), ("b", ["a"], "y"), ("c", [], "y"))
-    full = AnswerTable(entries={("s", "i", "a"): "y", ("s", "i", "b"): "n", ("s", "i", "c"): "Y"})
-    message = "<data>: question graph 'p1' has a cyclic dependency"
-    with pytest.raises(ValidationError) as exc:
-        accumulate_scores([cyclic], full, "dsg")
-    assert str(exc.value) == message
-    with pytest.raises(ValidationError) as exc:
-        dsg_accumulate(cyclic, {"a": "y", "b": "y", "c": "y"})
-    assert str(exc.value) == message
-    assert accumulate_scores([cyclic], full, "tifa").entries == {("s", "i"): 2 / 3}
-    assert tifa_accumulate(cyclic, {"a": "y", "b": "n", "c": "y"}) == 2 / 3
-    unknown = AnswerTable(entries={**full.entries, ("s", "i", "x"): "y"})
-    with pytest.raises(ValidationError, match="unknown question id"):
-        accumulate_scores([cyclic], unknown, "dsg")
-    with pytest.raises(CoverageError, match="missing answer"):
-        accumulate_scores([cyclic], AnswerTable(entries={("s", "i", "a"): "y"}), "dsg")
 
 
 # ---------------------------------------------------------------------------
