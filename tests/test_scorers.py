@@ -651,6 +651,42 @@ def test_missing_answers_listed_sorted_with_the_image(mode):
     assert exc.value.missing == ["q0", "q1", "q3"]
 
 
+def test_missing_answers_name_a_repeated_id_once():
+    # an API-built graph listing q1 twice is checked before its answers: the
+    # loader's error names q1 once, and no missing answer is listed
+    qg = qgraph(("q1", [], "yes"), ("q2", [], "yes"), ("q1", [], "no"))
+    message = "<data>: duplicate question id 'q1'"
+    for mode, call in [
+        ("dsg", lambda: dsg_accumulate(qg, {"q2": "yes"})),
+        ("tifa", lambda: tifa_accumulate(qg, {"q2": "yes"})),
+        ("dsg", lambda: accumulate_scores([qg], AnswerTable(entries={("s", "i", "q2"): "yes"}), "dsg")),
+        ("tifa", lambda: accumulate_scores([qg], AnswerTable(entries={("s", "i", "q2"): "yes"}), "tifa")),
+    ]:
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message, mode
+
+
+def test_api_built_cyclic_graph_fails_dsg_after_the_answer_checks_and_scores_tifa():
+    # a cyclic graph now fails both modes, before the answer checks, with the
+    # loader's wording: whether the answers are complete, short or unknown
+    cyclic = qgraph(("a", ["b"], "y"), ("b", ["a"], "y"), ("c", [], "y"))
+    full = AnswerTable(entries={("s", "i", "a"): "y", ("s", "i", "b"): "n", ("s", "i", "c"): "Y"})
+    unknown = AnswerTable(entries={**full.entries, ("s", "i", "x"): "y"})
+    short = AnswerTable(entries={("s", "i", "a"): "y"})
+    message = "<data>: question graph 'p1' has a cyclic dependency"
+    for mode in ("dsg", "tifa"):
+        for answers in (full, unknown, short):
+            with pytest.raises(ValidationError) as exc:
+                accumulate_scores([cyclic], answers, mode)
+            assert str(exc.value) == message, mode
+    for accumulate in (dsg_accumulate, tifa_accumulate):
+        for answers in ({"a": "y", "b": "n", "c": "y"}, {"a": "y"}, {"a": "y", "b": "y", "c": "y", "x": "y"}):
+            with pytest.raises(ValidationError) as exc:
+                accumulate(cyclic, answers)
+            assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("mode", ["tifa", "dsg"])
 def test_unknown_answer_ids_rejected_before_missing_ones(mode):
     qg = qgraph(("q1", [], "yes"), ("q2", ["q1"], "yes"))
