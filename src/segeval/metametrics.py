@@ -15,11 +15,11 @@ how well the metric recovers the graph's objective structure:
   over all images in the collection, so metrics with different dynamic
   ranges are comparable.  0 when that deviation is 0.
 
-``evaluate_collection`` scores every table in one pass over the SEGs: each
-SEG's private plan (its walks, error counts and their ranks, and adjacent
-pairs) is built once, read by every metric and dropped before the next SEG.
-The per-SEG functions take it as an optional last argument and build their
-own when none is given, so each direct call enumerates the SEG's walks.
+``evaluate_collection`` scores every table in one pass over a SegCollection's
+valid SEGs: each SEG's private plan (its walks, error counts and their ranks,
+and adjacent pairs) is built once, read by every metric and dropped before the
+next SEG.  The per-SEG functions take it as an optional last argument; each
+direct call without one validates the SEG and builds a plan of its walks.
 
 Scores arrive as a CSV with header ``seg_id,image_id,metric,score`` (UTF-8,
 '.' decimal separator).  Missing scores are hard errors, never imputed.  A
@@ -44,7 +44,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import CoverageError, ParseError, ValidationError
 from .fileio import IndexView, check_keys, load_csv
-from .seg import SUBSETS, SegCollection, SemanticErrorGraph, validate_seg
+from .seg import SUBSETS, SegCollection, SemanticErrorGraph, check_seg
 from .stats import (
     TieMode, _Checked, _Sorted, _ranked_runs, _unit_exponent, ks_statistic, population_moments,
     spearman_rho,
@@ -232,9 +232,7 @@ class _SegPlan:
     deepest error counts and the adjacent pairs per pair mode.  Nothing else
     holds a SEG's walks.
 
-    A SEG whose head has no child, or with a node without images, a negative
-    count or a count that does not rise along an edge, gets no plan: it raises
-    the ValidationError ``seg S: <first violation>`` of :func:`~segeval.seg.validate_seg`.
+    It checks nothing: its SEG comes from a SegCollection or :func:`~segeval.seg.check_seg`.
 
     The last table's node populations are kept, so one (SEG, metric) cell
     builds them once for rank, sep and delta; any gap raises CoverageError.
@@ -242,11 +240,6 @@ class _SegPlan:
 
     def __init__(self, seg: SemanticErrorGraph) -> None:
         self.seg, self.counts, self.walks = seg, {n.id: n.error_count for n in seg.nodes}, enumerate_walks(seg)
-        counts = self.counts  # what every reader relies on is checked here; only the validator names a fault
-        rising = all(counts[e.src] < counts[e.dst] for e in seg.edges if e.src in counts and e.dst in counts)
-        if not (rising and len(self.walks[0]) > 1 and all(n.images and n.error_count >= 0 for n in seg.nodes)):
-            violations = validate_seg(seg).violations
-            raise ValidationError(f"seg {seg.id}: {violations[0]}", violations)
         self._errors, self._pairs, self._cell, self._tops = {}, {}, (None, {}), None
 
     def populations(self, scores: ScoreTable) -> dict[str, list[float]]:
@@ -295,7 +288,7 @@ def rank_score(
     Spearman's rho of scores against error counts is negated so a faithful
     metric (scores decreasing with errors) lands at +1.
     """
-    plan = plan or _SegPlan(seg)
+    plan = plan or _SegPlan(check_seg(seg))
     pops = plan.populations(scores)
     total = 0.0
     for walk, errors in zip(plan.walks, plan.errors(tie_mode)):  # the table's scores are finite floats
@@ -307,7 +300,7 @@ def sep_score(
     seg: SemanticErrorGraph, scores: ScoreTable, pair_mode: PairMode = "per-walk", plan: _SegPlan | None = None
 ) -> float:
     """Mean KS statistic over adjacent node pairs, in [0, 1]."""
-    plan = plan or _SegPlan(seg)
+    plan = plan or _SegPlan(check_seg(seg))
     pops = plan.populations(scores)
     pairs = plan.pairs(pair_mode)
     pops = {n: _Sorted((sorted(v),)) for n, v in pops.items()}  # each node's finite floats sorted once
@@ -329,7 +322,7 @@ def delta_score(
     """
     if not 0.0 <= global_std < math.inf:
         raise ValueError("global_std must be finite and non-negative")
-    plan = plan or _SegPlan(seg)
+    plan = plan or _SegPlan(check_seg(seg))
     pops = plan.populations(scores)  # checks coverage even when the spread is 0
     if global_std == 0.0:
         return 0.0
@@ -376,7 +369,7 @@ def evaluate_seg(
     seg: SemanticErrorGraph, scores: ScoreTable, std: float,
     tie_mode: TieMode = "midrank", pair_mode: PairMode = "per-walk", plan: _SegPlan | None = None,
 ) -> SegMetricResult:
-    plan = plan or _SegPlan(seg)
+    plan = plan or _SegPlan(check_seg(seg))
     return SegMetricResult(
         seg_id=seg.id,
         metric_name=scores.metric_name,
@@ -389,15 +382,17 @@ def evaluate_seg(
 
 
 def evaluate_collection(
-    collection: SegCollection,
+    collection: SegCollection | Iterable[SemanticErrorGraph],
     scores: ScoreTable | Iterable[ScoreTable],
     tie_mode: TieMode = "midrank",
     pair_mode: PairMode = "per-walk",
 ) -> list[SegMetricResult]:
     """One result per (metric, SEG), metric-major in sorted metric order.
 
-    Each metric's std, and so its coverage, is taken collection-wide first.
+    Any iterable but a SegCollection is checked as one is built.  Each
+    metric's std, and so its coverage, is then taken collection-wide.
     """
+    collection = collection if isinstance(collection, SegCollection) else SegCollection(collection)
     tables = [scores] if isinstance(scores, ScoreTable) else sorted(scores, key=attrgetter("metric_name"))
     stds = [global_std(collection, table) for table in tables]
     plans = map(_SegPlan, collection)  # one at a time; the k cells of each SEG are adjacent

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple
 from .errors import ValidationError
 from .fileio import csv_row, nonempty_path, write_csv
 from .metametrics import AggregateReport, MeanScores, ScoreTable, SegMetricResult, _results_by_metric, _SegPlan
-from .seg import SegCollection, SemanticErrorGraph
+from .seg import SegCollection, SemanticErrorGraph, check_seg
 from .stats import TieMode, spearman_rho
 from .walks import enumerate_walks  # noqa: F401  the plan calls it; bench/tracing.py patches this name too
 
@@ -115,7 +115,7 @@ def walk_line_data(
     normalized_rank = error_count / max error count in the walk, so 0 is the
     head and 1 the walk's deepest node regardless of depth.
     """
-    plan = _SegPlan(seg)
+    plan = _SegPlan(check_seg(seg))
     points = _walk_points(plan, plan.populations(scores), lambda xr, values: [(xr, v) for v in values])
     return list(map(list, points))
 
@@ -208,7 +208,7 @@ def emit_report(
     aggregates: AggregateReport,
     per_seg_results: Iterable[SegMetricResult],
     out_path: str | Path,
-    collection: SegCollection,
+    collection: SegCollection | Iterable[SemanticErrorGraph],
     score_tables: Mapping[str, ScoreTable],
     tie_mode: TieMode = "midrank",
 ) -> list[Path]:
@@ -217,12 +217,13 @@ def emit_report(
     Histograms are emitted per metric and basis; walk-line CSVs for each
     result metric that ``score_tables`` holds, all of them in one pass over
     the SEGs of ``collection`` from one plan per SEG.  Returns written paths.
-    Raises, before writing anything, ValidationError when two metric names
-    map to the same plot-file name, a score table is keyed by another name
-    than its metric's, or a result is one :func:`aggregate` rejects, and
-    FileNotFoundError on an empty ``out_path``.  A SEG that gets no plan
-    raises its ValidationError while the walk-line CSVs are written.
+    Raises, before writing anything, ValidationError when an invalid SEG is
+    in ``collection`` (any iterable but a SegCollection is checked), two metric
+    names map to the same plot-file name, a score table is keyed by another
+    name than its metric's, or a result is one :func:`aggregate` rejects, and
+    FileNotFoundError on an empty ``out_path``.
     """
+    collection = collection if isinstance(collection, SegCollection) else SegCollection(collection)
     results = sorted(per_seg_results, key=lambda r: (r.metric_name, r.seg_id))
     subset_of = {seg.id: seg.subset for seg in collection}
     metric_names = sorted(_results_by_metric(results, subset_of))  # raises on a repeated or unknown-SEG result

@@ -164,12 +164,18 @@ def load_question_graphs(path: str | Path) -> list[QuestionGraph]:
     if not items:
         raise ParseError("no question graphs in file", source=str(path))
     graphs = [_parse_question_graph(item, str(path)) for item in items]
-    seen: set[str] = set()
-    for g in graphs:
-        if g.prompt_id in seen:
-            raise ValidationError(f"{path}: duplicate prompt_id {g.prompt_id!r}")
-        seen.add(g.prompt_id)
+    _by_prompt(graphs, str(path))
     return graphs
+
+
+def _by_prompt(graphs: list[QuestionGraph], source: str) -> dict[str, QuestionGraph]:
+    """``graphs`` keyed by prompt_id; a repeated prompt_id is a ValidationError."""
+    by_prompt: dict[str, QuestionGraph] = {}
+    for g in graphs:
+        if g.prompt_id in by_prompt:
+            raise ValidationError(f"{source}: duplicate prompt_id {g.prompt_id!r}")
+        by_prompt[g.prompt_id] = g
+    return by_prompt
 
 
 def _answer_table(rows) -> AnswerTable | None:
@@ -269,15 +275,16 @@ def accumulate_scores(
     name defaults to the prompt id (or "questions") suffixed ``-{mode}-acc``.
     Each graph's expected answers and gating order are derived once, on
     first use, and held while that graph's images are scored; each distinct
-    answer text is normalized once per call.  A graph that repeats a question
-    id, names an unknown parent or has a cycle raises the ValidationError
-    :func:`load_question_graphs` would, with source ``<data>``, in both modes.
+    answer text is normalized once per call.  In both modes, a repeated
+    prompt_id, or a graph that repeats a question id, names an unknown parent
+    or has a cycle, raises the ValidationError :func:`load_question_graphs`
+    would, with source ``<data>``.
     """
     if mode not in ACCUMULATION_MODES:
         raise ValueError(f"unknown accumulation mode: {mode!r}")
     if not graphs:
         raise ValueError("no question graphs given")
-    by_prompt = {g.prompt_id: g for g in graphs}
+    by_prompt = _by_prompt(graphs, "<data>")
     single = graphs[0] if len(graphs) == 1 else None
     planned: QuestionGraph | None = None
     base = metric_name or (single.prompt_id if single else "questions")

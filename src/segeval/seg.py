@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
@@ -87,10 +87,17 @@ class SemanticErrorGraph(NamedTuple):
 
 
 class SegCollection:
-    """An id-sorted set of validated SEGs; iterating it walks the SEGs."""
+    """SEGs that :func:`check_seg` passes, as a tuple in the order given; ``load_segs`` sorts by id."""
 
-    def __init__(self, segs: tuple[SemanticErrorGraph, ...]) -> None:
-        self.__dict__["segs"] = segs
+    def __init__(self, segs: Iterable[SemanticErrorGraph]) -> None:
+        self.__dict__["segs"] = tuple(map(check_seg, segs))
+
+    @classmethod
+    def _of_valid(cls, segs: tuple[SemanticErrorGraph, ...]) -> "SegCollection":
+        """A collection of ``segs``, which :func:`validate_seg` has accepted, checked no further."""
+        collection = object.__new__(cls)
+        collection.__dict__["segs"] = segs
+        return collection
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -117,7 +124,7 @@ class SegCollection:
             return self
         if subset not in SUBSETS:
             raise ValueError(f"unknown subset: {subset!r}")
-        return SegCollection(tuple(s for s in self.segs if s.subset == subset))
+        return SegCollection._of_valid(tuple(s for s in self.segs if s.subset == subset))
 
 
 class ValidationReport:
@@ -292,6 +299,13 @@ def validate_seg(seg: SemanticErrorGraph) -> ValidationReport:
     return rep
 
 
+def check_seg(seg: SemanticErrorGraph) -> SemanticErrorGraph:
+    """``seg`` if it is valid, else ValidationError ``seg S: <first violation>`` carrying every violation."""
+    if violations := validate_seg(seg).violations:
+        raise ValidationError(f"seg {seg.id}: {violations[0]}", violations)
+    return seg
+
+
 # ---------------------------------------------------------------------------
 # parsing / serialization
 
@@ -417,9 +431,7 @@ def load_segs(path: str | Path) -> tuple[SegCollection, list[str]]:
     Raises the first ParseError of :func:`check_seg_files`, and one
     ValidationError listing every violation, a repeated seg id included.
     """
-    segs: list[SemanticErrorGraph] = []
-    violations: list[str] = []
-    warnings: list[str] = []
+    segs, violations, warnings = [], [], []
     for f, seg, rep in check_seg_files([path]):
         if rep is None:
             raise seg
@@ -428,5 +440,4 @@ def load_segs(path: str | Path) -> tuple[SegCollection, list[str]]:
         segs.append(seg)
     if violations:
         raise ValidationError(f"{len(violations)} validation violation(s)", violations=violations)
-    segs.sort(key=lambda s: s.id)
-    return SegCollection(tuple(segs)), warnings
+    return SegCollection._of_valid(tuple(sorted(segs, key=lambda s: s.id))), warnings

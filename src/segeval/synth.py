@@ -17,19 +17,9 @@ import random
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ValidationError
 from .fileio import IndexView, nonempty_path
 from .metametrics import ScoreTable
-from .seg import (
-    ERROR_LABELS,
-    SUBSETS,
-    ErrorEdge,
-    ErrorNode,
-    SegCollection,
-    SemanticErrorGraph,
-    validate_seg,
-    write_seg_file,
-)
+from .seg import ERROR_LABELS, SUBSETS, ErrorEdge, ErrorNode, SegCollection, SemanticErrorGraph, write_seg_file
 
 ORACLE_KINDS = ("perfect", "inverse", "constant", "noisy")
 
@@ -134,23 +124,17 @@ def _generate_one(index: int, config: SynthConfig) -> SemanticErrorGraph:
         for p, w, labels in parents[i]:
             edges.append(ErrorEdge(src=ids[p], dst=ids[i], error_labels=labels, weight=w))
 
-    seg = SemanticErrorGraph(
+    return SemanticErrorGraph(
         id=f"{index:04d}",
         prompt=f"synthetic prompt {index:04d}",
         subset=SUBSETS[index % len(SUBSETS)],
         nodes=tuple(nodes),
         edges=tuple(edges),
     )
-    report = validate_seg(seg)
-    if not report.ok:  # generator bug, not user error
-        raise ValidationError(
-            f"generated seg {seg.id} is invalid", violations=report.violations
-        )
-    return seg
 
 
 def generate_segs(config: SynthConfig) -> SegCollection:
-    """A valid, id-sorted collection; byte-identical for equal configs."""
+    """An id-sorted collection, validated as it is built; byte-identical for equal configs."""
     config.validate()
     return SegCollection(tuple(_generate_one(i, config) for i in range(config.seg_count)))
 

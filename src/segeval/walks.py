@@ -32,6 +32,8 @@ def enumerate_walks(seg: SemanticErrorGraph) -> list[tuple[str, ...]]:
         path = stack.pop()
         if (kids := children.get(path[-1])) is None:  # an edge to a node the SEG does not define
             raise ValidationError(f"seg {seg.id}: edge references unknown node {path[-1]!r}")
+        if len(path) > len(children):  # it has visited a node twice
+            raise ValidationError(f"seg {seg.id}: graph contains a directed cycle")
         if not kids:
             walks.append(path)
         for kid in kids:

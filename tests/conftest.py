@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import random
+import signal
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import pytest
@@ -133,18 +135,38 @@ def collection_of(*segs: SemanticErrorGraph) -> SegCollection:
     return SegCollection(tuple(sorted(segs, key=lambda s: s.id)))
 
 
-def assert_raises_the_validators_message(call, seg: SemanticErrorGraph) -> None:
-    """``call()`` raises ValidationError ``seg S: <first violation>``, carrying every violation validate_seg reports."""
+def assert_raises_the_validators_message(call, seg: SemanticErrorGraph, seconds: int = 10) -> None:
+    """``call()`` raises ValidationError ``seg S: <first violation>``, carrying every violation validate_seg reports.
+
+    It must raise within ``seconds`` (``signal.alarm``), so a call that loops on a cycle fails instead of hanging.
+    """
     violations = validate_seg(seg).violations
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(ValidationError) as exc, alarm_after(seconds):
         call()
     assert str(exc.value) == f"seg {seg.id}: {violations[0]}"
     assert exc.value.violations == violations
 
 
-_CHAIN = [("0", 0, ["a", "b"]), ("1", 1, ["c"]), ("2", 2, ["d", "e"])]
+@contextmanager
+def alarm_after(seconds: int):
+    """Raise TimeoutError in the block if it runs longer than ``seconds``."""
 
-# SEGs that break a fact every walk reader relies on, each as validate_seg reports it; no plan is built for them
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_CHAIN = [("0", 0, ["a", "b"]), ("1", 1, ["c"]), ("2", 2, ["d", "e"])]
+_CHAIN_EDGES = [("0", "1"), ("1", "2")]
+
+# SEGs that validate_seg rejects, one fault each; every function that scores a SEG raises its first violation
 SEG_FAULTS = {
     "one node": chain_seg([1]),
     "a count that falls": make_seg([*_CHAIN[:2], ("2", 0, ["d", "e"])], [("0", "1"), ("1", "2")]),
@@ -154,6 +176,12 @@ SEG_FAULTS = {
     "a head without images": make_seg([("0", 0, []), *_CHAIN[1:]], [("0", "1"), ("1", "2")]),
     "a negative count": make_seg([("0", -1, ["a"]), ("1", 0, ["b"])], [("0", "1")]),
     "a head without a child": make_seg(_CHAIN, [("1", "2"), ("2", "1")]),
+    "a duplicate edge": make_seg(_CHAIN, [("0", "1"), *_CHAIN_EDGES]),
+    "a cycle the head reaches": make_seg(_CHAIN, [*_CHAIN_EDGES, ("2", "1")]),
+    "an unknown subset": make_seg(_CHAIN, _CHAIN_EDGES, subset="bogus"),
+    "a count that is not the shortest distance": make_seg(_CHAIN, [*_CHAIN_EDGES, ("0", "2")]),
+    "two heads": make_seg([("0", 0, ["a"]), ("0b", 0, ["b"]), ("1", 1, ["c"])], [("0", "1"), ("0b", "1")]),
+    "more walks than the cap": stacked_diamond(17),
 }
 
 

@@ -24,6 +24,7 @@ from segeval.cli import (
     main,
 )
 from segeval.metametrics import ScoreTable, write_score_tables
+from segeval import seg as seg_module
 from segeval.seg import load_segs, seg_to_dict, write_seg_file
 from segeval.synth import SynthConfig, generate_segs, oracle_scores, write_collection
 
@@ -361,6 +362,17 @@ def test_score_subset_filter(workspace, capsys):
     report = json.loads((out_dir / "report.json").read_text())
     n_synth = sum(1 for s in collection if s.subset == "synth")
     assert report["seg_count"] == n_synth
+
+
+@pytest.mark.parametrize("subset", [[], ["--subset", "nat"]])
+def test_score_validates_each_seg_file_once(workspace, monkeypatch, subset):
+    tmp_path, seg_dir, scores, collection = workspace
+    checked = []
+    validate = seg_module.validate_seg
+    monkeypatch.setattr(seg_module, "validate_seg", lambda seg: checked.append(seg.id) or validate(seg))
+    code = main(["score", "--segs", str(seg_dir), "--scores", str(scores), *subset, "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert sorted(checked) == sorted(seg.id for seg in collection)  # load_segs alone; the plans check nothing
 
 
 def test_score_subset_without_segs_exits_4(tmp_path, capsys):

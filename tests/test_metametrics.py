@@ -36,6 +36,7 @@ from segeval.metametrics import (
 from segeval.cli import EXIT_COVERAGE, main
 import segeval.metametrics as metametrics
 from segeval.reporting import walk_line_data
+from segeval.seg import SegCollection
 from segeval.stats import ks_statistic, spearman_rho
 from segeval.synth import ORACLE_KINDS, SynthConfig, generate_segs, oracle_scores, write_collection
 from segeval.walks import adjacent_pairs, enumerate_walks
@@ -234,13 +235,13 @@ SEG_ENTRY_POINTS = {
     "sep_score": lambda seg, table: sep_score(seg, table, "unique-edge"),
     "delta_score": lambda seg, table: delta_score(seg, table, 0.0),  # a zero spread too
     "evaluate_seg": lambda seg, table: evaluate_seg(seg, table, 0.5, "countbelow"),
-    "evaluate_collection": lambda seg, table: evaluate_collection(collection_of(seg), [table]),
+    "evaluate_collection": lambda seg, table: evaluate_collection([seg], [table]),  # not a SegCollection
+    "SegCollection": lambda seg, table: SegCollection((chain_seg([1, 1], "ok"), seg)),
 }
 
 
 @pytest.mark.parametrize("entry_point", SEG_ENTRY_POINTS)
 def test_a_faulty_seg_raises_the_validators_message(entry_point):
-    # one node, a count that does not rise, a node without images, a negative count, a head without a child
     call = SEG_ENTRY_POINTS[entry_point]
     for fault, seg in SEG_FAULTS.items():
         table = table_for(seg, [0.5 + i / 8 for i in range(len(seg.image_ids()))])
@@ -419,7 +420,7 @@ def reference_delta(seg, table, std, pair_mode="per-walk"):
 
 
 # SEGs on both sides of the selections rank and sep once made: walks <= nodes and walks > nodes (stacked diamonds
-# from k = 4), and per-walk or unique-edge pairs <= nodes and > nodes; a one-node chain gets no plan (SEG_FAULTS)
+# from k = 4), and per-walk or unique-edge pairs <= nodes and > nodes; a one-node chain is invalid (SEG_FAULTS)
 KERNEL_SEGS = [
     chain_seg([2, 1, 3]), chain_seg([1, 1, 1, 1, 1]), chain_seg([4, 4]),
     *(stacked_diamond(k) for k in range(1, 6)),

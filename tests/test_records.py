@@ -196,7 +196,7 @@ def test_default_containers_are_not_shared():
 
 
 def test_a_collection_iterates_and_counts_its_segs():
-    other = SemanticErrorGraph(id="t", prompt="p", subset="nat", nodes=(N0,), edges=())
+    other = SemanticErrorGraph(id="t", prompt="p", subset="nat", nodes=(N0, N1), edges=(EDGE,))
     collection = SegCollection((SEG, other))
     assert list(collection) == [SEG, other] and len(collection) == 2
     assert collection.filter_subset("nat") == SegCollection((other,))

@@ -12,6 +12,7 @@ import pytest
 from segeval.errors import CoverageError, ValidationError
 from segeval import metametrics
 from segeval.metametrics import (
+    AggregateReport,
     ScoreTable,
     SegMetricResult,
     _SegPlan,
@@ -297,7 +298,7 @@ def test_lines_csv_formats_a_negative_zero_score_as_zero(tmp_path):
 
 
 def test_lines_csv_quotes_odd_seg_ids_as_the_csv_module_does(tmp_path):
-    ids = ["", " leading space", "a,b", 'say "hi"', "two\nlines", "cr\rid", "crlf\r\nid", "plain"]
+    ids = [" leading space", "a,b", 'say "hi"', "two\nlines", "cr\rid", "crlf\r\nid", "plain"]
     segs = [stacked_diamond(2, seg_id=sid) for sid in ids]  # 4 walks each
     scores = [0.9, -0.0, 1 / 3, 0.25, 0.5, 1e-7, 0.7]
     entries = {k: v for seg in segs for k, v in table_for(seg, scores).entries.items()}
@@ -353,24 +354,22 @@ def test_a_plan_is_built_for_each_valid_seg_or_raises_its_violations(tmp_path):
     built, outcomes = [], set()
     for origin, seg in drawn:
         violations = validate_seg(seg).violations
+        table = ScoreTable("m", {(seg.id, img): rng.choice([rng.random(), -0.0, 1 / 3]) for img in seg.image_ids()})
         try:
-            plan = _SegPlan(seg)
+            lines = walk_line_data(seg, table)
         except ValidationError as exc:
             assert exc.violations == violations != [], seg.id
             assert str(exc) == f"seg {seg.id}: {violations[0]}"
             outcomes.add((origin, "rejected"))
             continue
-        outcomes.add((origin, "built", not violations))  # a plan checks only what its readers rely on
+        assert violations == [], seg.id
+        outcomes.add((origin, "built"))
         built.append(seg)
-        table = ScoreTable("m", {(seg.id, img): rng.choice([rng.random(), -0.0, 1 / 3]) for img in seg.image_ids()})
-        assert list(_line_rows(plan, table)) == list(reference_line_rows([seg], table)), seg.id
-        lines = walk_line_data(seg, table)
         assert type(lines) is list and all(type(line) is list for line in lines)
-        assert len(lines) == len(plan.walks)
-    assert outcomes == {
-        ("random", "rejected"), ("random", "built", True), ("random", "built", False),
-        ("synth", "built", True), ("diamond", "built", True),
-    }
+        sid = csv_row((seg.id, ""))[:-1]
+        rows = ["".join(f"{sid}{w_idx},{_fmt(x)},{_fmt(v)}\n" for x, v in line) for w_idx, line in enumerate(lines)]
+        assert rows == list(reference_line_rows([seg], table)), seg.id
+    assert outcomes == {("random", "rejected"), ("random", "built"), ("synth", "built"), ("diamond", "built")}
     collection = SegCollection(tuple(built))
     entries = {(seg.id, img): rng.choice([rng.random(), -0.0, 1 / 3]) for seg in built for img in seg.image_ids()}
     table = ScoreTable("m", entries)
@@ -390,20 +389,20 @@ def test_walk_line_data_is_a_list_of_lists():
 
 REPORT_ENTRY_POINTS = {
     "walk_line_data": lambda seg, table, out: walk_line_data(seg, table),
-    "emit_report": lambda seg, table, out: emit_report(
-        aggregate([result("m", seg.id, 0.0)], collection_of(seg)), [result("m", seg.id, 0.0)], out,
-        collection_of(seg), {"m": table},
+    "emit_report": lambda seg, table, out: emit_report(  # a tuple, not a SegCollection
+        AggregateReport({}, 1, {}), [result("m", seg.id, 0.0)], out, (seg,), {"m": table},
     ),
+    "SegCollection": lambda seg, table, out: SegCollection((chain_seg([1, 1], "ok"), seg)),
 }
 
 
 @pytest.mark.parametrize("entry_point", REPORT_ENTRY_POINTS)
 def test_a_faulty_seg_raises_the_validators_message(entry_point, tmp_path):
-    # one node, a count that does not rise, a node without images, a negative count, a head without a child
     call = REPORT_ENTRY_POINTS[entry_point]
     for n, (fault, seg) in enumerate(SEG_FAULTS.items()):
         table = table_for(seg, [0.5 + i / 8 for i in range(len(seg.image_ids()))])
         assert_raises_the_validators_message(lambda: call(seg, table, tmp_path / str(n)), seg)
+        assert not (tmp_path / str(n)).exists(), fault  # nothing is written, not even the directory
 
 
 def test_emission_builds_one_plan_per_seg_for_every_lines_file(tmp_path, monkeypatch):

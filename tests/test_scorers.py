@@ -577,11 +577,16 @@ QUESTION_GRAPH_FAULTS = {
     "an unknown parent, then a cycle": qgraph(("a", ["b"], "y"), ("b", ["a"], "y"), ("c", ["qx"], "y")),
 }
 
+# graphs the loader rejects as a set: every graph is sound, but two share a prompt_id
+QUESTION_GRAPH_SET_FAULTS = {
+    "a repeated prompt_id": [qgraph(("q1", [], "yes"), prompt_id="s"), qgraph(("q1", [], "no"), prompt_id="s")],
+}
+
 QUESTION_GRAPH_ENTRY_POINTS = {
-    "accumulate_scores_tifa": lambda qg, answers: accumulate_scores([qg], _answer_table(answers), "tifa"),
-    "accumulate_scores_dsg": lambda qg, answers: accumulate_scores([qg], _answer_table(answers), "dsg"),
-    "tifa_accumulate": tifa_accumulate,
-    "dsg_accumulate": dsg_accumulate,
+    "accumulate_scores_tifa": lambda graphs, answers: accumulate_scores(graphs, _answer_table(answers), "tifa"),
+    "accumulate_scores_dsg": lambda graphs, answers: accumulate_scores(graphs, _answer_table(answers), "dsg"),
+    "tifa_accumulate": lambda graphs, answers: tifa_accumulate(*graphs, answers),
+    "dsg_accumulate": lambda graphs, answers: dsg_accumulate(*graphs, answers),
 }
 
 
@@ -593,16 +598,24 @@ def _answer_table(answers: dict[str, str]) -> AnswerTable:
 def test_a_faulty_question_graph_raises_the_loaders_message(entry_point, tmp_path):
     call = QUESTION_GRAPH_ENTRY_POINTS[entry_point]
     path = tmp_path / "q.json"
-    for fault, qg in QUESTION_GRAPH_FAULTS.items():
-        questions = [{"id": q.id, "parent_ids": list(q.parent_ids), "expected_answer": q.expected_answer} for q in qg.questions]
-        path.write_text(json.dumps({"prompt_id": qg.prompt_id, "questions": questions}))
+    faults = {fault: [qg] for fault, qg in QUESTION_GRAPH_FAULTS.items()}
+    if entry_point.startswith("accumulate_scores"):  # the others take one graph
+        faults |= QUESTION_GRAPH_SET_FAULTS
+    for fault, graphs in faults.items():
+        path.write_text(json.dumps([
+            {"prompt_id": qg.prompt_id, "questions": [
+                {"id": q.id, "parent_ids": list(q.parent_ids), "expected_answer": q.expected_answer} for q in qg.questions
+            ]}
+            for qg in graphs
+        ]))
         with pytest.raises(ValidationError) as loaded:
             load_question_graphs(path)
         message = str(loaded.value).replace(str(path), "<data>", 1)
+        qg = graphs[0]
         right = {q.id: q.expected_answer for q in qg.questions}  # a repeated id's last listed answer
         for answers in (right, {qg.questions[0].id: "no"}, {**right, "zz": "yes"}):  # all right, one missing, one unknown
             with pytest.raises(ValidationError) as exc:
-                call(qg, answers)
+                call(graphs, answers)
             assert str(exc.value) == message, (fault, answers)
 
 

@@ -10,7 +10,7 @@ from segeval.errors import ValidationError
 from segeval.walks import adjacent_pairs, enumerate_walks
 from segeval.synth import SynthConfig, generate_segs
 
-from conftest import chain_seg, make_seg, stacked_diamond
+from conftest import alarm_after, chain_seg, make_seg, stacked_diamond
 
 
 def brute_force_paths(seg):
@@ -34,6 +34,12 @@ def brute_force_paths(seg):
 
     walk(head, [])
     return sorted(paths)
+
+
+def test_a_cycle_the_head_reaches_raises_the_validators_message():
+    seg = make_seg([("0", 0, ["a"]), ("1", 1, ["b"]), ("2", 2, ["c"])], [("0", "1"), ("1", "2"), ("2", "1")])
+    with pytest.raises(ValidationError, match=r"^seg seg: graph contains a directed cycle$"), alarm_after(10):
+        enumerate_walks(seg)
 
 
 def test_chain_has_one_walk():
